@@ -16,15 +16,12 @@ Library layout:
   N-oscillator representation on a small momentum grid.
 - cli: scenario runner (`bellepr correlate|oracle-verify|diagnose`).
 """
-from __future__ import annotations
-
 from .measure import (
     DetectorRegion,
     IntegralResult,
     NodeSet,
     QuadratureSpec,
     full_sphere_region,
-    integrate_boosted_region,
     integrate_region,
     invariant_node_set,
     map_nodes,
@@ -111,11 +108,64 @@ from .spinor_tetrad import (
 
 __all__ = [
     "__version__",
+    # measure
+    "DetectorRegion",
+    "IntegralResult",
+    "NodeSet",
+    "QuadratureSpec",
+    "full_sphere_region",
+    "integrate_region",
+    "invariant_node_set",
+    "map_nodes",
+    "region_measure",
+    "regions_disjoint",
+    # vacuum
+    "VacuumDensity",
+    "evaluate",
+    "evaluate_batch",
+    "normalize",
+    "with_transform",
+    # states
+    "FitResult",
+    "PolarizationAngleField",
+    "TwoPhotonAmplitude",
+    "amplitude_eval",
+    "amplitude_pair_tables",
+    "azimuthal_field",
+    "bell_amplitude",
+    "bell_condition_residual",
+    "constant_field",
+    "covariance_residual",
+    "field_value",
+    "field_values",
+    "fit_theta",
+    "symmetry_residual",
+    "tabulated_field",
+    "theta_wigner_residual",
+    "two_photon_norm",
+    "with_transform_field",
+    # correlators
+    "DEFAULT_QUADRATURE",
+    "CorrelationResult",
+    "DetectorSetting",
+    "Scenario",
+    "TransformCase",
+    "alice_only_case",
+    "bound_check",
+    "epr_bell_rest",
+    "epr_case1",
+    "epr_case2",
+    "epr_general_rest",
+    "joint_case",
+    "rest_case",
+    "swap_roles",
+    # errors
     "ChartError",
     "ConsistencyError",
     "EvaluationError",
     "InputError",
     "PreconditionError",
+    # spinor_tetrad
     "LorentzMap",
     "NullMomentum",
     "NullTetrad",

@@ -25,6 +25,7 @@ output files; the thread count never changes results or bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -388,7 +389,7 @@ def _build_amplitude(state: dict) -> TwoPhotonAmplitude:
                 "general coefficients must be exchange-symmetric: "
                 f"slot {slot} needs a matching transposed entry"
             )
-        table[slot] = (lambda k, kp, c=c: c)
+        table[slot] = (lambda f1, d1, f2, d2, c=c: c)
     return TwoPhotonAmplitude(kind="general", envelope=envelope, table=table)
 
 
@@ -503,8 +504,6 @@ def _sweep_values(sweep: dict) -> list[float]:
 
 
 def _scenario_at(base: Scenario, doc: dict, variable: str, value) -> Scenario:
-    import dataclasses
-
     if variable == "beta":
         return dataclasses.replace(
             base, bob=dataclasses.replace(base.bob, angle=float(value))

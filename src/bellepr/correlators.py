@@ -40,10 +40,10 @@ import numpy as np
 from .errors import InputError, PreconditionError
 from .measure import (
     DetectorRegion,
-    NodeSet,
     QuadratureSpec,
     invariant_node_set,
     map_nodes,
+    mapped_bounding_region,
     regions_disjoint,
 )
 from .spinor_tetrad import (
@@ -57,6 +57,8 @@ from .states import (
     TwoPhotonAmplitude,
     amplitude_pair_tables,
     field_values,
+    norm_sum,
+    oscillator_factors,
     theta_wigner_residual,
 )
 from .vacuum import VacuumDensity, evaluate_batch, with_transform
@@ -248,18 +250,6 @@ def _arm(
     )
 
 
-def _num_factor(n_osc) -> float:
-    if n_osc == math.inf:
-        return 8.0
-    return 8.0 * (n_osc - 1) / n_osc
-
-
-def _den_factors(n_osc) -> tuple[float, float]:
-    if n_osc == math.inf:
-        return 0.0, 2.0
-    return 2.0 / n_osc, 2.0 * (n_osc - 1) / n_osc
-
-
 def _slot_products(
     tables: dict[tuple[int, int], np.ndarray],
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -274,29 +264,43 @@ def _slot_products(
     return t_sum, t_diff
 
 
-def _numerator(
-    amp: TwoPhotonAmplitude, bob: _Arm, alice: _Arm, n_osc
-) -> tuple[float, dict[tuple[int, int], np.ndarray]]:
+def _four_term(
+    tables: dict[tuple[int, int], np.ndarray], bob: _Arm, alice: _Arm, beta, alpha, n_osc
+) -> float:
     """Four-term unnormalized average over the Bob-cone x Alice-cone block.
 
     Re[e^{-2i(beta_i+alpha_j)} conj(psi_++)psi_-- +
        e^{-2i(beta_i-alpha_j)} conj(psi_+-)psi_-+] summed with invariant
-    weights and one vacuum factor per arm, times 8(N-1)/N.
+    weights and one vacuum factor per arm, times 8(N-1)/N.  The analyzer
+    angles ``beta``/``alpha`` are per-node arrays or scalars.
     """
-    tables = amplitude_pair_tables(
-        amp, bob.freqs, bob.dirs, alice.freqs, alice.dirs, outer=True
-    )
     t_sum, t_diff = _slot_products(tables)
-    ub = bob.weights * bob.zvals * np.exp(-2.0j * bob.angles)
+    ub = bob.weights * bob.zvals * np.exp(-2.0j * beta)
     ua = alice.weights * alice.zvals
-    ua_plus = ua * np.exp(-2.0j * alice.angles)
-    ua_minus = ua * np.exp(2.0j * alice.angles)
     total = 0.0 + 0.0j
     if t_sum is not None:
-        total += ub @ t_sum @ ua_plus
+        total += ub @ t_sum @ (ua * np.exp(-2.0j * alpha))
     if t_diff is not None:
-        total += ub @ t_diff @ ua_minus
-    return _num_factor(n_osc) * float(total.real), tables
+        total += ub @ t_diff @ (ua * np.exp(2.0j * alpha))
+    return oscillator_factors(n_osc)[2] * float(total.real)
+
+
+def _transported_numerator(
+    scn: Scenario, bob: _Arm, alice: _Arm, tables: dict[tuple[int, int], np.ndarray]
+) -> float:
+    """Numerator of the joint case's vacuum-side bookkeeping: plain analyzer
+    angles over the laboratory cones and the slot tables transported by the
+    phase rule (each slot picks e^{-2i s Theta} per arm), with the vacuum
+    density read through the inverse map as the arms already hold it.
+    Equals the detector-side numerator when the phase bookkeeping is
+    consistent."""
+    transported = {
+        (s, sp): np.exp(-1.0j * s * bob.wigner)[:, None]
+        * np.exp(-1.0j * sp * alice.wigner)[None, :]
+        * vals
+        for (s, sp), vals in tables.items()
+    }
+    return _four_term(transported, bob, alice, scn.bob.angle, scn.alice.angle, scn.n_osc)
 
 
 def _denominator(
@@ -310,34 +314,11 @@ def _denominator(
     of |psi|^2 Z Z' makes equal up to quadrature: the identity behind
     folding both orderings into twice one block.
     """
-    first_fac, cross_fac = _den_factors(n_osc)
-    arms = (bob, alice)
-
-    diag_total = 0.0
-    if first_fac != 0.0:
-        for arm in arms:
-            u = arm.weights * arm.zvals
-            tabs = amplitude_pair_tables(
-                amp, arm.freqs, arm.dirs, arm.freqs, arm.dirs, outer=False
-            )
-            for vals in tabs.values():
-                diag_total += float(np.sum(np.abs(vals) ** 2 * u))
-
-    blocks = np.zeros((2, 2))
-    for a, arm_a in enumerate(arms):
-        ua = arm_a.weights * arm_a.zvals
-        for b, arm_b in enumerate(arms):
-            ub = arm_b.weights * arm_b.zvals
-            tabs = amplitude_pair_tables(
-                amp, arm_a.freqs, arm_a.dirs, arm_b.freqs, arm_b.dirs, outer=True
-            )
-            blocks[a, b] = sum(
-                float(ua @ (np.abs(vals) ** 2) @ ub) for vals in tabs.values()
-            )
-    cross_total = float(blocks.sum())
+    total, blocks = norm_sum(
+        amp, [(arm.freqs, arm.dirs, arm.weights * arm.zvals) for arm in (bob, alice)], n_osc
+    )
     scale = max(abs(blocks[0, 1]), abs(blocks[1, 0]), 1e-300)
-    swap_residual = abs(blocks[0, 1] - blocks[1, 0]) / scale
-    return first_fac * diag_total + cross_fac * cross_total, swap_residual
+    return total, abs(blocks[0, 1] - blocks[1, 0]) / scale
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +363,7 @@ def _bell_diagnostics(
     rel = math.sqrt(float(np.sum(w_outer * res**2)) / (2.0 * denom)) if denom > 0 else 0.0
     sign = -branch
     spec_num = (
-        _num_factor(scn.n_osc)
+        oscillator_factors(scn.n_osc)[2]
         * sign
         * float(np.sum(w_outer * np.cos(2.0 * combo) * np.abs(moduli) ** 2))
     )
@@ -429,46 +410,35 @@ def _route_arms(scn: Scenario, spec: QuadratureSpec) -> tuple[_Arm, _Arm]:
     )
 
 
-def _evaluate(scn: Scenario, spec: QuadratureSpec) -> tuple[float, float, _Arm, _Arm, dict]:
-    bob, alice = _route_arms(scn, spec)
-    num, tables = _numerator(scn.amplitude, bob, alice, scn.n_osc)
-    den, swap_res = _denominator(scn.amplitude, bob, alice, scn.n_osc)
-    if den <= 0.0:
-        raise PreconditionError(
-            "denominator is not positive: state has no weight on the detector cones"
-        )
-    return num, den, bob, alice, {"den_swap_block_residual": swap_res, "tables": tables}
+class _Evaluation(NamedTuple):
+    """One evaluation of a scenario at one quadrature spec.  ``vacuum_num``
+    is the vacuum-side numerator, set for the joint case only."""
+
+    num: float
+    den: float
+    bob: _Arm
+    alice: _Arm
+    tables: dict[tuple[int, int], np.ndarray]
+    swap_residual: float
+    vacuum_num: float | None
 
 
-def _transported_value(scn: Scenario, spec: QuadratureSpec) -> float:
-    """Joint-transform value via the vacuum-side bookkeeping: plain analyzer
-    angles over the laboratory cones, slot tables transported by the phase
-    rule (each slot picks e^{-2i s Theta} per arm), and the vacuum density
-    read through the inverse map.  Exactly equals the detector-side value
-    when the phase bookkeeping is consistent."""
-    m = scn.transform.lorentz_map
-    assert m is not None
+def _evaluate(scn: Scenario, spec: QuadratureSpec) -> _Evaluation:
     bob, alice = _route_arms(scn, spec)
     tables = amplitude_pair_tables(
         scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs, outer=True
     )
-    transported: dict[tuple[int, int], np.ndarray] = {}
-    for (s, sp), vals in tables.items():
-        phase = np.exp(-1.0j * s * bob.wigner)[:, None] * np.exp(
-            -1.0j * sp * alice.wigner
-        )[None, :]
-        transported[(s, sp)] = phase * vals
-    t_sum, t_diff = _slot_products(transported)
-    ub = bob.weights * bob.zvals * np.exp(-2.0j * scn.bob.angle)
-    ua = alice.weights * alice.zvals
-    total = 0.0 + 0.0j
-    if t_sum is not None:
-        total += ub @ t_sum @ (ua * np.exp(-2.0j * scn.alice.angle))
-    if t_diff is not None:
-        total += ub @ t_diff @ (ua * np.exp(2.0j * scn.alice.angle))
-    num = _num_factor(scn.n_osc) * float(total.real)
-    den, _ = _denominator(scn.amplitude, bob, alice, scn.n_osc)
-    return num / den
+    num = _four_term(tables, bob, alice, bob.angles, alice.angles, scn.n_osc)
+    vacuum_num = None
+    if scn.transform.kind == "joint":
+        vacuum_num = _transported_numerator(scn, bob, alice, tables)
+    den, swap_res = _denominator(scn.amplitude, bob, alice, scn.n_osc)
+    if den <= 0.0:
+        raise PreconditionError(
+            "denominator is not positive: it underflowed, or the state has no "
+            "weight on the detector cones"
+        )
+    return _Evaluation(num, den, bob, alice, tables, swap_res, vacuum_num)
 
 
 def _realized_rest_value(scn: Scenario, spec: QuadratureSpec) -> float:
@@ -483,33 +453,38 @@ def _realized_rest_value(scn: Scenario, spec: QuadratureSpec) -> float:
         transform=TransformCase(kind="rest"),
         vacuum=with_transform(scn.vacuum, m),
     )
-    num, den, _, _, _ = _evaluate(rest, spec)
-    return num / den
+    ev = _evaluate(rest, spec)
+    return ev.num / ev.den
 
 
 _ERR_FLOOR = 64.0 * np.finfo(np.float64).eps
 
 
-def _finish(scn: Scenario, extra_diag: dict[str, float] | None = None) -> CorrelationResult:
+def _halving_err(full: float, half: float) -> float:
+    """Full-rule vs halved-rule difference plus a roundoff floor."""
+    return abs(full - half) + _ERR_FLOOR * (1.0 + abs(full))
+
+
+def _finish(scn: Scenario) -> CorrelationResult:
     spec = scn.quadrature
-    num, den, bob, alice, parts = _evaluate(scn, spec)
-    value = num / den
-    num_h, den_h, _, _, _ = _evaluate(scn, spec.halved())
-    err = abs(value - num_h / den_h) + _ERR_FLOOR * (1.0 + abs(value))
-    diagnostics: dict[str, float] = {
-        "den_swap_block_residual": parts["den_swap_block_residual"]
-    }
+    full = _evaluate(scn, spec)
+    half = _evaluate(scn, spec.halved())
+    value = full.num / full.den
+    diagnostics: dict[str, float] = {"den_swap_block_residual": full.swap_residual}
     diagnostics.update(
-        _bell_diagnostics(scn, bob, alice, parts["tables"], den, value)
+        _bell_diagnostics(scn, full.bob, full.alice, full.tables, full.den, value)
     )
     diagnostics.update(_theta_shift_diag(scn))
-    if extra_diag:
-        diagnostics.update(extra_diag)
+    if full.vacuum_num is not None:
+        vac = full.vacuum_num / full.den
+        diagnostics["vacuum_picture_value"] = vac
+        diagnostics["vacuum_picture_err"] = _halving_err(vac, half.vacuum_num / half.den)
+        diagnostics["picture_gap"] = abs(value - vac)
     return CorrelationResult(
-        numerator=num,
-        denominator=den,
+        numerator=full.num,
+        denominator=full.den,
         value=value,
-        err_estimate=err,
+        err_estimate=_halving_err(value, half.num / half.den),
         diagnostics=diagnostics,
     )
 
@@ -559,47 +534,11 @@ def epr_case1(scenario: Scenario) -> CorrelationResult:
     defect of the constructed amplitude family.
     """
     _require_case(scenario, "joint", "epr_case1")
-    spec = scenario.quadrature
-    vac_full = _transported_value(scenario, spec)
-    vac_half = _transported_value(scenario, spec.halved())
-    vac_err = abs(vac_full - vac_half) + _ERR_FLOOR * (1.0 + abs(vac_full))
-    realized = _realized_rest_value(scenario, spec)
     result = _finish(scenario)
-    diag = dict(result.diagnostics)
-    diag["vacuum_picture_value"] = vac_full
-    diag["vacuum_picture_err"] = vac_err
-    diag["picture_gap"] = abs(result.value - vac_full)
-    diag["realized_value"] = realized
-    diag["realized_gap"] = abs(result.value - realized)
-    return dataclasses.replace(result, diagnostics=diag)
-
-
-def _mapped_bounding_region(region: DetectorRegion, m: LorentzMap) -> DetectorRegion:
-    """Circular cone bounding the image of ``region``'s directions under the
-    map (directions aberrate independently of frequency; the cone is grown
-    to the farthest mapped rim direction)."""
-    axis = np.asarray(region.axis, dtype=np.float64)
-    probe = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(axis, probe)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    rim = (
-        math.cos(region.half_angle) * axis[None, :]
-        + math.sin(region.half_angle)
-        * (np.cos(phi)[:, None] * e1[None, :] + np.sin(phi)[:, None] * e2[None, :])
-    )
-    dirs = np.concatenate([axis[None, :], rim], axis=0)
-    four = np.concatenate([np.ones((dirs.shape[0], 1)), dirs], axis=1)
-    img = four @ m.matrix.T
-    img_dirs = img[:, 1:] / np.linalg.norm(img[:, 1:], axis=1)[:, None]
-    new_axis = img_dirs[0]
-    cosang = np.clip(img_dirs @ new_axis, -1.0, 1.0)
-    half = float(np.arccos(cosang).max())
-    half = min(max(half, 1e-9), math.pi)
-    return DetectorRegion(
-        axis=new_axis, half_angle=half, freq_lo=0.5, freq_hi=2.0
-    )
+    realized = _realized_rest_value(scenario, scenario.quadrature)
+    result.diagnostics["realized_value"] = realized
+    result.diagnostics["realized_gap"] = abs(result.value - realized)
+    return result
 
 
 def epr_case2(scenario: Scenario) -> CorrelationResult:
@@ -613,7 +552,7 @@ def epr_case2(scenario: Scenario) -> CorrelationResult:
     _require_case(scenario, "alice_only", "epr_case2")
     m = scenario.transform.lorentz_map
     assert m is not None
-    pulled = _mapped_bounding_region(scenario.alice.region, inverse(m))
+    pulled = mapped_bounding_region(scenario.alice.region, inverse(m))
     if not regions_disjoint(scenario.bob.region, pulled):
         raise PreconditionError(
             "Bob's cone overlaps the pulled-back image of Alice's cone; "

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EvaluationError, InputError, PreconditionError
-from .spinor_tetrad import LorentzMap, NullMomentum
+from .spinor_tetrad import LorentzMap, NullMomentum, map_momenta
 
 __all__ = [
     "DetectorRegion",
@@ -41,9 +41,9 @@ __all__ = [
     "invariant_node_set",
     "region_measure",
     "integrate_region",
-    "integrate_boosted_region",
     "regions_disjoint",
     "map_nodes",
+    "mapped_bounding_region",
     "full_sphere_region",
 ]
 
@@ -242,19 +242,17 @@ def _axis_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _dirs_from_angles(
-    region: DetectorRegion, cosines: np.ndarray, azimuths: np.ndarray
-) -> np.ndarray:
-    """Direction vectors for a (cos polar) x (azimuth) grid about the region axis."""
-    e1, e2 = _axis_frame(region.axis)
+def _cone_dirs(axis: np.ndarray, cosines: np.ndarray, azimuths: np.ndarray) -> np.ndarray:
+    """Unit directions at polar cosines and azimuths about ``axis``.
+
+    ``cosines`` and ``azimuths`` broadcast against each other; the result has
+    their broadcast shape plus a trailing axis of length 3.
+    """
+    e1, e2 = _axis_frame(axis)
     sin_t = np.sqrt(np.clip(1.0 - cosines**2, 0.0, None))
     ca, sa = np.cos(azimuths), np.sin(azimuths)
-    # broadcast: cosines (nc, 1), azimuths (1, na) -> (nc, na, 3)
-    d = (
-        sin_t[:, None, None] * (ca[None, :, None] * e1 + sa[None, :, None] * e2)
-        + cosines[:, None, None] * region.axis
-    )
-    return d
+    transverse = ca[..., None] * e1 + sa[..., None] * e2
+    return sin_t[..., None] * transverse + cosines[..., None] * axis
 
 
 def invariant_node_set(region: DetectorRegion, spec: QuadratureSpec) -> NodeSet:
@@ -279,7 +277,7 @@ def invariant_node_set(region: DetectorRegion, spec: QuadratureSpec) -> NodeSet:
     azimuths = 2.0 * math.pi * np.arange(spec.n_azimuth) / spec.n_azimuth
     w_az = 2.0 * math.pi / spec.n_azimuth
 
-    dirs_grid = _dirs_from_angles(region, cosines, azimuths)  # (nc, na, 3)
+    dirs_grid = _cone_dirs(region.axis, cosines[:, None], azimuths[None, :])  # (nc, na, 3)
     nf, nc, na = om.size, cosines.size, azimuths.size
     freqs = np.repeat(om, nc * na)
     dirs = np.tile(dirs_grid.reshape(nc * na, 3), (nf, 1))
@@ -301,12 +299,7 @@ def _mc_node_set(region: DetectorRegion, spec: QuadratureSpec) -> NodeSet:
         1.0 - math.cos(region.half_angle)
     )
     azimuths = 2.0 * math.pi * rng.random(n)
-    e1, e2 = _axis_frame(region.axis)
-    sin_t = np.sqrt(np.clip(1.0 - cosines**2, 0.0, None))
-    dirs = (
-        sin_t[:, None] * (np.cos(azimuths)[:, None] * e1 + np.sin(azimuths)[:, None] * e2)
-        + cosines[:, None] * region.axis
-    )
+    dirs = _cone_dirs(region.axis, cosines, azimuths)
     w = np.full(n, region_measure(region) / n)
     return NodeSet(freqs=freqs, dirs=dirs, weights=w)
 
@@ -386,37 +379,33 @@ def integrate_region(
     return IntegralResult(value, abs(value - coarse) + floor)
 
 
-def integrate_boosted_region(
-    f: Callable,
-    region: DetectorRegion,
-    lorentz_map: LorentzMap,
-    spec: QuadratureSpec,
-    *,
-    batch: bool = False,
-) -> IntegralResult:
-    """Integrate f over the image of the region under the map.
-
-    Computes integral over {Lambda u : u in region} of f(l) dGamma(l) as the
-    integral over the region of f(Lambda u) dGamma(u): the invariant measure
-    makes the change of variables Jacobian-free, and the image of a cone
-    (not itself a cone) is never meshed directly.
-    """
-    return integrate_region(f, region, spec, batch=batch, lorentz_map=lorentz_map)
-
-
 def map_nodes(lorentz_map: LorentzMap, nodes: NodeSet) -> NodeSet:
     """Push nodes forward through a Lorentz map; weights are unchanged.
 
     The frequency of each image node is recomputed as the norm of its spatial
     part, so image momenta are exactly null.
     """
-    four = np.empty((len(nodes), 4))
-    four[:, 0] = nodes.freqs
-    four[:, 1:] = nodes.freqs[:, None] * nodes.dirs
-    img = four @ lorentz_map.matrix.T
-    freqs = np.linalg.norm(img[:, 1:], axis=1)
-    dirs = img[:, 1:] / freqs[:, None]
+    freqs, dirs = map_momenta(lorentz_map, nodes.freqs, nodes.dirs)
     return NodeSet(freqs=freqs, dirs=dirs, weights=nodes.weights)
+
+
+def mapped_bounding_region(
+    region: DetectorRegion, lorentz_map: LorentzMap
+) -> DetectorRegion:
+    """Circular cone bounding the image of ``region``'s directions under the
+    map.  Directions aberrate independently of frequency, so the axis and 64
+    rim directions are mapped and the cone is grown to the farthest image;
+    only the directions of the returned region are meaningful (its frequency
+    window is a placeholder)."""
+    phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    rim = _cone_dirs(region.axis, np.full(phi.shape, math.cos(region.half_angle)), phi)
+    dirs = np.concatenate([region.axis[None, :], rim], axis=0)
+    _, img_dirs = map_momenta(lorentz_map, np.ones(dirs.shape[0]), dirs)
+    new_axis = img_dirs[0]
+    cosang = np.clip(img_dirs @ new_axis, -1.0, 1.0)
+    half = float(np.arccos(cosang).max())
+    half = min(max(half, 1e-9), math.pi)
+    return DetectorRegion(axis=new_axis, half_angle=half, freq_lo=0.5, freq_hi=2.0)
 
 
 def regions_disjoint(a: DetectorRegion, b: DetectorRegion) -> bool:

@@ -44,10 +44,15 @@ __all__ = [
     "compose",
     "inverse",
     "apply",
+    "map_momenta",
     "standard_spinor",
     "spin_frame",
     "null_tetrad",
     "wigner_phase",
+    "batch_spinors",
+    "batch_spin_frames",
+    "batch_m_vectors",
+    "batch_wigner_phases",
     "wrap_angle",
     "tetrad_covariance_residual",
     "tetrad_gauge_defect",
@@ -182,12 +187,34 @@ def inverse(a: LorentzMap) -> LorentzMap:
     return LorentzMap(minv, sinv)
 
 
+def _one(k: NullMomentum) -> tuple[np.ndarray, np.ndarray]:
+    """A single momentum as a batch of one."""
+    return np.array([k.freq]), k.dir.reshape(1, 3)
+
+
+def map_momenta(
+    a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Image momenta L k for arrays of momenta: frequencies (...,) and unit
+    directions (..., 3).
+
+    The image frequency is recomputed as the norm of the spatial part, so the
+    image momenta are exactly null; it stays positive for orthochronous maps.
+    """
+    freqs = np.asarray(freqs, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    four = np.empty(freqs.shape + (4,))
+    four[..., 0] = freqs
+    four[..., 1:] = freqs[..., None] * dirs
+    img = four @ a.matrix.T
+    img_freqs = np.linalg.norm(img[..., 1:], axis=-1)
+    return img_freqs, img[..., 1:] / img_freqs[..., None]
+
+
 def apply(a: LorentzMap, k: NullMomentum) -> NullMomentum:
-    """Image momentum L k. The frequency stays positive (orthochronous maps)."""
-    v = a.matrix @ k.four_vec
-    sp = v[1:]
-    f = math.sqrt(float(sp @ sp))
-    return NullMomentum(f, sp / f)
+    """Image momentum L k (single-momentum form of map_momenta)."""
+    freqs, dirs = map_momenta(a, *_one(k))
+    return NullMomentum(float(freqs[0]), dirs[0])
 
 
 @dataclass(frozen=True)
@@ -224,21 +251,13 @@ class NullTetrad:
             object.__setattr__(self, "mbar_vec", np.conj(self.m_vec))
 
 
-def _chart_check_scalar(dir3: np.ndarray) -> None:
-    dx, dy, dz = float(dir3[0]), float(dir3[1]), float(dir3[2])
-    if math.sqrt(dx * dx + dy * dy + (dz + 1.0) ** 2) < _CHART_TOL:
-        raise ChartError(
-            "direction lies on the spinor chart cut (within 1e-9 of -z); "
-            "rotate the scene away from the excluded direction"
-        )
-
-
-def _batch_spinors(freqs: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_spinors(freqs: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chart spinor components (p0, p1) for arrays of momenta.
 
-    freqs: (n,), dirs: (n,3).  Uses the closed forms
+    freqs: (...,), dirs: (..., 3).  Uses the closed forms
     p0 = sqrt(omega (1+dz)), p1 = sqrt(omega/(1+dz)) (dx + i dy),
-    which satisfy the flagpole identity exactly.
+    which satisfy the flagpole identity exactly.  Raises ChartError when a
+    direction lies within 1e-9 of the chart cut at -z.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -246,7 +265,8 @@ def _batch_spinors(freqs: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.
     dist2 = dx * dx + dy * dy + (dz + 1.0) ** 2
     if np.any(dist2 < _CHART_TOL * _CHART_TOL):
         raise ChartError(
-            "a momentum direction lies on the spinor chart cut (within 1e-9 of -z)"
+            "a momentum direction lies on the spinor chart cut (within 1e-9 of -z); "
+            "rotate the scene away from the excluded direction"
         )
     opz = 1.0 + dz
     p0 = np.sqrt(freqs * opz).astype(np.complex128)
@@ -254,79 +274,40 @@ def _batch_spinors(freqs: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.
     return p0, p1
 
 
-def standard_spinor(k: NullMomentum) -> Spinor:
-    """Flagpole spinor of k in the half-angle chart: pi pi^dag = K(k) exactly."""
-    _chart_check_scalar(k.dir)
-    p0, p1 = _batch_spinors(np.array([k.freq]), k.dir.reshape(1, 3))
-    return Spinor(complex(p0[0]), complex(p1[0]))
-
-
-def spin_frame(k: NullMomentum) -> SpinFrame:
-    """Spin-frame (pi, omic) at k with pairing pi0*omic1 - pi1*omic0 = 1."""
-    _chart_check_scalar(k.dir)
-    dx, dy, dz = (float(v) for v in k.dir)
-    w = k.freq
-    opz = 1.0 + dz
-    p0 = complex(math.sqrt(w * opz))
-    p1 = math.sqrt(w / opz) * complex(dx, dy)
-    # omic = (-sin(t/2) e^{-i phi}, cos(t/2)) / sqrt(2 w), written smoothly:
-    o0 = -complex(dx, -dy) / (2.0 * math.sqrt(w * opz))
-    o1 = complex(math.sqrt(opz / w) / 2.0)
-    return SpinFrame(Spinor(p0, p1), Spinor(o0, o1))
-
-
-def _vector_of_matrix(m00, m01, m10, m11, c):
-    """Four-vector of a 2x2 matrix under the Pauli map K(v) = v0 I + v.sigma."""
-    return np.array(
-        [
-            c * (m00 + m11),
-            c * (m01 + m10),
-            1.0j * c * (m01 - m10),
-            c * (m00 - m11),
-        ],
-        dtype=np.complex128,
-    )
-
-
-def null_tetrad(k: NullMomentum) -> NullTetrad:
-    """Null tetrad at k, all four legs built from the spin-frame."""
-    fr = spin_frame(k)
-    p = fr.pi.as_array
-    o = fr.omic.as_array
-    pc = np.conj(p)
-    oc = np.conj(o)
-    k_vec = _vector_of_matrix(p[0] * pc[0], p[0] * pc[1], p[1] * pc[0], p[1] * pc[1], 0.5).real
-    q_vec = _vector_of_matrix(o[0] * oc[0], o[0] * oc[1], o[1] * oc[0], o[1] * oc[1], 1.0).real
-    m_vec = math.sqrt(2.0) * _vector_of_matrix(
-        o[0] * pc[0], o[0] * pc[1], o[1] * pc[0], o[1] * pc[1], 0.5
-    )
-    return NullTetrad(k_vec=k_vec, q_vec=q_vec, m_vec=m_vec)
-
-
 def batch_spin_frames(
     freqs: np.ndarray, dirs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Spin-frame components (p0, p1, o0, o1) for arrays of momenta.
 
-    Vectorized form of spin_frame; the pairing p0*o1 - p1*o0 = 1 holds
-    exactly for every entry.
+    The pairing p0*o1 - p1*o0 = 1 holds exactly for every entry.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    p0, p1 = _batch_spinors(freqs, dirs)
+    p0, p1 = batch_spinors(freqs, dirs)
     dx, dy, dz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
     opz = 1.0 + dz
+    # omic = (-sin(t/2) e^{-i phi}, cos(t/2)) / sqrt(2 w), written smoothly
     o0 = -(dx - 1.0j * dy) / (2.0 * np.sqrt(freqs * opz))
     o1 = (np.sqrt(opz / freqs) / 2.0).astype(np.complex128)
     return p0, p1, o0, o1
 
 
-def batch_m_vectors(freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Tetrad legs m(k_i) as an (n, 4) complex array (vectorized null_tetrad)."""
-    p0, p1, o0, o1 = batch_spin_frames(freqs, dirs)
-    pc0, pc1 = np.conj(p0), np.conj(p1)
-    c = 0.5 * math.sqrt(2.0)
-    m00, m01, m10, m11 = o0 * pc0, o0 * pc1, o1 * pc0, o1 * pc1
+def standard_spinor(k: NullMomentum) -> Spinor:
+    """Flagpole spinor of k in the half-angle chart: pi pi^dag = K(k) exactly."""
+    p0, p1 = batch_spinors(*_one(k))
+    return Spinor(complex(p0[0]), complex(p1[0]))
+
+
+def spin_frame(k: NullMomentum) -> SpinFrame:
+    """Spin-frame (pi, omic) at k with pairing pi0*omic1 - pi1*omic0 = 1."""
+    p0, p1, o0, o1 = batch_spin_frames(*_one(k))
+    return SpinFrame(
+        Spinor(complex(p0[0]), complex(p1[0])), Spinor(complex(o0[0]), complex(o1[0]))
+    )
+
+
+def _vector_of_matrix(m00, m01, m10, m11, c) -> np.ndarray:
+    """Four-vectors (..., 4) of 2x2 matrices under the Pauli map K(v) = v0 I + v.sigma."""
     return np.stack(
         [
             c * (m00 + m11),
@@ -338,44 +319,50 @@ def batch_m_vectors(freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     )
 
 
+def _m_legs(p0, p1, o0, o1) -> np.ndarray:
+    """Tetrad leg m ~ omic (x) conj(pi) of spin-frame components."""
+    pc0, pc1 = np.conj(p0), np.conj(p1)
+    return _vector_of_matrix(o0 * pc0, o0 * pc1, o1 * pc0, o1 * pc1, 0.5 * math.sqrt(2.0))
+
+
+def batch_m_vectors(freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Tetrad legs m(k_i) as an (n, 4) complex array."""
+    return _m_legs(*batch_spin_frames(freqs, dirs))
+
+
+def null_tetrad(k: NullMomentum) -> NullTetrad:
+    """Null tetrad at k, all four legs built from the spin-frame."""
+    p0, p1, o0, o1 = batch_spin_frames(*_one(k))
+    pc0, pc1, oc0, oc1 = np.conj(p0), np.conj(p1), np.conj(o0), np.conj(o1)
+    k_vec = _vector_of_matrix(p0 * pc0, p0 * pc1, p1 * pc0, p1 * pc1, 0.5).real
+    q_vec = _vector_of_matrix(o0 * oc0, o0 * oc1, o1 * oc0, o1 * oc1, 1.0).real
+    m_vec = _m_legs(p0, p1, o0, o1)
+    return NullTetrad(k_vec=k_vec[0], q_vec=q_vec[0], m_vec=m_vec[0])
+
+
 def batch_wigner_phases(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """2*Theta(L, k_i) for arrays of momenta, each reduced to (-pi, pi]."""
     return _batch_wigner(a, freqs, dirs)
 
 
 def wigner_phase(a: LorentzMap, k: NullMomentum) -> float:
-    """Value of 2*Theta(L, k), reduced to (-pi, pi].
-
-    Computed from s = A pi(L^-1 k), which must be proportional to pi(k);
-    the proportionality factor is e^{-i Theta}.
-    """
-    kpre = apply(inverse(a), k)
-    s = a.sl2c @ standard_spinor(kpre).as_array
-    p = standard_spinor(k).as_array
-    i = int(np.argmax(np.abs(p)))
-    ratio = s[i] / p[i]
-    resid = float(np.max(np.abs(s - ratio * p))) / float(np.max(np.abs(p)))
-    if resid >= 1e-8:
-        raise ConsistencyError(
-            f"A pi(L^-1 k) is not proportional to pi(k): relative residual {resid:.3e}"
-        )
-    return float(wrap_angle(-2.0 * np.angle(ratio)))
+    """Value of 2*Theta(L, k), reduced to (-pi, pi] (single-momentum form of
+    batch_wigner_phases)."""
+    return float(_batch_wigner(a, *_one(k))[0])
 
 
 def _batch_wigner(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Vectorized 2*Theta(L, k_i) for arrays of momenta; returns values in (-pi, pi]."""
+    """Vectorized 2*Theta(L, k_i) for arrays of momenta; returns values in (-pi, pi].
+
+    Computed from s = A pi(L^-1 k), which must be proportional to pi(k); the
+    proportionality factor is e^{-i Theta}.
+    """
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    inv = inverse(a)
-    four = np.concatenate([freqs[:, None], freqs[:, None] * dirs], axis=1)
-    pre = four @ inv.matrix.T
-    pre_sp = pre[:, 1:]
-    pre_f = np.sqrt(np.sum(pre_sp * pre_sp, axis=1))
-    pre_d = pre_sp / pre_f[:, None]
-    q0, q1 = _batch_spinors(pre_f, pre_d)
+    q0, q1 = batch_spinors(*map_momenta(inverse(a), freqs, dirs))
     s0 = a.sl2c[0, 0] * q0 + a.sl2c[0, 1] * q1
     s1 = a.sl2c[1, 0] * q0 + a.sl2c[1, 1] * q1
-    p0, p1 = _batch_spinors(freqs, dirs)
+    p0, p1 = batch_spinors(freqs, dirs)
     use0 = np.abs(p0) >= np.abs(p1)
     ratio = np.where(use0, s0 / np.where(use0, p0, 1.0), s1 / np.where(use0, 1.0, p1))
     scale = np.maximum(np.abs(p0), np.abs(p1))

@@ -9,7 +9,12 @@ Helicity amplitudes psi_ss'(k, k') are built from the spin-frame chart:
 * ``bell21`` / ``bell22``: psi_++(k,k') = conj(D(pi(k), pi(k')))^2 with D the
   symplectic spinor pairing, psi_-- its conjugate; |psi_++| = 2 k.k' (Lorentz
   invariant) and the diagonal vanishes.  Equal-helicity pairs only.
-* ``general``: an explicit table of evaluators for all four slots.
+* ``general``: an explicit table of batch evaluators for any of the four
+  slots.  Each evaluator is called as ``fn(f1, d1, f2, d2)`` on frequency
+  and unit-direction arrays and returns an array broadcastable to the pair
+  shape: pair tables pass the broadcast shapes (n1, 1), (n1, 1, 3),
+  (1, n2), (1, n2, 3), paired evaluation passes the plain batches (n,),
+  (n, 3), (n,), (n, 3).  A constant evaluator may return a scalar.
 
 The two kinds in each pair share one amplitude table; they differ in which
 phase condition (difference- or sum-coupled, plus or minus branch) their
@@ -46,11 +51,13 @@ from .measure import DetectorRegion, QuadratureSpec, full_sphere_region, invaria
 from .spinor_tetrad import (
     LorentzMap,
     NullMomentum,
-    _batch_spinors,
-    _batch_wigner,
     apply,
     batch_m_vectors,
+    batch_spinors,
+    batch_wigner_phases,
+    compose,
     inverse,
+    map_momenta,
     wigner_phase,
     wrap_angle,
 )
@@ -73,6 +80,8 @@ __all__ = [
     "bell_condition_residual",
     "theta_wigner_residual",
     "covariance_residual",
+    "oscillator_factors",
+    "norm_sum",
     "two_photon_norm",
     "fit_theta",
 ]
@@ -148,8 +157,6 @@ def with_transform_field(
     Composes with a previously attached map (the shift composes through the
     phase cocycle, so stacking maps equals attaching their composition).
     """
-    from .spinor_tetrad import compose
-
     new_map = (
         lorentz_map
         if field.lorentz_map is None
@@ -165,12 +172,8 @@ def field_values(
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     if field.lorentz_map is not None:
-        shift = _batch_wigner(field.lorentz_map, freqs, dirs)
-        inv = inverse(field.lorentz_map)
-        four = np.concatenate([freqs[:, None], freqs[:, None] * dirs], axis=1)
-        pre = four @ inv.matrix.T
-        pre_f = np.linalg.norm(pre[:, 1:], axis=1)
-        pre_d = pre[:, 1:] / pre_f[:, None]
+        shift = batch_wigner_phases(field.lorentz_map, freqs, dirs)
+        pre_f, pre_d = map_momenta(inverse(field.lorentz_map), freqs, dirs)
         base = dataclasses.replace(field, lorentz_map=None)
         return field_values(base, pre_f, pre_d) + shift
     if field.kind == "constant":
@@ -215,9 +218,11 @@ class TwoPhotonAmplitude:
     """Two-photon helicity amplitude psi_ss'(k, k').
 
     ``kind`` selects one of the four Bell constructions (tetrad-built) or
-    "general" (explicit ``table`` mapping (s, s') to scalar evaluators).
-    ``envelope`` is an optional per-momentum factor applied as g(k) g(k');
-    it takes batch arrays (freqs, dirs) and returns an array.
+    "general" (explicit ``table`` mapping (s, s') to batch evaluators
+    ``fn(f1, d1, f2, d2)``; see the module docstring for the shapes they
+    receive and must return).  ``envelope`` is an optional per-momentum
+    factor applied as g(k) g(k'); it takes batch arrays (freqs, dirs) and
+    returns an array.
     """
 
     kind: str
@@ -259,21 +264,24 @@ def amplitude_pair_tables(
 
     ``outer=True`` returns (n1, n2) tables over the Cartesian product of the
     two batches; ``outer=False`` evaluates elementwise on paired batches.
-    Slots outside the kind's support are omitted (exactly zero).
+    Slots outside the kind's support are omitted (exactly zero).  A general
+    amplitude's evaluators receive the (n1, 1) / (1, n2) broadcast shapes in
+    outer mode and the plain batches otherwise.
     """
     f1 = np.asarray(f1, dtype=np.float64)
     d1 = np.asarray(d1, dtype=np.float64)
     f2 = np.asarray(f2, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
     env = _envelope_factor(amp, f1, d1, f2, d2, outer)
+    if outer:  # shapes (n1, 1) and (1, n2) broadcast to the pair table
+        k1, k2 = (f1[:, None], d1[:, None]), (f2[None, :], d2[None, :])
+    else:
+        k1, k2 = (f1, d1), (f2, d2)
     out: dict[tuple[int, int], np.ndarray] = {}
     if amp.kind in ("bell21", "bell22"):
-        p0, p1 = _batch_spinors(f1, d1)
-        q0, q1 = _batch_spinors(f2, d2)
-        if outer:
-            pairing = p0[:, None] * q1[None, :] - p1[:, None] * q0[None, :]
-        else:
-            pairing = p0 * q1 - p1 * q0
+        p0, p1 = batch_spinors(*k1)
+        q0, q1 = batch_spinors(*k2)
+        pairing = p0 * q1 - p1 * q0
         out[(1, 1)] = np.conj(pairing) ** 2 * env
         out[(-1, -1)] = pairing**2 * env
         return out
@@ -287,24 +295,10 @@ def amplitude_pair_tables(
         out[(1, -1)] = core * env
         out[(-1, 1)] = np.conj(core) * env
         return out
-    # general: scalar evaluators
-    n1, n2 = f1.shape[0], f2.shape[0]
+    shape = np.broadcast_shapes(k1[0].shape, k2[0].shape)
     for slot, fn in amp.table.items():
-        if outer:
-            vals = np.empty((n1, n2), dtype=np.complex128)
-            for i in range(n1):
-                ki = NullMomentum(float(f1[i]), d1[i])
-                for j in range(n2):
-                    vals[i, j] = fn(ki, NullMomentum(float(f2[j]), d2[j]))
-        else:
-            vals = np.array(
-                [
-                    fn(NullMomentum(float(f1[i]), d1[i]), NullMomentum(float(f2[i]), d2[i]))
-                    for i in range(n1)
-                ],
-                dtype=np.complex128,
-            )
-        out[slot] = vals * env
+        vals = np.asarray(fn(*k1, *k2), dtype=np.complex128)
+        out[slot] = np.broadcast_to(vals, shape) * env
     return out
 
 
@@ -430,6 +424,51 @@ def _norm_spec(z: VacuumDensity) -> QuadratureSpec:
     return QuadratureSpec(n_freq=32, n_polar=8, n_azimuth=8, radial_map=radial_map)
 
 
+def oscillator_factors(n_osc) -> tuple[float, float, float]:
+    """Oscillator-count prefactors (2/N, 2(N-1)/N, 8(N-1)/N).
+
+    The first two weigh the same-momentum and the two-momentum terms of a
+    squared norm, the third the disjoint-cone correlation numerator.
+    ``n_osc`` is an integer >= 1 or math.inf (limits 0, 2 and 8).
+    """
+    if n_osc == math.inf:
+        return 0.0, 2.0, 8.0
+    if not isinstance(n_osc, (int, np.integer)) or n_osc < 1:
+        raise InputError(f"n_osc must be a positive integer or inf, got {n_osc!r}")
+    return 2.0 / n_osc, 2.0 * (n_osc - 1) / n_osc, 8.0 * (n_osc - 1) / n_osc
+
+
+def norm_sum(
+    amp: TwoPhotonAmplitude,
+    arms: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    n_osc,
+) -> tuple[float, np.ndarray]:
+    """Squared norm of the state restricted to a union of node sets:
+
+        (2/N)      * sum_a sum_ss' sum_i u_i |psi_ss'(k_i, k_i)|^2
+      + (2(N-1)/N) * sum_ab sum_ss' sum_ij u_i |psi_ss'(k_i, k'_j)|^2 u'_j
+
+    with ``arms`` a list of (freqs, dirs, u) node sets and u the quadrature
+    weights times the vacuum density.  Returns the total and the matrix of
+    ordered two-momentum blocks (a, b).
+    """
+    first_fac, cross_fac, _ = oscillator_factors(n_osc)
+    diag_total = 0.0
+    if first_fac != 0.0:
+        for f, d, u in arms:
+            tabs = amplitude_pair_tables(amp, f, d, f, d, outer=False)
+            for vals in tabs.values():
+                diag_total += float(np.sum(np.abs(vals) ** 2 * u))
+    blocks = np.zeros((len(arms), len(arms)))
+    for a, (fa, da, ua) in enumerate(arms):
+        for b, (fb, db, ub) in enumerate(arms):
+            tabs = amplitude_pair_tables(amp, fa, da, fb, db, outer=True)
+            blocks[a, b] = sum(
+                float(ua @ (np.abs(vals) ** 2) @ ub) for vals in tabs.values()
+            )
+    return first_fac * diag_total + cross_fac * float(blocks.sum()), blocks
+
+
 def two_photon_norm(
     amp: TwoPhotonAmplitude,
     z: VacuumDensity,
@@ -447,38 +486,15 @@ def two_photon_norm(
     vacuum weight has decayed to double-precision zero); pass ``region`` to
     restrict the support instead of encoding it in the envelope.
     """
-    if n_osc == math.inf:
-        first_fac, second_fac = 0.0, 2.0
-    else:
-        if not isinstance(n_osc, (int, np.integer)) or n_osc < 1:
-            raise InputError(f"n_osc must be a positive integer or inf, got {n_osc!r}")
-        first_fac = 2.0 / n_osc
-        second_fac = 2.0 * (n_osc - 1) / n_osc
     if region is None:
         region = _norm_region(z)
         quad = spec or _norm_spec(z)
     else:
         quad = spec or QuadratureSpec(n_freq=32, n_polar=8, n_azimuth=8)
     nodes = invariant_node_set(region, quad)
-    zvals = evaluate_batch(z, nodes.freqs, nodes.dirs)
-    u = nodes.weights * zvals
-
-    diag_total = 0.0
-    if first_fac != 0.0:
-        diag_tables = amplitude_pair_tables(
-            amp, nodes.freqs, nodes.dirs, nodes.freqs, nodes.dirs, outer=False
-        )
-        for vals in diag_tables.values():
-            diag_total += float(np.sum(np.abs(vals) ** 2 * u))
-
-    cross_total = 0.0
-    cross_tables = amplitude_pair_tables(
-        amp, nodes.freqs, nodes.dirs, nodes.freqs, nodes.dirs, outer=True
-    )
-    for vals in cross_tables.values():
-        cross_total += float(u @ (np.abs(vals) ** 2) @ u)
-
-    return first_fac * diag_total + second_fac * cross_total
+    u = nodes.weights * evaluate_batch(z, nodes.freqs, nodes.dirs)
+    total, _ = norm_sum(amp, [(nodes.freqs, nodes.dirs, u)], n_osc)
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 from .measure import QuadratureSpec, full_sphere_region, integrate_region
-from .spinor_tetrad import LorentzMap, NullMomentum, compose, inverse
+from .spinor_tetrad import LorentzMap, NullMomentum, compose, inverse, map_momenta
 
 __all__ = [
     "VacuumDensity",
@@ -156,14 +156,8 @@ def evaluate_batch(z: VacuumDensity, freqs: np.ndarray, dirs: np.ndarray) -> np.
     pulled back through the inverse map before the radial profile is read.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
     if z.lorentz_map is not None:
-        inv = inverse(z.lorentz_map)
-        four = np.empty(freqs.shape + (4,))
-        four[..., 0] = freqs
-        four[..., 1:] = freqs[..., None] * dirs
-        img = four @ inv.matrix.T
-        freqs = np.linalg.norm(img[..., 1:], axis=-1)
+        freqs, _ = map_momenta(inverse(z.lorentz_map), freqs, dirs)
     params = dict(z.params)
     return z.norm_const * _radial_profile(z.family, params, freqs)
 

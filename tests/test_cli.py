@@ -125,6 +125,25 @@ class TestConfigValidation:
         assert main(["correlate", cfg]) == EXIT_PRECONDITION
         assert "precondition" in capsys.readouterr().err
 
+    def test_joint_denominator_underflow_is_a_precondition(self, tmp_path, capsys):
+        from pathlib import Path
+
+        demo = Path(__file__).resolve().parents[1] / "demos" / "case1_joint_boost.yaml"
+        text = demo.read_text(encoding="utf-8").replace(
+            "  start: 0.0\n  stop: 1.0\n  count: 5\n",
+            "  start: 8.0\n  stop: 8.0\n  count: 1\n",
+        )
+        assert "start: 8.0" in text
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "joint.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("precondition violated")
+        assert "underflow" in lines[0]
+
     def test_schema_document_in_sync(self):
         import json
         from pathlib import Path

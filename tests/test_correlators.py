@@ -132,7 +132,7 @@ class TestValidation:
 
     def test_bell_entry_point_rejects_general_amplitude(self, z_mid):
         gen = TwoPhotonAmplitude(
-            kind="general", table={(1, -1): lambda k, kp: 1.0, (-1, 1): lambda k, kp: 1.0}
+            kind="general", table={(1, -1): lambda f1, d1, f2, d2: 1.0, (-1, 1): lambda f1, d1, f2, d2: 1.0}
         )
         with pytest.raises(InputError):
             epr_bell_rest(make_scn(gen, z_mid, 0.1, 0.2))
@@ -162,8 +162,8 @@ class TestGeneralRest:
         gen = TwoPhotonAmplitude(
             kind="general",
             table={
-                (1, -1): lambda k, kp: 0.8 + 0.1j,
-                (-1, 1): lambda k, kp: 0.8 - 0.1j,
+                (1, -1): lambda f1, d1, f2, d2: 0.8 + 0.1j,
+                (-1, 1): lambda f1, d1, f2, d2: 0.8 - 0.1j,
             },
         )
         base = epr_general_rest(make_scn(gen, z_mid, 0.4, 0.1)).value
@@ -175,8 +175,8 @@ class TestGeneralRest:
         gen = TwoPhotonAmplitude(
             kind="general",
             table={
-                (1, 1): lambda k, kp: 0.5 - 0.2j,
-                (-1, -1): lambda k, kp: 0.5 + 0.2j,
+                (1, 1): lambda f1, d1, f2, d2: 0.5 - 0.2j,
+                (-1, -1): lambda f1, d1, f2, d2: 0.5 + 0.2j,
             },
         )
         base = epr_general_rest(make_scn(gen, z_mid, 0.4, 0.1)).value

@@ -12,7 +12,6 @@ from bellepr.measure import (
     DetectorRegion,
     QuadratureSpec,
     full_sphere_region,
-    integrate_boosted_region,
     integrate_region,
     invariant_node_set,
     map_nodes,
@@ -167,7 +166,7 @@ class TestBoostedRegion:
         spec = QuadratureSpec(6, 6, 6)
         f = lambda freqs, dirs: freqs**2 * dirs[:, 1]
         plain = integrate_region(f, r, spec, batch=True)
-        mapped = integrate_boosted_region(f, r, bp.identity_map(), spec, batch=True)
+        mapped = integrate_region(f, r, spec, batch=True, lorentz_map=bp.identity_map())
         assert mapped.value == pytest.approx(plain.value, rel=1e-12)
 
     def test_rotation_with_symmetric_integrand(self):
@@ -175,13 +174,13 @@ class TestBoostedRegion:
         spec = QuadratureSpec(6, 8, 8)
         f = lambda freqs, dirs: np.exp(-freqs)  # isotropic
         plain = integrate_region(f, r, spec, batch=True)
-        rot = integrate_boosted_region(
-            f, r, bp.rotation(1.2, [1.0, 1.0, 0.0] / np.sqrt(2)), spec, batch=True
+        rot = integrate_region(
+            f, r, spec, batch=True, lorentz_map=bp.rotation(1.2, [1.0, 1.0, 0.0] / np.sqrt(2))
         )
         assert rot.value == pytest.approx(plain.value, rel=1e-12)
 
     def test_change_of_variables_identity(self):
-        # integrate_boosted_region(f o Lambda^-1, region, Lambda) equals
+        # integrate_region(f o Lambda^-1, region, lorentz_map=Lambda) equals
         # integrate_region(f, region): the measure is invariant.
         r = DetectorRegion(np.array([1.0, 0.0, 0.0]), 0.7, 0.5, 2.0)
         spec = QuadratureSpec(8, 8, 8)
@@ -199,7 +198,7 @@ class TestBoostedRegion:
             w = np.linalg.norm(img[:, 1:], axis=1)
             return f(w, img[:, 1:] / w[:, None])
 
-        lhs = integrate_boosted_region(f_pulled, r, lam, spec, batch=True)
+        lhs = integrate_region(f_pulled, r, spec, batch=True, lorentz_map=lam)
         rhs = integrate_region(f, r, spec, batch=True)
         assert lhs.value == pytest.approx(rhs.value, rel=1e-12)
 

@@ -140,6 +140,32 @@ class TestBellAmplitudeValues:
         assert np.max(np.abs(t21[(-1, -1)] - np.conj(t21[(1, 1)]))) < 1e-11
 
 
+class TestGeneralBatchEvaluators:
+    def test_momentum_dependent_evaluators_match_per_pair_values(self):
+        rng = np.random.default_rng(38)
+        f1, d1 = rand_momenta(rng, 6)
+        f2, d2 = rand_momenta(rng, 6)
+        amp = TwoPhotonAmplitude(
+            kind="general",
+            table={
+                (1, 1): lambda f1, d1, f2, d2: f1 * f2 * (1 + 0.5j),
+                (1, -1): lambda f1, d1, f2, d2: d1[..., 2] - 2.0j * d2[..., 0],
+            },
+            envelope=lambda freqs, dirs: np.exp(-freqs) * (1.0 + dirs[:, 1]),
+        )
+        outer = amplitude_pair_tables(amp, f1, d1, f2, d2, outer=True)
+        paired = amplitude_pair_tables(amp, f1, d1, f2, d2, outer=False)
+        assert set(outer) == set(paired) == {(1, 1), (1, -1)}
+        for (s, sp), table in outer.items():
+            assert table.shape == (6, 6)
+            for i in range(6):
+                ki = bp.NullMomentum(f1[i], d1[i])
+                for j in range(6):
+                    kj = bp.NullMomentum(f2[j], d2[j])
+                    assert table[i, j] == amplitude_eval(amp, ki, kj, s, sp)
+            np.testing.assert_array_equal(np.diag(table), paired[(s, sp)])
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("kind", ["bell11", "bell12", "bell21", "bell22"])
     def test_bell_kinds_symmetric_1000_pairs(self, kind):
@@ -164,10 +190,10 @@ class TestSymmetry:
     def test_injected_asymmetry_reported(self):
         eps = 0.37
 
-        def psi_pm(k, kp):
+        def psi_pm(f1, d1, f2, d2):
             return 1.0 + 0.0j
 
-        def psi_mp(k, kp):
+        def psi_mp(f1, d1, f2, d2):
             return 1.0 + eps  # breaks psi_mp(k,k') == psi_pm(k',k)
 
         amp = TwoPhotonAmplitude(
