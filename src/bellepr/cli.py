@@ -50,35 +50,37 @@ from .correlators import (
     joint_case,
     rest_case,
 )
-from .errors import ChartError, InputError, PreconditionError
+from .errors import ChartError, ConsistencyError, EvaluationError, InputError, PreconditionError
 from .fock_oracle import DiscreteGrid, OscillatorTruncation, verify_suite
 from .measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from .spinor_tetrad import (
     LorentzMap,
     NullMomentum,
-    apply,
+    batch_wigner_phases,
     boost,
     compose,
     identity_map,
-    inverse,
     minkowski_dot,
     null_tetrad,
     rotation,
-    wigner_phase,
+    wigner_defined,
+    wigner_pullback,
     wrap_angle,
 )
 from .states import (
+    BELL_KINDS,
     PolarizationAngleField,
     TwoPhotonAmplitude,
-    amplitude_eval,
+    amplitude_pair_tables,
     azimuthal_field,
-    bell_condition_residual,
+    condition_residuals,
     constant_field,
-    covariance_residual,
+    covariance_residuals,
+    field_values,
     fit_theta,
-    symmetry_residual,
+    symmetry_residuals,
     tabulated_field,
-    theta_wigner_residual,
+    theta_wigner_residuals,
 )
 from .vacuum import normalize
 
@@ -455,9 +457,9 @@ def _build_theta(
         )
     # fitted: least-squares constant-per-cone angle for the state's own
     # maximal-correlation condition
-    if amp.kind == "general":
+    condition = BELL_KINDS.get(amp.kind)
+    if condition is None:
         raise ConfigError("fitted theta requires a Bell state kind")
-    condition = int(amp.kind[-2:])
     fit = fit_theta(amp, condition, bob_region, alice_region, spec=quad)
     return fit.field
 
@@ -654,20 +656,14 @@ def cmd_oracle_verify(args) -> int:
 # diagnose
 
 
-def _random_momenta(rng: np.random.Generator, n: int) -> list[NullMomentum]:
+def _random_momenta(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies (n,) and unit directions (n, 3) of random momenta."""
     u = rng.uniform(-0.999, 0.999, size=n)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     sin_t = np.sqrt(1.0 - u**2)
     freqs = np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=n))
-    return [
-        NullMomentum(
-            float(freqs[i]),
-            np.array(
-                [sin_t[i] * math.cos(phi[i]), sin_t[i] * math.sin(phi[i]), u[i]]
-            ),
-        )
-        for i in range(n)
-    ]
+    dirs = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), u], axis=-1)
+    return freqs, dirs
 
 
 def _random_map(rng: np.random.Generator) -> LorentzMap:
@@ -688,6 +684,31 @@ def _tetrad_residual(k: NullMomentum) -> float:
         abs(minkowski_dot(t.m_vec, t.m_vec)),
         abs(minkowski_dot(t.k_vec, t.m_vec)),
     )
+
+
+def _cocycle_defect(a: LorentzMap, b: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> float:
+    """max |wrap(2 Theta(ab, k) - 2 Theta(a, k) - 2 Theta(b, a^-1 k))| over the
+    momenta at which all three phases are defined."""
+    ab = compose(a, b)
+    keep = wigner_defined(ab, freqs, dirs) & wigner_defined(a, freqs, dirs)
+    freqs, dirs = freqs[keep], dirs[keep]
+    pre_f, pre_d, two_theta_a = wigner_pullback(a, freqs, dirs)
+    keep = wigner_defined(b, pre_f, pre_d)
+    lhs = batch_wigner_phases(ab, freqs[keep], dirs[keep])
+    rhs = two_theta_a[keep] + batch_wigner_phases(b, pre_f[keep], pre_d[keep])
+    return float(np.abs(wrap_angle(lhs - rhs)).max(initial=0.0))
+
+
+def _frequency_defect(a: LorentzMap, freq: float, direction: np.ndarray) -> float:
+    """max |wrap(2 Theta(a, s k) - 2 Theta(a, k))| over s in (0.25, 4), taken
+    up to the first scaled momentum at which the phase is undefined."""
+    freqs = freq * np.array([1.0, 0.25, 4.0])
+    dirs = np.broadcast_to(direction, (3, 3))
+    keep = np.logical_and.accumulate(wigner_defined(a, freqs, dirs))
+    if not keep[0]:
+        return 0.0
+    phases = batch_wigner_phases(a, freqs[keep], dirs[keep])
+    return float(np.abs(wrap_angle(phases[1:] - phases[0])).max(initial=0.0))
 
 
 def cmd_diagnose(args) -> int:
@@ -720,86 +741,49 @@ def cmd_diagnose(args) -> int:
         lines.append(f"INFO  {name:<36s}      {residual:.3e}")
 
     # structural geometry identities
-    momenta = _random_momenta(rng, n_momenta)
+    freqs, dirs = _random_momenta(rng, n_momenta)
     check(
         "tetrad-null-contractions",
-        max(_tetrad_residual(k) for k in momenta),
+        max(_tetrad_residual(NullMomentum(float(f), d)) for f, d in zip(freqs, dirs)),
         1e-10,
     )
     worst_cocycle = 0.0
     worst_freq = 0.0
-    probe = momenta[: max(1, n_momenta // 4)]
+    n_probe = max(1, n_momenta // 4)
     for _ in range(n_maps):
         a, b = _random_map(rng), _random_map(rng)
-        ab = compose(a, b)
-        for k in probe:
-            try:
-                lhs = wigner_phase(ab, k)
-                rhs = wigner_phase(a, k) + wigner_phase(b, apply(inverse(a), k))
-            except ChartError:
-                continue
-            worst_cocycle = max(worst_cocycle, abs(wrap_angle(lhs - rhs)))
-        k0 = probe[0]
-        try:
-            base = wigner_phase(a, k0)
-            for scale in (0.25, 4.0):
-                other = NullMomentum(k0.freq * scale, k0.dir)
-                worst_freq = max(
-                    worst_freq, abs(wrap_angle(wigner_phase(a, other) - base))
-                )
-        except ChartError:
-            pass
+        worst_cocycle = max(worst_cocycle, _cocycle_defect(a, b, freqs[:n_probe], dirs[:n_probe]))
+        worst_freq = max(worst_freq, _frequency_defect(a, float(freqs[0]), dirs[0]))
     check("wigner-phase-cocycle", worst_cocycle, 1e-8)
     check("wigner-frequency-independence", worst_freq, 1e-8)
 
     # amplitude exchange symmetry on sampled pairs
-    pair_pool = _random_momenta(rng, 2 * n_pairs)
-    worst_sym = max(
-        symmetry_residual(scn.amplitude, pair_pool[2 * i], pair_pool[2 * i + 1])
-        for i in range(n_pairs)
-    )
-    check("amplitude-exchange-symmetry", worst_sym, 1e-10)
+    pool_f, pool_d = _random_momenta(rng, 2 * n_pairs)
+    sym = symmetry_residuals(scn.amplitude, pool_f[::2], pool_d[::2], pool_f[1::2], pool_d[1::2])
+    check("amplitude-exchange-symmetry", float(sym.max()), 1e-10)
 
-    # model-quality diagnostics (reported, non-fatal)
+    # model-quality diagnostics (reported, non-fatal), on every (n // 8)-th node
     nodes_b = invariant_node_set(scn.bob.region, quad)
     nodes_a = invariant_node_set(scn.alice.region, quad)
-    kb = [
-        NullMomentum(float(nodes_b.freqs[i]), nodes_b.dirs[i])
-        for i in range(0, len(nodes_b.freqs), max(1, len(nodes_b.freqs) // 8))
-    ]
-    ka = [
-        NullMomentum(float(nodes_a.freqs[i]), nodes_a.dirs[i])
-        for i in range(0, len(nodes_a.freqs), max(1, len(nodes_a.freqs) // 8))
-    ]
-    if scn.amplitude.kind != "general" and scn.theta_field is not None:
-        condition = int(scn.amplitude.kind[-2:])
-        worst_bell = max(
-            bell_condition_residual(condition, scn.amplitude, scn.theta_field, x, y)
-            for x in kb
-            for y in ka
-        )
-        scale = max(
-            max(
-                abs(amplitude_eval(scn.amplitude, x, y, s, spp))
-                for s in (1, -1)
-                for spp in (1, -1)
-            )
-            for x in kb
-            for y in ka
-        )
+    fb, db = (x[:: max(1, len(nodes_b) // 8)] for x in (nodes_b.freqs, nodes_b.dirs))
+    fa, da = (x[:: max(1, len(nodes_a) // 8)] for x in (nodes_a.freqs, nodes_a.dirs))
+    condition = BELL_KINDS.get(scn.amplitude.kind)
+    if condition is not None and scn.theta_field is not None:
+        tables = amplitude_pair_tables(scn.amplitude, fb, db, fa, da)
+        thetas = (field_values(scn.theta_field, f, d) for f, d in ((fb, db), (fa, da)))
+        worst_bell = float(condition_residuals(condition, tables, *thetas).max())
+        scale = max(float(np.abs(vals).max()) for vals in tables.values())
         info("bell-condition-defect-relative", worst_bell / max(scale, 1e-300))
     lmap = scn.transform.lorentz_map
     if lmap is not None:
         if scn.theta_field is not None:
-            worst_shift = max(
-                theta_wigner_residual(scn.theta_field, lmap, k) for k in kb + ka
+            shift = theta_wigner_residuals(
+                scn.theta_field, lmap, np.concatenate([fb, fa]), np.concatenate([db, da])
             )
-            info("theta-wigner-shift", worst_shift)
-        worst_cov = max(
-            covariance_residual(scn.amplitude, lmap, x, y)
-            for x, y in zip(kb, ka)
-        )
-        info("amplitude-covariance-defect", worst_cov)
+            info("theta-wigner-shift", float(shift.max()))
+        n = min(len(fb), len(fa))
+        cov = covariance_residuals(scn.amplitude, lmap, fb[:n], db[:n], fa[:n], da[:n])
+        info("amplitude-covariance-defect", float(cov.max()))
 
     ok = failures == 0
     lines.append(f"RESULT {'PASS' if ok else 'FAIL'} ({failures} failed checks)")
@@ -873,9 +857,12 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PreconditionError as exc:
+    except (PreconditionError, ChartError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except (ConsistencyError, EvaluationError) as exc:
+        print(f"evaluation failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

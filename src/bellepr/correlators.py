@@ -42,24 +42,22 @@ from .measure import (
     DetectorRegion,
     QuadratureSpec,
     invariant_node_set,
-    map_nodes,
     mapped_bounding_region,
     regions_disjoint,
 )
-from .spinor_tetrad import (
-    LorentzMap,
-    NullMomentum,
-    batch_wigner_phases,
-    inverse,
-)
+from .spinor_tetrad import LorentzMap, inverse, wigner_pullback
 from .states import (
+    BELL_CONDITIONS,
+    BELL_KINDS,
     PolarizationAngleField,
     TwoPhotonAmplitude,
     amplitude_pair_tables,
+    condition_residual_rel,
+    condition_residuals,
     field_values,
     norm_sum,
     oscillator_factors,
-    theta_wigner_residual,
+    theta_wigner_residuals,
 )
 from .vacuum import VacuumDensity, evaluate_batch, with_transform
 
@@ -83,9 +81,9 @@ __all__ = [
 #: Default per-cone product rule: 6 frequency x 4 polar x 8 azimuth nodes.
 DEFAULT_QUADRATURE = QuadratureSpec(n_freq=6, n_polar=4, n_azimuth=8)
 
-_SUM_KINDS = ("bell21", "bell22")
-_DIFF_KINDS = ("bell11", "bell12")
-_BELL_KINDS = _DIFF_KINDS + _SUM_KINDS
+#: Slot pair (plus, minus) -> how Alice's analyzer angle couples in its
+#: product conj(psi_plus) psi_minus: +1 with the sum, -1 with the difference.
+_SLOT_COUPLINGS = {cond.slots: cond.coupling for cond in BELL_CONDITIONS.values()}
 
 
 # --------------------------------------------------------------------------
@@ -231,16 +229,14 @@ def _arm(
 ) -> _Arm:
     nodes = invariant_node_set(setting.region, spec)
     if arm_map is None:
-        wig = np.zeros(len(nodes))
-        pts = nodes
+        freqs, dirs, wig = nodes.freqs, nodes.dirs, np.zeros(len(nodes))
     else:
-        wig = batch_wigner_phases(arm_map, nodes.freqs, nodes.dirs)
-        pts = map_nodes(inverse(arm_map), nodes)
+        freqs, dirs, wig = wigner_pullback(arm_map, nodes.freqs, nodes.dirs)
     angles = setting.angle - wig
-    zv = evaluate_batch(z, pts.freqs, pts.dirs)
+    zv = evaluate_batch(z, freqs, dirs)
     return _Arm(
-        freqs=pts.freqs,
-        dirs=pts.dirs,
+        freqs=freqs,
+        dirs=dirs,
         weights=nodes.weights,
         zvals=zv,
         angles=angles,
@@ -248,20 +244,6 @@ def _arm(
         mesh_dirs=nodes.dirs,
         wigner=wig,
     )
-
-
-def _slot_products(
-    tables: dict[tuple[int, int], np.ndarray],
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Equal-helicity product conj(psi_++) psi_-- and opposite-helicity
-    product conj(psi_+-) psi_-+, or None where the slots are absent."""
-    t_sum = None
-    if (1, 1) in tables and (-1, -1) in tables:
-        t_sum = np.conj(tables[(1, 1)]) * tables[(-1, -1)]
-    t_diff = None
-    if (1, -1) in tables and (-1, 1) in tables:
-        t_diff = np.conj(tables[(1, -1)]) * tables[(-1, 1)]
-    return t_sum, t_diff
 
 
 def _four_term(
@@ -272,16 +254,16 @@ def _four_term(
     Re[e^{-2i(beta_i+alpha_j)} conj(psi_++)psi_-- +
        e^{-2i(beta_i-alpha_j)} conj(psi_+-)psi_-+] summed with invariant
     weights and one vacuum factor per arm, times 8(N-1)/N.  The analyzer
-    angles ``beta``/``alpha`` are per-node arrays or scalars.
+    angles ``beta``/``alpha`` are per-node arrays or scalars; a slot pair
+    absent from ``tables`` contributes nothing.
     """
-    t_sum, t_diff = _slot_products(tables)
     ub = bob.weights * bob.zvals * np.exp(-2.0j * beta)
     ua = alice.weights * alice.zvals
     total = 0.0 + 0.0j
-    if t_sum is not None:
-        total += ub @ t_sum @ (ua * np.exp(-2.0j * alpha))
-    if t_diff is not None:
-        total += ub @ t_diff @ (ua * np.exp(2.0j * alpha))
+    for (plus, minus), coupling in _SLOT_COUPLINGS.items():
+        if plus in tables and minus in tables:
+            product = np.conj(tables[plus]) * tables[minus]
+            total += ub @ product @ (ua * np.exp(-2.0j * coupling * alpha))
     return oscillator_factors(n_osc)[2] * float(total.real)
 
 
@@ -336,38 +318,23 @@ def _bell_diagnostics(
     """Residual of the polarization-angle condition over the sampled node
     pairs, and the reduced single-cosine value it implies, compared against
     the four-term value."""
-    kind = scn.amplitude.kind
+    condition = BELL_KINDS.get(scn.amplitude.kind)
     field = scn.theta_field
-    if kind not in _BELL_KINDS or field is None:
+    if condition is None or field is None:
         return {}
+    cond = BELL_CONDITIONS[condition]
     th_b = field_values(field, bob.freqs, bob.dirs)
     th_a = field_values(field, alice.freqs, alice.dirs)
-    if kind in _SUM_KINDS:
-        a_tab, b_tab = tables[(1, 1)], tables[(-1, -1)]
-        x = th_b[:, None] + th_a[None, :]
-        branch = 1.0 if kind == "bell21" else -1.0
-        combo = (bob.angles[:, None] + alice.angles[None, :]) - x
-        moduli = b_tab
-    else:
-        a_tab, b_tab = tables[(1, -1)], tables[(-1, 1)]
-        x = th_b[:, None] - th_a[None, :]
-        branch = 1.0 if kind == "bell11" else -1.0
-        combo = (bob.angles[:, None] - alice.angles[None, :]) - x
-        moduli = b_tab
-    res = np.abs(np.exp(1j * x) * a_tab + branch * np.exp(-1j * x) * b_tab)
-    scale2 = 0.5 * (np.abs(a_tab) ** 2 + np.abs(b_tab) ** 2)
-    w_outer = (bob.weights * bob.zvals)[:, None] * (alice.weights * alice.zvals)[
-        None, :
-    ]
-    denom = float(np.sum(w_outer * scale2))
-    rel = math.sqrt(float(np.sum(w_outer * res**2)) / (2.0 * denom)) if denom > 0 else 0.0
-    sign = -branch
-    spec_num = (
-        oscillator_factors(scn.n_osc)[2]
-        * sign
-        * float(np.sum(w_outer * np.cos(2.0 * combo) * np.abs(moduli) ** 2))
+    res = condition_residuals(condition, tables, th_b, th_a)
+    rel = condition_residual_rel(
+        condition, tables, res, bob.weights * bob.zvals, alice.weights * alice.zvals
     )
-    spec_value = spec_num / denominator
+    # On the condition conj(psi_plus) psi_minus = -branch e^{2ix} |psi_minus|^2,
+    # so the reduced value is the four-term sum of |psi_minus|^2 with the
+    # field angles taken off the analyzer angles.
+    moduli = dict.fromkeys(cond.slots, tables[cond.slots[1]])
+    spec_num = _four_term(moduli, bob, alice, bob.angles - th_b, alice.angles - th_a, scn.n_osc)
+    spec_value = -cond.branch * spec_num / denominator
     return {
         "bell_residual_max": float(res.max(initial=0.0)),
         "bell_residual_rel": rel,
@@ -383,14 +350,9 @@ def _theta_shift_diag(scn: Scenario) -> dict[str, float]:
     m = scn.transform.lorentz_map
     if field is None or m is None:
         return {}
-    worst = 0.0
-    for region in (scn.bob.region, scn.alice.region):
-        nodes = invariant_node_set(
-            region, QuadratureSpec(n_freq=2, n_polar=2, n_azimuth=2)
-        )
-        for i in range(len(nodes)):
-            k = NullMomentum(float(nodes.freqs[i]), nodes.dirs[i])
-            worst = max(worst, theta_wigner_residual(field, m, k))
+    spec = QuadratureSpec(n_freq=2, n_polar=2, n_azimuth=2)
+    nodes = [invariant_node_set(r, spec) for r in (scn.bob.region, scn.alice.region)]
+    worst = max(float(theta_wigner_residuals(field, m, n.freqs, n.dirs).max()) for n in nodes)
     return {"theta_shift_residual": worst}
 
 
@@ -516,7 +478,7 @@ def epr_bell_rest(scenario: Scenario) -> CorrelationResult:
     together with the condition residual over the sampled nodes.
     """
     _require_case(scenario, "rest", "epr_bell_rest")
-    if scenario.amplitude.kind not in _BELL_KINDS:
+    if scenario.amplitude.kind not in BELL_KINDS:
         raise InputError(
             f"epr_bell_rest requires a Bell-kind amplitude, got {scenario.amplitude.kind!r}"
         )

@@ -187,17 +187,6 @@ def _lowering_matrix(levels: int) -> sp.csr_matrix:
     return sp.diags(data, offsets=1, format="csr")
 
 
-def _mode_op(space: OracleSpace, osc_matrix: sp.spmatrix, mode: int) -> sp.csr_matrix:
-    """grid-identity tensor single-mode operator on one oscillator slot."""
-    eye_g = sp.identity(space.grid.size, format="csr")
-    eye_m = sp.identity(space.levels, format="csr")
-    if mode == 1:
-        return sp.kron(eye_g, sp.kron(osc_matrix, eye_m), format="csr")
-    if mode == 2:
-        return sp.kron(eye_g, sp.kron(eye_m, osc_matrix), format="csr")
-    raise InputError(f"mode must be 1 or 2, got {mode!r}")
-
-
 def _cell_op(space: OracleSpace, cell: int, osc_pair_matrix: sp.spmatrix) -> sp.csr_matrix:
     """(1/w_i) |e_i><e_i| tensor (two-mode operator), on one oscillator slot."""
     if not (0 <= cell < space.grid.size):

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError, InputError, PreconditionError
-from .spinor_tetrad import LorentzMap, NullMomentum, map_momenta
+from .spinor_tetrad import LorentzMap, map_momenta
 
 __all__ = [
     "DetectorRegion",
@@ -156,12 +156,9 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Batch of quadrature nodes on the forward light cone.
-
-    Stored as arrays for vectorized evaluation; iterating yields
-    ``(NullMomentum, weight)`` pairs.  Weights realize the invariant measure
-    dGamma, so ``weights.sum()`` equals the region measure for finite
-    product rules.
+    """Batch of quadrature nodes on the forward light cone, stored as arrays
+    for vectorized evaluation.  Weights realize the invariant measure dGamma,
+    so ``weights.sum()`` equals the region measure for finite product rules.
     """
 
     freqs: np.ndarray
@@ -170,15 +167,6 @@ class NodeSet:
 
     def __len__(self) -> int:
         return self.freqs.shape[0]
-
-    def __iter__(self) -> Iterator[tuple[NullMomentum, float]]:
-        for i in range(len(self)):
-            yield NullMomentum(float(self.freqs[i]), self.dirs[i]), float(
-                self.weights[i]
-            )
-
-    def __getitem__(self, i: int) -> tuple[NullMomentum, float]:
-        return NullMomentum(float(self.freqs[i]), self.dirs[i]), float(self.weights[i])
 
 
 class IntegralResult(NamedTuple):
@@ -317,13 +305,8 @@ def region_measure(region: DetectorRegion) -> float:
     return radial * angular * _MEASURE_CONST
 
 
-def _evaluate(
-    f: Callable, nodes: NodeSet, batch: bool
-) -> np.ndarray:
-    if batch:
-        vals = np.asarray(f(nodes.freqs, nodes.dirs))
-    else:
-        vals = np.array([f(k) for k, _ in nodes])
+def _evaluate(f: Callable, nodes: NodeSet) -> np.ndarray:
+    vals = np.asarray(f(nodes.freqs, nodes.dirs))
     if vals.shape != nodes.freqs.shape:
         raise EvaluationError(
             f"integrand returned shape {vals.shape}, expected {nodes.freqs.shape}"
@@ -349,22 +332,20 @@ def integrate_region(
     region: DetectorRegion,
     spec: QuadratureSpec,
     *,
-    batch: bool = False,
     lorentz_map: LorentzMap | None = None,
 ) -> IntegralResult:
     """Integrate f against dGamma over the region, with an error estimate.
 
     Product mode estimates error by comparison with the half-resolution rule;
-    MC mode uses the sample standard error.  ``batch=True`` means f takes
-    ``(freqs, dirs)`` arrays and returns an array; otherwise f is called on
-    each node as a NullMomentum.  If ``lorentz_map`` is given, f is evaluated
-    at the mapped nodes (change of variables for integrals over the image
-    region; the measure carries no Jacobian).
+    MC mode uses the sample standard error.  f takes the nodes' ``(freqs,
+    dirs)`` arrays and returns an array of their shape.  If ``lorentz_map``
+    is given, f is evaluated at the mapped nodes (change of variables for
+    integrals over the image region; the measure carries no Jacobian).
     """
     nodes = invariant_node_set(region, spec)
     if lorentz_map is not None:
         nodes = map_nodes(lorentz_map, nodes)
-    vals = _evaluate(f, nodes, batch)
+    vals = _evaluate(f, nodes)
     value = _sum_weighted(vals, nodes.weights)
     if spec.mode == "mc":
         mean = np.mean(vals)
@@ -374,7 +355,7 @@ def integrate_region(
     coarse_nodes = invariant_node_set(region, spec.halved())
     if lorentz_map is not None:
         coarse_nodes = map_nodes(lorentz_map, coarse_nodes)
-    coarse = _sum_weighted(_evaluate(f, coarse_nodes, batch), coarse_nodes.weights)
+    coarse = _sum_weighted(_evaluate(f, coarse_nodes), coarse_nodes.weights)
     floor = 64.0 * np.finfo(np.float64).eps * float(np.sum(np.abs(vals * nodes.weights)))
     return IntegralResult(value, abs(value - coarse) + floor)
 
@@ -392,20 +373,23 @@ def map_nodes(lorentz_map: LorentzMap, nodes: NodeSet) -> NodeSet:
 def mapped_bounding_region(
     region: DetectorRegion, lorentz_map: LorentzMap
 ) -> DetectorRegion:
-    """Circular cone bounding the image of ``region``'s directions under the
-    map.  Directions aberrate independently of frequency, so the axis and 64
-    rim directions are mapped and the cone is grown to the farthest image;
-    only the directions of the returned region are meaningful (its frequency
-    window is a placeholder)."""
-    phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    rim = _cone_dirs(region.axis, np.full(phi.shape, math.cos(region.half_angle)), phi)
-    dirs = np.concatenate([region.axis[None, :], rim], axis=0)
-    _, img_dirs = map_momenta(lorentz_map, np.ones(dirs.shape[0]), dirs)
-    new_axis = img_dirs[0]
-    cosang = np.clip(img_dirs @ new_axis, -1.0, 1.0)
-    half = float(np.arccos(cosang).max())
+    """Cone of the image of ``region``'s directions under the map.
+
+    Aberration maps circles on the sky to circles, so the image is exactly a
+    cone.  The cone's directions d are the null momenta k = (1, d) with
+    V.k <= 0 for the spacelike V = (cos(half_angle), axis); the map preserves
+    the Minkowski product, so the image cone is V'.k' <= 0 with V' = L V: its
+    axis is V'_space / |V'_space| and, as V'.V' = V.V = -sin^2(half_angle),
+    its half-angle is atan2(sin(half_angle), V'_0).  The half-angle is grown
+    by 1e-9 relative to cover rounding (floor 1e-9).  Only the directions of
+    the returned region are meaningful (its frequency window is a
+    placeholder)."""
+    v = lorentz_map.matrix @ np.concatenate(([math.cos(region.half_angle)], region.axis))
+    half = math.atan2(math.sin(region.half_angle), float(v[0])) * (1.0 + 1e-9)
     half = min(max(half, 1e-9), math.pi)
-    return DetectorRegion(axis=new_axis, half_angle=half, freq_lo=0.5, freq_hi=2.0)
+    return DetectorRegion(
+        axis=v[1:] / np.linalg.norm(v[1:]), half_angle=half, freq_lo=0.5, freq_hi=2.0
+    )
 
 
 def regions_disjoint(a: DetectorRegion, b: DetectorRegion) -> bool:

@@ -53,6 +53,8 @@ __all__ = [
     "batch_spin_frames",
     "batch_m_vectors",
     "batch_wigner_phases",
+    "wigner_pullback",
+    "wigner_defined",
     "wrap_angle",
     "tetrad_covariance_residual",
     "tetrad_gauge_defect",
@@ -115,6 +117,11 @@ class NullMomentum:
     def four_vec(self) -> np.ndarray:
         """k = freq*(1, dir); satisfies k.k = 0 exactly by construction."""
         return np.concatenate(([self.freq], self.freq * self.dir))
+
+    @property
+    def as_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """The momentum as a batch of one: frequencies (1,), directions (1, 3)."""
+        return np.array([self.freq]), self.dir.reshape(1, 3)
 
 
 @dataclass(frozen=True)
@@ -187,11 +194,6 @@ def inverse(a: LorentzMap) -> LorentzMap:
     return LorentzMap(minv, sinv)
 
 
-def _one(k: NullMomentum) -> tuple[np.ndarray, np.ndarray]:
-    """A single momentum as a batch of one."""
-    return np.array([k.freq]), k.dir.reshape(1, 3)
-
-
 def map_momenta(
     a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +215,7 @@ def map_momenta(
 
 def apply(a: LorentzMap, k: NullMomentum) -> NullMomentum:
     """Image momentum L k (single-momentum form of map_momenta)."""
-    freqs, dirs = map_momenta(a, *_one(k))
+    freqs, dirs = map_momenta(a, *k.as_batch)
     return NullMomentum(float(freqs[0]), dirs[0])
 
 
@@ -251,6 +253,12 @@ class NullTetrad:
             object.__setattr__(self, "mbar_vec", np.conj(self.m_vec))
 
 
+def _on_cut(dirs: np.ndarray) -> np.ndarray:
+    """True where a unit direction lies within 1e-9 of the chart cut at -z."""
+    dx, dy, dz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
+    return dx * dx + dy * dy + (dz + 1.0) ** 2 < _CHART_TOL * _CHART_TOL
+
+
 def batch_spinors(freqs: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chart spinor components (p0, p1) for arrays of momenta.
 
@@ -262,8 +270,7 @@ def batch_spinors(freqs: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.n
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     dx, dy, dz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
-    dist2 = dx * dx + dy * dy + (dz + 1.0) ** 2
-    if np.any(dist2 < _CHART_TOL * _CHART_TOL):
+    if np.any(_on_cut(dirs)):
         raise ChartError(
             "a momentum direction lies on the spinor chart cut (within 1e-9 of -z); "
             "rotate the scene away from the excluded direction"
@@ -294,13 +301,13 @@ def batch_spin_frames(
 
 def standard_spinor(k: NullMomentum) -> Spinor:
     """Flagpole spinor of k in the half-angle chart: pi pi^dag = K(k) exactly."""
-    p0, p1 = batch_spinors(*_one(k))
+    p0, p1 = batch_spinors(*k.as_batch)
     return Spinor(complex(p0[0]), complex(p1[0]))
 
 
 def spin_frame(k: NullMomentum) -> SpinFrame:
     """Spin-frame (pi, omic) at k with pairing pi0*omic1 - pi1*omic0 = 1."""
-    p0, p1, o0, o1 = batch_spin_frames(*_one(k))
+    p0, p1, o0, o1 = batch_spin_frames(*k.as_batch)
     return SpinFrame(
         Spinor(complex(p0[0]), complex(p1[0])), Spinor(complex(o0[0]), complex(o1[0]))
     )
@@ -332,7 +339,7 @@ def batch_m_vectors(freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 def null_tetrad(k: NullMomentum) -> NullTetrad:
     """Null tetrad at k, all four legs built from the spin-frame."""
-    p0, p1, o0, o1 = batch_spin_frames(*_one(k))
+    p0, p1, o0, o1 = batch_spin_frames(*k.as_batch)
     pc0, pc1, oc0, oc1 = np.conj(p0), np.conj(p1), np.conj(o0), np.conj(o1)
     k_vec = _vector_of_matrix(p0 * pc0, p0 * pc1, p1 * pc0, p1 * pc1, 0.5).real
     q_vec = _vector_of_matrix(o0 * oc0, o0 * oc1, o1 * oc0, o1 * oc1, 1.0).real
@@ -340,26 +347,18 @@ def null_tetrad(k: NullMomentum) -> NullTetrad:
     return NullTetrad(k_vec=k_vec[0], q_vec=q_vec[0], m_vec=m_vec[0])
 
 
-def batch_wigner_phases(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """2*Theta(L, k_i) for arrays of momenta, each reduced to (-pi, pi]."""
-    return _batch_wigner(a, freqs, dirs)
-
-
-def wigner_phase(a: LorentzMap, k: NullMomentum) -> float:
-    """Value of 2*Theta(L, k), reduced to (-pi, pi] (single-momentum form of
-    batch_wigner_phases)."""
-    return float(_batch_wigner(a, *_one(k))[0])
-
-
-def _batch_wigner(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Vectorized 2*Theta(L, k_i) for arrays of momenta; returns values in (-pi, pi].
-
-    Computed from s = A pi(L^-1 k), which must be proportional to pi(k); the
-    proportionality factor is e^{-i Theta}.
-    """
+def wigner_pullback(
+    a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-images L^-1 k_i (the map_momenta image under the inverse map) and
+    Wigner phases 2*Theta(L, k_i) in (-pi, pi] for frequencies (...,) and unit
+    directions (..., 3): returns (pre freqs, pre dirs, phases).  The phase is
+    read off s = A pi(L^-1 k) = e^{-i Theta} pi(k).  Raises ChartError when k
+    or L^-1 k lies on the chart cut (see wigner_defined)."""
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    q0, q1 = batch_spinors(*map_momenta(inverse(a), freqs, dirs))
+    pre_freqs, pre_dirs = map_momenta(inverse(a), freqs, dirs)
+    q0, q1 = batch_spinors(pre_freqs, pre_dirs)
     s0 = a.sl2c[0, 0] * q0 + a.sl2c[0, 1] * q1
     s1 = a.sl2c[1, 0] * q0 + a.sl2c[1, 1] * q1
     p0, p1 = batch_spinors(freqs, dirs)
@@ -372,7 +371,41 @@ def _batch_wigner(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndar
         raise ConsistencyError(
             f"A pi(L^-1 k) is not proportional to pi(k): relative residual {worst:.3e}"
         )
-    return wrap_angle(-2.0 * np.angle(ratio))
+    return pre_freqs, pre_dirs, wrap_angle(-2.0 * np.angle(ratio))
+
+
+#: Private name of wigner_pullback, kept for callers that look it up by name.
+_batch_wigner = wigner_pullback
+
+
+def batch_wigner_phases(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """2*Theta(L, k_i) for arrays of momenta, each reduced to (-pi, pi]
+    (the phase part of wigner_pullback)."""
+    return _batch_wigner(a, freqs, dirs)[2]
+
+
+def wigner_phase(a: LorentzMap, k: NullMomentum) -> float:
+    """Value of 2*Theta(L, k), reduced to (-pi, pi] (single-momentum form of
+    wigner_pullback)."""
+    return float(_batch_wigner(a, *k.as_batch)[2][0])
+
+
+def wigner_defined(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Boolean mask of the momenta at which 2*Theta(L, k) is defined: neither
+    k nor L^-1 k lies on the chart cut, so wigner_pullback does not raise
+    ChartError for them."""
+    _, pre_dirs = map_momenta(inverse(a), freqs, dirs)
+    return ~(_on_cut(np.asarray(dirs, dtype=np.float64)) | _on_cut(pre_dirs))
+
+
+def _m_defects(a: LorentzMap, k: NullMomentum) -> tuple[NullTetrad, np.ndarray, np.ndarray]:
+    """Tetrad at k and the defects of m and mbar under the map a:
+    L m(L^-1 k) - e^{2i Theta} m(k) and L mbar(L^-1 k) - e^{-2i Theta} mbar(k)."""
+    pre_freqs, pre_dirs, two_theta = _batch_wigner(a, *k.as_batch)
+    t, tpre = null_tetrad(k), null_tetrad(NullMomentum(float(pre_freqs[0]), pre_dirs[0]))
+    d_m = a.matrix @ tpre.m_vec - np.exp(1.0j * float(two_theta[0])) * t.m_vec
+    d_mbar = a.matrix @ tpre.mbar_vec - np.exp(-1.0j * float(two_theta[0])) * t.mbar_vec
+    return t, d_m, d_mbar
 
 
 def tetrad_covariance_residual(a: LorentzMap, k: NullMomentum) -> float:
@@ -386,19 +419,11 @@ def tetrad_covariance_residual(a: LorentzMap, k: NullMomentum) -> float:
     k-collinear (gauge) component before taking the norm; the raw defect is
     available from tetrad_gauge_defect.
     """
-    t = null_tetrad(k)
-    tpre = null_tetrad(apply(inverse(a), k))
-    two_theta = wigner_phase(a, k)
-    worst = 0.0
-    for mpre, mk, phase in (
-        (tpre.m_vec, t.m_vec, np.exp(1.0j * two_theta)),
-        (tpre.mbar_vec, t.mbar_vec, np.exp(-1.0j * two_theta)),
-    ):
-        d = a.matrix @ mpre - phase * mk
-        c = minkowski_dot(d, t.q_vec)  # k.q = 1, so this is the k-component
-        d_perp = d - c * t.k_vec
-        worst = max(worst, float(np.linalg.norm(d_perp)))
-    return worst
+    t, d_m, d_mbar = _m_defects(a, k)
+    # k.q = 1, so the q-contraction is the k-component
+    return max(
+        float(np.linalg.norm(d - minkowski_dot(d, t.q_vec) * t.k_vec)) for d in (d_m, d_mbar)
+    )
 
 
 def tetrad_gauge_defect(a: LorentzMap, k: NullMomentum) -> tuple[float, float]:
@@ -409,9 +434,5 @@ def tetrad_gauge_defect(a: LorentzMap, k: NullMomentum) -> tuple[float, float]:
     numbers vanish to machine precision; for boosts the defect is nonzero but
     k-collinear, so the first number equals |c| * ||k|| up to rounding.
     """
-    t = null_tetrad(k)
-    tpre = null_tetrad(apply(inverse(a), k))
-    two_theta = wigner_phase(a, k)
-    d = a.matrix @ tpre.m_vec - np.exp(1.0j * two_theta) * t.m_vec
-    c = minkowski_dot(d, t.q_vec)
-    return float(np.linalg.norm(d)), float(abs(c))
+    t, d, _ = _m_defects(a, k)
+    return float(np.linalg.norm(d)), float(abs(minkowski_dot(d, t.q_vec)))

@@ -51,19 +51,18 @@ from .measure import DetectorRegion, QuadratureSpec, full_sphere_region, invaria
 from .spinor_tetrad import (
     LorentzMap,
     NullMomentum,
-    apply,
     batch_m_vectors,
     batch_spinors,
-    batch_wigner_phases,
     compose,
-    inverse,
-    map_momenta,
-    wigner_phase,
+    wigner_pullback,
     wrap_angle,
 )
 from .vacuum import VacuumDensity, evaluate_batch
 
 __all__ = [
+    "BellCondition",
+    "BELL_CONDITIONS",
+    "BELL_KINDS",
     "PolarizationAngleField",
     "TwoPhotonAmplitude",
     "FitResult",
@@ -77,26 +76,54 @@ __all__ = [
     "amplitude_eval",
     "amplitude_pair_tables",
     "symmetry_residual",
+    "symmetry_residuals",
     "bell_condition_residual",
+    "condition_residuals",
+    "condition_residual_rel",
     "theta_wigner_residual",
+    "theta_wigner_residuals",
     "covariance_residual",
+    "covariance_residuals",
     "oscillator_factors",
     "norm_sum",
     "two_photon_norm",
     "fit_theta",
 ]
 
-_BELL_KINDS = ("bell11", "bell12", "bell21", "bell22")
 _ALL_SLOTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _MINK_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _active_slots(kind: str) -> tuple[tuple[int, int], ...]:
-    if kind in ("bell11", "bell12"):
-        return ((1, -1), (-1, 1))
-    if kind in ("bell21", "bell22"):
-        return ((1, 1), (-1, -1))
-    return _ALL_SLOTS
+class BellCondition(NamedTuple):
+    """Maximal-correlation condition e^{ix} psi_plus + branch e^{-ix} psi_minus = 0
+    at (k, k'), x = theta(k) + coupling theta(k'), with ``slots`` = (plus slot,
+    minus slot); the two analyzer angles couple the same way."""
+
+    slots: tuple[tuple[int, int], tuple[int, int]]
+    coupling: int
+    branch: float
+
+
+#: 11/12 couple the angle difference through the opposite-helicity slots,
+#: 21/22 the sum through the equal-helicity slots; 12 and 22 are minus branches.
+BELL_CONDITIONS = {
+    11: BellCondition(((1, -1), (-1, 1)), -1, 1.0),
+    12: BellCondition(((1, -1), (-1, 1)), -1, -1.0),
+    21: BellCondition(((1, 1), (-1, -1)), 1, 1.0),
+    22: BellCondition(((1, 1), (-1, -1)), 1, -1.0),
+}
+
+#: Bell amplitude kind -> number of the condition its angle field satisfies.
+BELL_KINDS = {f"bell{number}": number for number in BELL_CONDITIONS}
+
+
+def _condition_slots(condition: int, tables: Mapping) -> tuple:
+    """(BELL_CONDITIONS[condition], plus-slot table, minus-slot table); a slot
+    outside the amplitude's support is 0."""
+    if condition not in BELL_CONDITIONS:
+        raise InputError(f"condition must be one of 11, 12, 21, 22; got {condition}")
+    cond = BELL_CONDITIONS[condition]
+    return (cond, *(tables.get(slot, 0.0) for slot in cond.slots))
 
 
 # --------------------------------------------------------------------------
@@ -172,8 +199,7 @@ def field_values(
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     if field.lorentz_map is not None:
-        shift = batch_wigner_phases(field.lorentz_map, freqs, dirs)
-        pre_f, pre_d = map_momenta(inverse(field.lorentz_map), freqs, dirs)
+        pre_f, pre_d, shift = wigner_pullback(field.lorentz_map, freqs, dirs)
         base = dataclasses.replace(field, lorentz_map=None)
         return field_values(base, pre_f, pre_d) + shift
     if field.kind == "constant":
@@ -186,27 +212,34 @@ def field_values(
 
 
 def field_value(field: PolarizationAngleField, k: NullMomentum) -> float:
-    return float(field_values(field, np.array([k.freq]), k.dir.reshape(1, 3))[0])
+    return float(field_values(field, *k.as_batch)[0])
 
 
-def theta_wigner_residual(
-    field: PolarizationAngleField, lorentz_map: LorentzMap, k: NullMomentum
-) -> float:
-    """Violation of the Wigner-shift rule theta'(k) = theta(L^-1 k) + 2 Theta(L,k).
+def theta_wigner_residuals(
+    field: PolarizationAngleField, lorentz_map: LorentzMap, freqs: np.ndarray, dirs: np.ndarray
+) -> np.ndarray:
+    """Violation of the Wigner-shift rule theta'(k) = theta(L^-1 k) + 2 Theta(L,k)
+    at a batch of momenta (frequency + unit-direction arrays).
 
     For a plain field this measures its own failure to be invariant:
     |wrap(theta(L^-1 k) - theta(k) + 2 Theta(L, k))|.  For a field carrying a
     composed map it compares the field against the Wigner-shifted base field,
     which is exactly zero when the attached map equals the queried one.
     """
-    shift = wigner_phase(lorentz_map, k)
-    kpre = apply(inverse(lorentz_map), k)
+    pre_f, pre_d, shift = wigner_pullback(lorentz_map, freqs, dirs)
     if field.lorentz_map is None:
-        diff = field_value(field, kpre) - field_value(field, k) + shift
-        return float(abs(wrap_angle(diff)))
-    base = dataclasses.replace(field, lorentz_map=None)
-    diff = field_value(base, kpre) + shift - field_value(field, k)
-    return float(abs(wrap_angle(diff)))
+        diff = field_values(field, pre_f, pre_d) - field_values(field, freqs, dirs) + shift
+    else:
+        base = dataclasses.replace(field, lorentz_map=None)
+        diff = field_values(base, pre_f, pre_d) + shift - field_values(field, freqs, dirs)
+    return np.abs(wrap_angle(diff))
+
+
+def theta_wigner_residual(
+    field: PolarizationAngleField, lorentz_map: LorentzMap, k: NullMomentum
+) -> float:
+    """Single-momentum form of theta_wigner_residuals."""
+    return float(theta_wigner_residuals(field, lorentz_map, *k.as_batch)[0])
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +263,7 @@ class TwoPhotonAmplitude:
     table: Mapping[tuple[int, int], Callable] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _BELL_KINDS + ("general",):
+        if self.kind not in BELL_KINDS and self.kind != "general":
             raise InputError(f"unknown amplitude kind {self.kind!r}")
         if self.kind == "general" and self.table is None:
             raise InputError("general amplitude needs a table of evaluators")
@@ -278,22 +311,21 @@ def amplitude_pair_tables(
     else:
         k1, k2 = (f1, d1), (f2, d2)
     out: dict[tuple[int, int], np.ndarray] = {}
-    if amp.kind in ("bell21", "bell22"):
-        p0, p1 = batch_spinors(*k1)
-        q0, q1 = batch_spinors(*k2)
-        pairing = p0 * q1 - p1 * q0
-        out[(1, 1)] = np.conj(pairing) ** 2 * env
-        out[(-1, -1)] = pairing**2 * env
-        return out
-    if amp.kind in ("bell11", "bell12"):
-        m1 = batch_m_vectors(f1, d1) * _MINK_SIGNS
-        m2c = np.conj(batch_m_vectors(f2, d2))
-        if outer:
-            core = m1 @ m2c.T
-        else:
-            core = np.sum(m1 * m2c, axis=-1)
-        out[(1, -1)] = core * env
-        out[(-1, 1)] = np.conj(core) * env
+    if amp.kind in BELL_KINDS:
+        cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
+        plus, minus = cond.slots
+        if cond.coupling > 0:  # equal helicity: squared spinor pairing
+            p0, p1 = batch_spinors(*k1)
+            q0, q1 = batch_spinors(*k2)
+            pairing = p0 * q1 - p1 * q0
+            out[plus] = np.conj(pairing) ** 2 * env
+            out[minus] = pairing**2 * env
+        else:  # opposite helicity: tetrad contraction m(k).mbar(k')
+            m1 = batch_m_vectors(f1, d1) * _MINK_SIGNS
+            m2c = np.conj(batch_m_vectors(f2, d2))
+            core = m1 @ m2c.T if outer else np.sum(m1 * m2c, axis=-1)
+            out[plus] = core * env
+            out[minus] = np.conj(core) * env
         return out
     shape = np.broadcast_shapes(k1[0].shape, k2[0].shape)
     for slot, fn in amp.table.items():
@@ -306,15 +338,7 @@ def amplitude_eval(
     amp: TwoPhotonAmplitude, k: NullMomentum, kp: NullMomentum, s: int, sp: int
 ) -> complex:
     """psi_ss'(k, k') for a single pair; slots outside the kind's support are 0."""
-    if (s, sp) not in _active_slots(amp.kind):
-        return 0.0 + 0.0j
-    tables = amplitude_pair_tables(
-        amp,
-        np.array([k.freq]),
-        k.dir.reshape(1, 3),
-        np.array([kp.freq]),
-        kp.dir.reshape(1, 3),
-    )
+    tables = amplitude_pair_tables(amp, *k.as_batch, *kp.as_batch)
     if (s, sp) not in tables:
         return 0.0 + 0.0j
     return complex(tables[(s, sp)][0, 0])
@@ -332,16 +356,48 @@ def bell_amplitude(
     return amplitude_eval(TwoPhotonAmplitude(kind=kind, envelope=envelope), k, kp, s, sp)
 
 
-def symmetry_residual(
-    amp: TwoPhotonAmplitude, k: NullMomentum, kp: NullMomentum
-) -> float:
-    """max over s, s' of |psi_ss'(k, k') - psi_s's(k', k)|."""
-    worst = 0.0
+def symmetry_residuals(
+    amp: TwoPhotonAmplitude, f1: np.ndarray, d1: np.ndarray, f2: np.ndarray, d2: np.ndarray
+) -> np.ndarray:
+    """max over s, s' of |psi_ss'(k_i, k'_i) - psi_s's(k'_i, k_i)| on paired batches."""
+    fwd = amplitude_pair_tables(amp, f1, d1, f2, d2, outer=False)
+    bwd = amplitude_pair_tables(amp, f2, d2, f1, d1, outer=False)
+    worst = np.zeros(np.shape(f1))
     for s, sp in _ALL_SLOTS:
-        a = amplitude_eval(amp, k, kp, s, sp)
-        b = amplitude_eval(amp, kp, k, sp, s)
-        worst = max(worst, abs(a - b))
+        worst = np.maximum(worst, np.abs(fwd.get((s, sp), 0.0) - bwd.get((sp, s), 0.0)))
     return worst
+
+
+def symmetry_residual(amp: TwoPhotonAmplitude, k: NullMomentum, kp: NullMomentum) -> float:
+    """Single-pair form of symmetry_residuals."""
+    return float(symmetry_residuals(amp, *k.as_batch, *kp.as_batch)[0])
+
+
+def condition_residuals(
+    condition: int, tables: Mapping, theta1: np.ndarray, theta2: np.ndarray
+) -> np.ndarray:
+    """Maximal-correlation condition defect over an n1 x n2 pair grid,
+
+        |e^{ix} psi_plus + branch e^{-ix} psi_minus|,  x_ij = theta1_i + coupling theta2_j,
+
+    with the slots, coupling and branch of ``BELL_CONDITIONS[condition]``,
+    ``tables`` the outer amplitude_pair_tables of the two batches and
+    ``theta1``/``theta2`` the polarization angles at them (or single angles,
+    shape (1,), that hold on every row or column)."""
+    cond, a, b = _condition_slots(condition, tables)
+    x = theta1[:, None] + cond.coupling * theta2[None, :]
+    return np.abs(np.exp(1j * x) * a + cond.branch * np.exp(-1j * x) * b)
+
+
+def condition_residual_rel(
+    condition: int, tables: Mapping, residuals: np.ndarray, u1: np.ndarray, u2: np.ndarray
+) -> float:
+    """Weighted relative RMS of a condition_residuals table with per-node
+    weights u1, u2: sqrt(u1 @ res^2 @ u2 / u1 @ (|psi_plus|^2 + |psi_minus|^2) @ u2),
+    0 when the weighted scale vanishes."""
+    _, a, b = _condition_slots(condition, tables)
+    scale = float(u1 @ (np.abs(a) ** 2 + np.abs(b) ** 2) @ u2)
+    return math.sqrt(float(u1 @ residuals**2 @ u2) / scale) if scale > 0.0 else 0.0
 
 
 def bell_condition_residual(
@@ -351,7 +407,8 @@ def bell_condition_residual(
     k: NullMomentum,
     kp: NullMomentum,
 ) -> float:
-    """Modulus of the maximal-correlation condition defect at one pair.
+    """Modulus of the maximal-correlation condition defect at one pair
+    (a 1 x 1 condition_residuals table):
 
     11: |e^{+i(t-t')} psi_+- + e^{-i(t-t')} psi_-+|
     12: |e^{+i(t-t')} psi_+- - e^{-i(t-t')} psi_-+|
@@ -359,45 +416,39 @@ def bell_condition_residual(
     22: |e^{+i(t+t')} psi_++ - e^{-i(t+t')} psi_--|
     with t = theta(k), t' = theta(k').
     """
-    t = field_value(theta, k)
-    tp = field_value(theta, kp)
-    if condition in (11, 12):
-        ang = t - tp
-        a = amplitude_eval(amp, k, kp, 1, -1)
-        b = amplitude_eval(amp, k, kp, -1, 1)
-        sign = 1.0 if condition == 11 else -1.0
-    elif condition in (21, 22):
-        ang = t + tp
-        a = amplitude_eval(amp, k, kp, 1, 1)
-        b = amplitude_eval(amp, k, kp, -1, -1)
-        sign = 1.0 if condition == 21 else -1.0
-    else:
-        raise InputError(f"condition must be one of 11, 12, 21, 22; got {condition}")
-    return abs(np.exp(1.0j * ang) * a + sign * np.exp(-1.0j * ang) * b)
+    tables = amplitude_pair_tables(amp, *k.as_batch, *kp.as_batch)
+    thetas = (field_values(theta, *q.as_batch) for q in (k, kp))
+    return float(condition_residuals(condition, tables, *thetas)[0, 0])
+
+
+def covariance_residuals(
+    amp: TwoPhotonAmplitude,
+    lorentz_map: LorentzMap,
+    f1: np.ndarray,
+    d1: np.ndarray,
+    f2: np.ndarray,
+    d2: np.ndarray,
+) -> np.ndarray:
+    """Defect of the helicity transformation rule on paired batches, maximized
+    over the kind's active slots:
+
+    |psi_ss'(L^-1 k, L^-1 k') - e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi_ss'(k, k')|
+    """
+    pre_f1, pre_d1, two_th1 = wigner_pullback(lorentz_map, f1, d1)
+    pre_f2, pre_d2, two_th2 = wigner_pullback(lorentz_map, f2, d2)
+    lhs = amplitude_pair_tables(amp, pre_f1, pre_d1, pre_f2, pre_d2, outer=False)
+    worst = np.zeros(two_th1.shape)
+    for (s, sp), vals in amplitude_pair_tables(amp, f1, d1, f2, d2, outer=False).items():
+        phase = np.exp(1.0j * s * two_th1) * np.exp(1.0j * sp * two_th2)
+        worst = np.maximum(worst, np.abs(lhs[(s, sp)] - phase * vals))
+    return worst
 
 
 def covariance_residual(
     amp: TwoPhotonAmplitude, lorentz_map: LorentzMap, k: NullMomentum, kp: NullMomentum
 ) -> float:
-    """Defect of the helicity transformation rule at one pair, maximized
-    over the kind's active slots:
-
-    |psi_ss'(L^-1 k, L^-1 k') - e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi_ss'(k, k')|
-    """
-    kpre = apply(inverse(lorentz_map), k)
-    kppre = apply(inverse(lorentz_map), kp)
-    two_th = wigner_phase(lorentz_map, k)
-    two_thp = wigner_phase(lorentz_map, kp)
-    worst = 0.0
-    for s, sp in _active_slots(amp.kind):
-        lhs = amplitude_eval(amp, kpre, kppre, s, sp)
-        rhs = (
-            np.exp(1.0j * s * two_th)
-            * np.exp(1.0j * sp * two_thp)
-            * amplitude_eval(amp, k, kp, s, sp)
-        )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    """Single-pair form of covariance_residuals."""
+    return float(covariance_residuals(amp, lorentz_map, *k.as_batch, *kp.as_batch)[0])
 
 
 # --------------------------------------------------------------------------
@@ -541,32 +592,25 @@ def fit_theta(
     if weight_fn is not None:
         wa = wa * np.asarray(weight_fn(na.freqs, na.dirs), dtype=np.float64)
         wb = wb * np.asarray(weight_fn(nb.freqs, nb.dirs), dtype=np.float64)
+    cond, a, b = _condition_slots(condition, tables)
     w_outer = wa[:, None] * wb[None, :]
-    if condition in (11, 12):
-        a, b = tables[(1, -1)], tables[(-1, 1)]
-    elif condition in (21, 22):
-        a, b = tables[(1, 1)], tables[(-1, -1)]
-    else:
-        raise InputError(f"condition must be one of 11, 12, 21, 22; got {condition}")
     cross = complex(np.sum(w_outer * a * np.conj(b)))
     if abs(cross) == 0.0:
         raise InputError("condition cross term vanishes; the fit is degenerate")
-    sign = 1.0 if condition in (11, 21) else -1.0
-    # minimize sum w |e^{i x} a + sign e^{-i x} b|^2 over x
-    two_x = (math.pi if sign > 0 else 0.0) - float(np.angle(cross))
+    # minimize sum w |e^{i x} a + branch e^{-i x} b|^2 over x
+    two_x = (math.pi if cond.branch > 0 else 0.0) - float(np.angle(cross))
     fitted = float(wrap_angle(two_x)) / 2.0
 
     axis_gap = float(np.linalg.norm(region_a.axis - region_b.axis))
     if axis_gap < 1e-6:
-        theta0 = 0.0 if condition in (11, 12) else fitted / 2.0
+        theta0 = 0.0 if cond.coupling < 0 else fitted / 2.0
         field = constant_field(theta0)
     else:
         field = tabulated_field(
             np.stack([region_a.axis, region_b.axis]), np.array([fitted, 0.0])
         )
 
-    phase = np.exp(1.0j * fitted)
-    resid2 = np.abs(phase * a + sign * b / phase) ** 2
-    scale2 = np.abs(a) ** 2 + np.abs(b) ** 2
-    rel = math.sqrt(float(np.sum(w_outer * resid2)) / float(np.sum(w_outer * scale2)))
+    # x = fitted on every pair: 1 x 1 angle grids broadcast against the tables
+    res = condition_residuals(condition, tables, np.array([fitted]), np.zeros(1))
+    rel = condition_residual_rel(condition, tables, res, wa, wb)
     return FitResult(field=field, residual_rel=rel)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import EvaluationError, InputError
 from .measure import QuadratureSpec, full_sphere_region, integrate_region
 from .spinor_tetrad import LorentzMap, NullMomentum, compose, inverse, map_momenta
 
@@ -54,12 +54,6 @@ class VacuumDensity:
     params: tuple[tuple[str, float], ...]
     norm_const: float
     lorentz_map: LorentzMap | None = None
-
-    def param(self, name: str) -> float:
-        for key, val in self.params:
-            if key == name:
-                return val
-        raise KeyError(name)
 
 
 def _radial_profile(family: str, params: dict[str, float], omega: np.ndarray) -> np.ndarray:
@@ -131,13 +125,15 @@ def normalize(
         n_samples=base.n_samples,
         radial_scale=_default_radial_scale(family, params),
     )
-    res = integrate_region(
-        lambda freqs, dirs: _radial_profile(family, params, freqs),
-        full_sphere_region(),
-        quad,
-        batch=True,
-    )
-    total = res.value.real
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = integrate_region(
+                lambda freqs, dirs: _radial_profile(family, params, freqs),
+                full_sphere_region(),
+                quad,
+            ).value.real
+    except EvaluationError:  # the profile overflows at some node
+        total = math.inf
     if not (total > 0.0) or not np.isfinite(total):
         raise InputError(
             f"family {family!r} with params {params} has no finite positive norm"
@@ -164,7 +160,7 @@ def evaluate_batch(z: VacuumDensity, freqs: np.ndarray, dirs: np.ndarray) -> np.
 
 def evaluate(z: VacuumDensity, k: NullMomentum) -> float:
     """Z at a single momentum (Z(Lambda^-1 k) when a map is attached)."""
-    val = evaluate_batch(z, np.array([k.freq]), np.array([k.dir]))
+    val = evaluate_batch(z, *k.as_batch)
     return float(val[0])
 
 

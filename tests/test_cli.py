@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from bellepr import cli
 from bellepr.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -16,6 +17,7 @@ from bellepr.cli import (
     CONFIG_SCHEMA,
     main,
 )
+from bellepr.errors import ConsistencyError, EvaluationError
 
 BASE_SCENARIO = """\
 scenario:
@@ -51,6 +53,13 @@ sweep:
   stop: 3.141592653589793
   count: 9
 """
+
+
+def assert_one_error_line(err, prefix):
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
 
 
 def write_config(tmp_path, text, name="run.yaml"):
@@ -143,6 +152,37 @@ class TestConfigValidation:
         assert len(lines) == 1
         assert lines[0].startswith("precondition violated")
         assert "underflow" in lines[0]
+
+    def test_chart_cut_cone_is_a_precondition(self, tmp_path, capsys):
+        # Bob's cone collapses onto -z, the cut of the spinor chart
+        text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
+            "axis: [0.0, 0.0, 1.0]\n    half_angle: 0.0349",
+            "axis: [0.0, 0.0, -1.0]\n    half_angle: 1.0e-12",
+        )
+        assert "half_angle: 1.0e-12" in text
+        cfg = write_config(tmp_path, text + SWEEP_BETA)
+        out = str(tmp_path / "cut.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_PRECONDITION
+        assert_one_error_line(capsys.readouterr().err, "precondition violated")
+
+    def test_overflowing_vacuum_norm_is_a_config_error(self, tmp_path, capsys):
+        text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
+            "exponent: 2.0", "exponent: 400.0"
+        )
+        assert "exponent: 400.0" in text
+        cfg = write_config(tmp_path, text + SWEEP_BETA)
+        out = str(tmp_path / "overflow.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, "config error")
+
+    @pytest.mark.parametrize("error", [ConsistencyError, EvaluationError])
+    def test_numerical_failures_exit_one(self, tmp_path, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("identity violated")
+
+        monkeypatch.setattr(cli, "cmd_correlate", fail)
+        assert main(["correlate", str(tmp_path / "unused.yaml")]) == EXIT_CHECK_FAILED
+        assert_one_error_line(capsys.readouterr().err, "evaluation failed")
 
     def test_schema_document_in_sync(self):
         import json

@@ -15,6 +15,7 @@ from bellepr.measure import (
     integrate_region,
     invariant_node_set,
     map_nodes,
+    mapped_bounding_region,
     region_measure,
     regions_disjoint,
 )
@@ -94,7 +95,9 @@ class TestRegionMeasure:
 class TestIntegrateRegion:
     def test_constant_integrand(self):
         r = DetectorRegion(np.array([0.0, 1.0, 0.0]), 0.7, 0.2, 3.0)
-        res = integrate_region(lambda k: 1.0, r, QuadratureSpec(6, 6, 6))
+        res = integrate_region(
+            lambda freqs, dirs: np.ones_like(freqs), r, QuadratureSpec(6, 6, 6)
+        )
         assert res.value.real == pytest.approx(region_measure(r), rel=1e-12)
 
     def test_gamma_function_radial_rule(self):
@@ -103,7 +106,7 @@ class TestIntegrateRegion:
         #   = Gamma(4) / (4*pi^2)
         r = full_sphere_region()
         f = lambda freqs, dirs: freqs**2 * np.exp(-freqs)
-        res = integrate_region(f, r, QuadratureSpec(12, 4, 4), batch=True)
+        res = integrate_region(f, r, QuadratureSpec(12, 4, 4))
         assert res.value.real == pytest.approx(6.0 / (4.0 * math.pi**2), rel=1e-12)
 
     def test_gamma_function_scaled(self):
@@ -113,7 +116,7 @@ class TestIntegrateRegion:
         r = full_sphere_region()
         f = lambda freqs, dirs: freqs**2 * np.exp(-freqs / s)
         res = integrate_region(
-            f, r, QuadratureSpec(12, 4, 4, radial_scale=s), batch=True
+            f, r, QuadratureSpec(12, 4, 4, radial_scale=s)
         )
         assert res.value.real == pytest.approx(
             6.0 * s**4 / (4.0 * math.pi**2), rel=1e-12
@@ -122,17 +125,17 @@ class TestIntegrateRegion:
     def test_product_vs_mc_agreement(self):
         r = DetectorRegion(Z_AXIS, 0.8, 0.5, 2.0)
         f = lambda freqs, dirs: freqs * (1.0 + dirs[:, 2]) ** 2
-        prod = integrate_region(f, r, QuadratureSpec(10, 10, 10), batch=True)
+        prod = integrate_region(f, r, QuadratureSpec(10, 10, 10))
         mc = integrate_region(
-            f, r, QuadratureSpec(mode="mc", seed=314, n_samples=200000), batch=True
+            f, r, QuadratureSpec(mode="mc", seed=314, n_samples=200000)
         )
         assert abs(prod.value - mc.value) < 3.0 * (prod.err + mc.err)
 
     def test_error_estimate_covers_refinement(self):
         r = DetectorRegion(np.array([1.0, 0.0, 0.0]), 0.5, 1.0, 2.0)
         f = lambda freqs, dirs: np.exp(dirs[:, 0] * freqs / 2.0)
-        coarse = integrate_region(f, r, QuadratureSpec(6, 6, 6), batch=True)
-        fine = integrate_region(f, r, QuadratureSpec(12, 12, 12), batch=True)
+        coarse = integrate_region(f, r, QuadratureSpec(6, 6, 6))
+        fine = integrate_region(f, r, QuadratureSpec(12, 12, 12))
         assert abs(fine.value - coarse.value) <= coarse.err
 
     def test_nonfinite_integrand_names_node(self):
@@ -144,19 +147,14 @@ class TestIntegrateRegion:
             return out
 
         with pytest.raises(bp.EvaluationError, match="freq="):
-            integrate_region(bad, r, QuadratureSpec(4, 4, 4), batch=True)
-
-    def test_scalar_and_batch_paths_agree(self):
-        r = DetectorRegion(Z_AXIS, 0.4, 1.0, 2.0)
-        spec = QuadratureSpec(4, 4, 4)
-        a = integrate_region(lambda k: k.freq * k.dir[2], r, spec)
-        b = integrate_region(lambda f, d: f * d[:, 2], r, spec, batch=True)
-        assert a.value == pytest.approx(b.value, rel=1e-14)
+            integrate_region(bad, r, QuadratureSpec(4, 4, 4))
 
     def test_mc_rejects_semi_infinite(self):
         with pytest.raises(bp.PreconditionError):
             integrate_region(
-                lambda k: 1.0, full_sphere_region(), QuadratureSpec(mode="mc", seed=1)
+                lambda freqs, dirs: np.ones_like(freqs),
+                full_sphere_region(),
+                QuadratureSpec(mode="mc", seed=1),
             )
 
 
@@ -165,17 +163,17 @@ class TestBoostedRegion:
         r = DetectorRegion(np.array([0.0, 0.6, 0.8]), 0.6, 0.5, 2.5)
         spec = QuadratureSpec(6, 6, 6)
         f = lambda freqs, dirs: freqs**2 * dirs[:, 1]
-        plain = integrate_region(f, r, spec, batch=True)
-        mapped = integrate_region(f, r, spec, batch=True, lorentz_map=bp.identity_map())
+        plain = integrate_region(f, r, spec)
+        mapped = integrate_region(f, r, spec, lorentz_map=bp.identity_map())
         assert mapped.value == pytest.approx(plain.value, rel=1e-12)
 
     def test_rotation_with_symmetric_integrand(self):
         r = full_sphere_region(0.5, 2.0)
         spec = QuadratureSpec(6, 8, 8)
         f = lambda freqs, dirs: np.exp(-freqs)  # isotropic
-        plain = integrate_region(f, r, spec, batch=True)
+        plain = integrate_region(f, r, spec)
         rot = integrate_region(
-            f, r, spec, batch=True, lorentz_map=bp.rotation(1.2, [1.0, 1.0, 0.0] / np.sqrt(2))
+            f, r, spec, lorentz_map=bp.rotation(1.2, [1.0, 1.0, 0.0] / np.sqrt(2))
         )
         assert rot.value == pytest.approx(plain.value, rel=1e-12)
 
@@ -198,8 +196,8 @@ class TestBoostedRegion:
             w = np.linalg.norm(img[:, 1:], axis=1)
             return f(w, img[:, 1:] / w[:, None])
 
-        lhs = integrate_region(f_pulled, r, spec, batch=True, lorentz_map=lam)
-        rhs = integrate_region(f, r, spec, batch=True)
+        lhs = integrate_region(f_pulled, r, spec, lorentz_map=lam)
+        rhs = integrate_region(f, r, spec)
         assert lhs.value == pytest.approx(rhs.value, rel=1e-12)
 
     def test_mapped_nodes_keep_weights_and_nullity(self):
@@ -210,6 +208,41 @@ class TestBoostedRegion:
         norms = np.linalg.norm(moved.dirs, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         assert np.all(moved.freqs > 0)
+
+
+class TestMappedBoundingRegion:
+    def test_cone_is_the_exact_image_of_the_rim(self):
+        # the image of a cone under a Lorentz map is a cone: every image of a
+        # dense rim lies inside the returned cone, which is no wider than the
+        # farthest rim image beyond rounding
+        rng = np.random.default_rng(2024)
+        phi = np.linspace(0.0, 2.0 * math.pi, 20000, endpoint=False)
+        for _ in range(40):
+            half = math.exp(rng.uniform(math.log(1e-3), math.log(3.0)))
+            axis = _unit(rng)
+            lam = bp.compose(
+                bp.boost(rng.uniform(0.0, 3.0), _unit(rng)),
+                bp.rotation(rng.uniform(-math.pi, math.pi), _unit(rng)),
+            )
+            e1 = np.cross(axis, _unit(rng))
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(axis, e1)
+            rim = math.cos(half) * axis + math.sin(half) * (
+                np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+            )
+            four = np.concatenate([np.ones((phi.size, 1)), rim], axis=1) @ lam.matrix.T
+            img = four[:, 1:] / np.linalg.norm(four[:, 1:], axis=1)[:, None]
+            cone = mapped_bounding_region(DetectorRegion(axis, half, 1.0, 2.0), lam)
+            angles = np.arctan2(
+                np.linalg.norm(np.cross(img, cone.axis), axis=1), img @ cone.axis
+            )
+            assert angles.max() <= cone.half_angle
+            assert cone.half_angle <= angles.max() * (1.0 + 1e-7)
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
 
 
 class TestDeterminism:

@@ -59,7 +59,6 @@ class TestNormalization:
             lambda freqs, dirs: evaluate_batch(z, freqs, dirs),
             full_sphere_region(),
             QuadratureSpec(n_freq=20, n_polar=2, n_azimuth=2),
-            batch=True,
         )
         assert res.value.real == pytest.approx(1.0, abs=1e-8)
 
@@ -176,6 +175,5 @@ class TestWithTransform:
             lambda freqs, dirs: evaluate_batch(zt, freqs, dirs),
             full_sphere_region(),
             QuadratureSpec(n_freq=24, n_polar=40, n_azimuth=4, radial_scale=math.e),
-            batch=True,
         )
         assert res.value.real == pytest.approx(1.0, abs=1e-6)
