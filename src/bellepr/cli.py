@@ -516,16 +516,14 @@ def _scenario_at(base: Scenario, doc: dict, variable: str, value) -> Scenario:
         )
     if variable == "n_osc":
         return dataclasses.replace(base, n_osc=int(value))
-    # rapidity: rebuild the transform's boost with the swept rapidity
+    # rapidity: rebuild the transform with the swept rapidity
     block = doc["scenario"].get("transform")
     if block is None or block["case"] == "rest":
         raise ConfigError("rapidity sweep needs a non-rest transform case")
     if block["map"]["kind"] != "boost":
         raise ConfigError("rapidity sweep needs a boost map")
-    axis = np.asarray(block["map"].get("axis", [0.0, 0.0, 1.0]), dtype=float)
-    new_map = boost(float(value), axis)
-    case = joint_case(new_map) if block["case"] == "joint" else alice_only_case(new_map)
-    return dataclasses.replace(base, transform=case)
+    swept = {**block, "map": {**block["map"], "rapidity": float(value)}}
+    return dataclasses.replace(base, transform=_build_transform(swept))
 
 
 def _evaluate_scenario(scn: Scenario):
@@ -644,6 +642,11 @@ def cmd_oracle_verify(args) -> int:
         )
     ok = n_pass == len(checks)
     lines.append(f"RESULT {'PASS' if ok else 'FAIL'} ({n_pass}/{len(checks)} checks)")
+    return _write_report(args, lines, ok)
+
+
+def _write_report(args, lines: list[str], ok: bool) -> int:
+    """Write a check report to stdout and to ``--out``; the exit code."""
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
@@ -787,12 +790,7 @@ def cmd_diagnose(args) -> int:
 
     ok = failures == 0
     lines.append(f"RESULT {'PASS' if ok else 'FAIL'} ({failures} failed checks)")
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _write_report(args, lines, ok)
 
 
 # --------------------------------------------------------------------------

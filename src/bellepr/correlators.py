@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import ChartError, InputError, PreconditionError
 from .measure import (
     DetectorRegion,
     QuadratureSpec,
@@ -84,6 +84,12 @@ DEFAULT_QUADRATURE = QuadratureSpec(n_freq=6, n_polar=4, n_azimuth=8)
 #: Slot pair (plus, minus) -> how Alice's analyzer angle couples in its
 #: product conj(psi_plus) psi_minus: +1 with the sum, -1 with the difference.
 _SLOT_COUPLINGS = {cond.slots: cond.coupling for cond in BELL_CONDITIONS.values()}
+
+#: A 1e-9 cone around -z, the cut of the spinor chart.  A laboratory cone that
+#: contains it holds one fixed analyzer angle against the chart's phase, which
+#: winds around -z.  A pulled-back cone may contain it: there the per-node
+#: Wigner phase cancels the winding.
+_CHART_CUT = DetectorRegion(np.array([0.0, 0.0, -1.0]), 1e-9, 0.0, math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +178,12 @@ class Scenario:
                 "acceptance adds a same-momentum coincidence term that only "
                 "the discrete-grid oracle evaluates"
             )
+        for name, setting in (("Bob", self.bob), ("Alice", self.alice)):
+            if not regions_disjoint(setting.region, _CHART_CUT):
+                raise ChartError(
+                    f"{name}'s cone contains the spinor chart cut at -z; "
+                    "rotate the whole scene away from it"
+                )
 
 
 @dataclass(frozen=True)
@@ -523,11 +535,15 @@ def epr_case2(scenario: Scenario) -> CorrelationResult:
     return _finish(scenario)
 
 
-def bound_check(result: CorrelationResult, *, block_tol: float = 1e-8) -> bool:
+#: Largest accepted gap between the two ordered cross-cone denominator blocks.
+_BLOCK_TOL = 1e-8
+
+
+def bound_check(result: CorrelationResult) -> bool:
     """True iff |value| <= 1 + err_estimate and the two ordered cross-cone
     denominator blocks agree (the symmetry that folds both orderings into
     twice a single block)."""
     if abs(result.value) > 1.0 + result.err_estimate:
         return False
     swap = result.diagnostics.get("den_swap_block_residual", 0.0)
-    return swap <= block_tol
+    return swap <= _BLOCK_TOL

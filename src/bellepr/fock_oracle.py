@@ -4,7 +4,9 @@ representation on a small momentum grid.
 Everything here is literal linear algebra: ladder, number, and center
 operators as sparse matrices on ``grid x two truncated oscillator modes``
 tensored N times, with state vectors built by applying creation operators
-to an explicit vacuum.  The module exists to validate the closed-form
+to an explicit vacuum.  Each space builds its lowering operators once (see
+``ladder``); the number, center and yes/no operators stay independent
+constructions, which the checks compare with the ladders.  The module exists to validate the closed-form
 integral formulas used elsewhere, so it makes no approximations beyond the
 occupation cutoff (which is exact for the two-photon sector when the
 cutoff is at least 2).
@@ -22,7 +24,7 @@ sums.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -165,6 +167,21 @@ class OracleSpace:
     def dim(self) -> int:
         return self.dim_single**self.n_osc
 
+    @functools.cached_property
+    def _lowering(self) -> dict[tuple[int, int], sp.csr_matrix]:
+        """Every lowering operator a(k_i, mode), built on first use; read
+        through ``ladder``."""
+        a = _lowering_matrix(self.levels)
+        return {
+            (cell, mode): _symmetrized(
+                self,
+                _cell_op(self, cell, _two_mode(self, a, mode)),
+                1.0 / math.sqrt(self.n_osc),
+            )
+            for cell in range(self.grid.size)
+            for mode in (1, 2)
+        }
+
 
 class CheckResult(NamedTuple):
     """One named verification: residual against its pass threshold."""
@@ -187,10 +204,27 @@ def _lowering_matrix(levels: int) -> sp.csr_matrix:
     return sp.diags(data, offsets=1, format="csr")
 
 
-def _cell_op(space: OracleSpace, cell: int, osc_pair_matrix: sp.spmatrix) -> sp.csr_matrix:
-    """(1/w_i) |e_i><e_i| tensor (two-mode operator), on one oscillator slot."""
+def _check_mode(mode: int) -> None:
+    if mode not in (1, 2):
+        raise InputError(f"mode must be 1 or 2, got {mode!r}")
+
+
+def _check_cell(space: OracleSpace, cell: int) -> None:
     if not (0 <= cell < space.grid.size):
         raise InputError(f"cell index {cell} outside grid of size {space.grid.size}")
+
+
+def _two_mode(space: OracleSpace, x: sp.spmatrix, mode: int) -> sp.csr_matrix:
+    """``x`` acting on polarization mode 1 or 2 of a cell's (cutoff+1)^2
+    block, the identity on the other mode."""
+    _check_mode(mode)
+    eye = sp.identity(space.levels, format="csr")
+    return sp.kron(x, eye, format="csr") if mode == 1 else sp.kron(eye, x, format="csr")
+
+
+def _cell_op(space: OracleSpace, cell: int, osc_pair_matrix: sp.spmatrix) -> sp.csr_matrix:
+    """(1/w_i) |e_i><e_i| tensor (two-mode operator), on one oscillator slot."""
+    _check_cell(space, cell)
     w = space.grid.weights[cell]
     proj = sp.csr_matrix(
         ([1.0 / w], ([cell], [cell])), shape=(space.grid.size, space.grid.size)
@@ -199,18 +233,13 @@ def _cell_op(space: OracleSpace, cell: int, osc_pair_matrix: sp.spmatrix) -> sp.
 
 
 def _slot_embed(space: OracleSpace, op1: sp.spmatrix, slot: int) -> sp.csr_matrix:
-    out = None
-    for n in range(space.n_osc):
-        factor = op1 if n == slot else sp.identity(space.dim_single, format="csr")
-        out = factor if out is None else sp.kron(out, factor, format="csr")
-    return out
+    eye = sp.identity(space.dim_single, format="csr")
+    factors = (op1 if n == slot else eye for n in range(space.n_osc))
+    return functools.reduce(functools.partial(sp.kron, format="csr"), factors)
 
 
 def _symmetrized(space: OracleSpace, op1: sp.spmatrix, scale: float) -> sp.csr_matrix:
-    total = None
-    for n in range(space.n_osc):
-        term = _slot_embed(space, op1, n)
-        total = term if total is None else total + term
+    total = sum(_slot_embed(space, op1, n) for n in range(space.n_osc))
     return (scale * total).tocsr()
 
 
@@ -220,17 +249,18 @@ def _symmetrized(space: OracleSpace, op1: sp.spmatrix, scale: float) -> sp.csr_m
 
 def ladder(space: OracleSpace, cell: int, mode: int, kind: str = "lower") -> sp.csr_matrix:
     """Cell-local ladder operator in the n_osc representation: the slot sum
-    of |k_i><k_i| tensor a_mode with the 1/sqrt(n_osc) normalization."""
+    of |k_i><k_i| tensor a_mode with the 1/sqrt(n_osc) normalization.
+
+    The lowering operators are built once per space and shared between
+    calls (``kind="raise"`` returns a fresh adjoint of the shared one):
+    callers must not modify a returned matrix in place.
+    """
     if kind not in ("lower", "raise"):
         raise InputError(f"kind must be 'lower' or 'raise', got {kind!r}")
-    a = _lowering_matrix(space.levels)
-    eye = sp.identity(space.levels, format="csr")
-    pair = sp.kron(a, eye) if mode == 1 else sp.kron(eye, a) if mode == 2 else None
-    if pair is None:
-        raise InputError(f"mode must be 1 or 2, got {mode!r}")
-    op1 = _cell_op(space, cell, pair)
-    out = _symmetrized(space, op1, 1.0 / math.sqrt(space.n_osc))
-    return out.conjugate().transpose().tocsr() if kind == "raise" else out
+    _check_mode(mode)
+    _check_cell(space, cell)
+    low = space._lowering[(cell, mode)]
+    return low.conjugate().transpose().tocsr() if kind == "raise" else low
 
 
 def number_op(space: OracleSpace, cell: int, mode: int) -> sp.csr_matrix:
@@ -238,11 +268,7 @@ def number_op(space: OracleSpace, cell: int, mode: int) -> sp.csr_matrix:
     |k_i><k_i| tensor a_mode^dag a_mode."""
     a = _lowering_matrix(space.levels)
     n_m = (a.conjugate().transpose() @ a).tocsr()
-    eye = sp.identity(space.levels, format="csr")
-    pair = sp.kron(n_m, eye) if mode == 1 else sp.kron(eye, n_m) if mode == 2 else None
-    if pair is None:
-        raise InputError(f"mode must be 1 or 2, got {mode!r}")
-    return _symmetrized(space, _cell_op(space, cell, pair), 1.0)
+    return _symmetrized(space, _cell_op(space, cell, _two_mode(space, n_m, mode)), 1.0)
 
 
 def number_op_quadratic(space: OracleSpace, cell: int, mode: int) -> sp.csr_matrix:
@@ -280,13 +306,10 @@ def circular_ladder(space: OracleSpace, cell: int, s: int) -> sp.csr_matrix:
 def linear_ladder(space: OracleSpace, cell: int, theta: float) -> sp.csr_matrix:
     """Linear-basis lowering operator at polarization angle theta, built
     from the circular pair as (1/sqrt(2)) sum_s a_s e^{i s theta}."""
-    total = None
-    for s in (1, -1):
-        term = circular_ladder(space, cell, s) * (
-            np.exp(1.0j * s * theta) / math.sqrt(2.0)
-        )
-        total = term if total is None else total + term
-    return total.tocsr()
+    return sum(
+        circular_ladder(space, cell, s) * (np.exp(1.0j * s * theta) / math.sqrt(2.0))
+        for s in (1, -1)
+    ).tocsr()
 
 
 def cutoff_safe_projector(space: OracleSpace) -> sp.csr_matrix:
@@ -297,10 +320,7 @@ def cutoff_safe_projector(space: OracleSpace) -> sp.csr_matrix:
     diag1 = np.kron(
         np.ones(space.grid.size), np.kron(keep_mode, keep_mode)
     )
-    diag = diag1.copy()
-    for _ in range(space.n_osc - 1):
-        diag = np.kron(diag, diag1)
-    return sp.diags(diag, format="csr")
+    return sp.diags(functools.reduce(np.kron, [diag1] * space.n_osc), format="csr")
 
 
 def commutator(a: sp.spmatrix, b: sp.spmatrix) -> sp.csr_matrix:
@@ -310,11 +330,9 @@ def commutator(a: sp.spmatrix, b: sp.spmatrix) -> sp.csr_matrix:
 def whole_spectrum_number(space: OracleSpace, mode: int) -> sp.csr_matrix:
     """Weighted cell sum of the number operators — the photon count for one
     polarization over the whole grid; integer spectrum."""
-    total = None
-    for i in range(space.grid.size):
-        term = space.grid.weights[i] * number_op(space, i, mode)
-        total = term if total is None else total + term
-    return total.tocsr()
+    return sum(
+        space.grid.weights[i] * number_op(space, i, mode) for i in range(space.grid.size)
+    ).tocsr()
 
 
 def hamiltonian_single_polarization(space: OracleSpace) -> sp.csr_matrix:
@@ -324,12 +342,11 @@ def hamiltonian_single_polarization(space: OracleSpace) -> sp.csr_matrix:
     a = _lowering_matrix(space.levels)
     n_m = (a.conjugate().transpose() @ a).tocsr()
     half = n_m + 0.5 * sp.identity(space.levels, format="csr")
-    eye = sp.identity(space.levels, format="csr")
-    total = None
-    for i in range(space.grid.size):
-        pair = sp.kron(half, eye, format="csr")
-        term = (space.grid.weights[i] * space.grid.freqs[i]) * _cell_op(space, i, pair)
-        total = term if total is None else total + term
+    pair = _two_mode(space, half, 1)
+    total = sum(
+        (space.grid.weights[i] * space.grid.freqs[i]) * _cell_op(space, i, pair)
+        for i in range(space.grid.size)
+    )
     return _slot_embed(space, total.tocsr(), 0)
 
 
@@ -355,10 +372,11 @@ def yes_no_op(
         raise InputError(
             f"construction must be 'number' or 'circular', got {construction!r}"
         )
+    if not cells:
+        raise InputError("cell subset is empty")
     a = _lowering_matrix(space.levels)
-    eye = sp.identity(space.levels, format="csr")
-    a1 = sp.kron(a, eye, format="csr")
-    a2 = sp.kron(eye, a, format="csr")
+    a1 = _two_mode(space, a, 1)
+    a2 = _two_mode(space, a, 2)
     if construction == "number":
         b_par = math.cos(angle) * a1 + math.sin(angle) * a2
         b_perp = -math.sin(angle) * a1 + math.cos(angle) * a2
@@ -372,15 +390,10 @@ def yes_no_op(
             np.exp(2.0j * s * angle) * (a_circ[-s].conjugate().transpose() @ a_circ[s])
             for s in (1, -1)
         ).tocsr()
-    total = None
-    for i in cells:
-        term = space.grid.weights[i] * _symmetrized(
-            space, _cell_op(space, i, pair), 1.0
-        )
-        total = term if total is None else total + term
-    if total is None:
-        raise InputError("cell subset is empty")
-    return total.tocsr()
+    return sum(
+        space.grid.weights[i] * _symmetrized(space, _cell_op(space, i, pair), 1.0)
+        for i in cells
+    ).tocsr()
 
 
 # --------------------------------------------------------------------------
@@ -408,10 +421,7 @@ def vacuum_vector(space: OracleSpace, o_values: Sequence[complex]) -> np.ndarray
     stride = space.levels * space.levels
     for i in range(space.grid.size):
         single[i * stride] = math.sqrt(space.grid.weights[i]) * o[i]
-    vec = single
-    for _ in range(space.n_osc - 1):
-        vec = np.kron(vec, single)
-    return vec
+    return functools.reduce(np.kron, [single] * space.n_osc)
 
 
 def _check_tables(space: OracleSpace, tables: Mapping[tuple[int, int], np.ndarray]):
@@ -442,21 +452,21 @@ def two_photon_vector(
     tables = _check_tables(space, tables)
     vac = vacuum_vector(space, o_values)
     w = space.grid.weights
-    raised = {
-        (s, i): circular_ladder(space, i, s).conjugate().transpose().tocsr() @ vac
+    create = {
+        (s, i): circular_ladder(space, i, s).conjugate().transpose().tocsr()
         for s in (1, -1)
         for i in range(space.grid.size)
     }
+    raised = {key: op @ vac for key, op in create.items()}
     out = np.zeros_like(vac)
     for (s, spp), tab in tables.items():
         for i in range(space.grid.size):
-            create_i = circular_ladder(space, i, s).conjugate().transpose().tocsr()
             inner = np.zeros_like(vac)
             for j in range(space.grid.size):
                 coef = w[i] * w[j] * tab[i, j]
                 if coef != 0.0:
                     inner += coef * raised[(spp, j)]
-            out += create_i @ inner
+            out += create[(s, i)] @ inner
     return out
 
 
@@ -588,8 +598,7 @@ def _subset_ok(space: OracleSpace, subset: Sequence[int]) -> list[int]:
     if len(set(cells)) != len(cells):
         raise InputError("detector cell subset contains duplicates")
     for i in cells:
-        if not (0 <= i < space.grid.size):
-            raise InputError(f"cell index {i} outside grid of size {space.grid.size}")
+        _check_cell(space, i)
     return cells
 
 
@@ -683,6 +692,9 @@ def verify_suite(
     tight, loose = 1e-12, 1e-8
     checks: list[CheckResult] = []
 
+    zero = sp.csr_matrix((space.dim, space.dim))
+    centers = [center_op(space, i) for i in range(m)]
+
     # ladder commutation with central right-hand side
     worst = 0.0
     for i in range(m):
@@ -691,47 +703,33 @@ def verify_suite(
                 lhs = commutator(
                     ladder(space, i, mo, "lower"), ladder(space, j, mo2, "raise")
                 )
-                rhs = (
-                    (fault_scale / w[i]) * center_op(space, i)
-                    if (i == j and mo == mo2)
-                    else sp.csr_matrix((space.dim, space.dim))
-                )
+                rhs = (fault_scale / w[i]) * centers[i] if (i == j and mo == mo2) else zero
                 worst = max(worst, _opnorm((lhs - rhs) @ guard))
     checks.append(CheckResult("ladder-pair-commutator-central", worst, tight))
 
     # number-operator commutators (exact on the full truncated space)
+    numbers = [number_op(space, j, 1) for j in range(m)]
     worst_low, worst_raise = 0.0, 0.0
     for i in range(m):
-        for j in range(m):
-            low = ladder(space, i, 1, "lower")
-            num = number_op(space, j, 1)
-            rhs = (1.0 / w[i]) * low if i == j else sp.csr_matrix((space.dim, space.dim))
+        low, rai = ladder(space, i, 1, "lower"), ladder(space, i, 1, "raise")
+        for j, num in enumerate(numbers):
+            rhs = (1.0 / w[i]) * low if i == j else zero
             worst_low = max(worst_low, _opnorm(commutator(low, num) - rhs))
-            rai = ladder(space, i, 1, "raise")
-            rhs2 = (
-                (-1.0 / w[i]) * rai if i == j else sp.csr_matrix((space.dim, space.dim))
-            )
+            rhs2 = (-1.0 / w[i]) * rai if i == j else zero
             worst_raise = max(worst_raise, _opnorm(commutator(rai, num) - rhs2))
-        num2 = number_op(space, i, 2)
-        worst_low = max(
-            worst_low, _opnorm(commutator(ladder(space, i, 1, "lower"), num2))
-        )
+        worst_low = max(worst_low, _opnorm(commutator(low, number_op(space, i, 2))))
     checks.append(CheckResult("lowering-number-commutator", worst_low, tight))
     checks.append(CheckResult("raising-number-commutator", worst_raise, tight))
 
     # center: commutes with ladders and resolves the identity
-    worst = 0.0
-    for i in range(m):
-        cen = center_op(space, i)
-        for j in range(m):
-            worst = max(
-                worst, _opnorm(commutator(ladder(space, j, 1, "lower"), cen))
-            )
-            worst = max(
-                worst, _opnorm(commutator(ladder(space, j, 2, "raise"), cen))
-            )
+    worst = max(
+        _opnorm(commutator(ladder(space, j, mo, kind), cen))
+        for cen in centers
+        for j in range(m)
+        for mo, kind in ((1, "lower"), (2, "raise"))
+    )
     checks.append(CheckResult("center-commutes-with-ladders", worst, tight))
-    resolution = sum(w[i] * center_op(space, i) for i in range(m))
+    resolution = sum(w[i] * centers[i] for i in range(m))
     checks.append(
         CheckResult(
             "center-resolution-of-identity",
@@ -782,11 +780,9 @@ def verify_suite(
     # circular/linear ladders keep the central commutator
     worst = 0.0
     for i in range(m):
-        lhs = commutator(
-            linear_ladder(space, i, 0.4),
-            linear_ladder(space, i, 0.4).conjugate().transpose().tocsr(),
-        )
-        worst = max(worst, _opnorm((lhs - (1.0 / w[i]) * center_op(space, i)) @ guard))
+        lin = linear_ladder(space, i, 0.4)
+        lhs = commutator(lin, lin.conjugate().transpose().tocsr())
+        worst = max(worst, _opnorm((lhs - (1.0 / w[i]) * centers[i]) @ guard))
     checks.append(CheckResult("linear-ladder-commutator-central", worst, tight))
 
     # yes/no observable: two constructions agree; eigenvalues +-1
@@ -800,36 +796,22 @@ def verify_suite(
     ang = 0.61
     o_vals = rng.normal(size=m) + 0.2
     vac = vacuum_vector(space, o_vals)
-    worst_p, worst_m_ = 0.0, 0.0
-    photon_par = sum(
-        w[i]
-        * math.sqrt(w[i])
-        * (linear_ladder(space, i, ang).conjugate().transpose().tocsr() @ vac)
-        for i in range(m)
-    )
-    photon_perp = sum(
-        w[i]
-        * math.sqrt(w[i])
-        * (
-            linear_ladder(space, i, ang + math.pi / 2.0)
-            .conjugate()
-            .transpose()
-            .tocsr()
-            @ vac
-        )
-        for i in range(m)
-    )
     y_full = yes_no_op(space, range(m), ang)
-    worst_p = float(
-        np.max(np.abs(y_full @ photon_par - photon_par))
-        / max(np.max(np.abs(photon_par)), 1e-300)
-    )
-    worst_m_ = float(
-        np.max(np.abs(y_full @ photon_perp + photon_perp))
-        / max(np.max(np.abs(photon_perp)), 1e-300)
-    )
-    checks.append(CheckResult("yesno-aligned-eigenvalue-plus-one", worst_p, tight))
-    checks.append(CheckResult("yesno-crossed-eigenvalue-minus-one", worst_m_, tight))
+    for name, offset, eigenvalue in (
+        ("yesno-aligned-eigenvalue-plus-one", 0.0, 1.0),
+        ("yesno-crossed-eigenvalue-minus-one", math.pi / 2.0, -1.0),
+    ):
+        photon = sum(
+            w[i]
+            * math.sqrt(w[i])
+            * (linear_ladder(space, i, ang + offset).conjugate().transpose().tocsr() @ vac)
+            for i in range(m)
+        )
+        residual = float(
+            np.max(np.abs(y_full @ photon - eigenvalue * photon))
+            / max(np.max(np.abs(photon)), 1e-300)
+        )
+        checks.append(CheckResult(name, residual, tight))
 
     # vacuum: unit norm, annihilated by all lowering operators
     worst = abs(float(np.vdot(vac, vac).real) - 1.0)

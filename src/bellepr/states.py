@@ -520,29 +520,17 @@ def norm_sum(
     return first_fac * diag_total + cross_fac * float(blocks.sum()), blocks
 
 
-def two_photon_norm(
-    amp: TwoPhotonAmplitude,
-    z: VacuumDensity,
-    n_osc,
-    spec: QuadratureSpec | None = None,
-    region: DetectorRegion | None = None,
-) -> float:
+def two_photon_norm(amp: TwoPhotonAmplitude, z: VacuumDensity, n_osc) -> float:
     """Squared norm of the two-photon state over N oscillators:
 
         (2/N)   * sum_ss' integral dGamma |psi_ss'(k,k)|^2 Z(k)
       + (2(N-1)/N) * sum_ss' double integral |psi_ss'(k,k')|^2 Z(k) Z(k')
 
     ``n_osc`` is an integer >= 1 or math.inf (limit factors 0 and 2).  The
-    integrals run over all momenta by default (frequency-capped where the
-    vacuum weight has decayed to double-precision zero); pass ``region`` to
-    restrict the support instead of encoding it in the envelope.
+    integrals run over all momenta (frequency-capped where the vacuum weight
+    has decayed to double-precision zero).
     """
-    if region is None:
-        region = _norm_region(z)
-        quad = spec or _norm_spec(z)
-    else:
-        quad = spec or QuadratureSpec(n_freq=32, n_polar=8, n_azimuth=8)
-    nodes = invariant_node_set(region, quad)
+    nodes = invariant_node_set(_norm_region(z), _norm_spec(z))
     u = nodes.weights * evaluate_batch(z, nodes.freqs, nodes.dirs)
     total, _ = norm_sum(amp, [(nodes.freqs, nodes.dirs, u)], n_osc)
     return total
@@ -563,7 +551,6 @@ def fit_theta(
     region_a: DetectorRegion,
     region_b: DetectorRegion,
     spec: QuadratureSpec | None = None,
-    weight_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> FitResult:
     """Least-squares constant-per-cone polarization angle for a Bell condition.
 
@@ -579,19 +566,12 @@ def fit_theta(
     these are the exact minimizers of the quadratic objective.  Returns a
     tabulated two-cone field (value on region_a's axis, 0 on region_b's) and
     the relative root-mean-square residual after the fit.
-
-    A ``weight_fn(freqs, dirs)`` factor (for instance the vacuum density)
-    multiplies the quadrature weights on each arm, aligning the fitted angle
-    with correlation averages computed under the same weighting.
     """
     quad = spec or QuadratureSpec(n_freq=4, n_polar=4, n_azimuth=8)
     na = invariant_node_set(region_a, quad)
     nb = invariant_node_set(region_b, quad)
     tables = amplitude_pair_tables(amp, na.freqs, na.dirs, nb.freqs, nb.dirs, outer=True)
     wa, wb = na.weights, nb.weights
-    if weight_fn is not None:
-        wa = wa * np.asarray(weight_fn(na.freqs, na.dirs), dtype=np.float64)
-        wb = wb * np.asarray(weight_fn(nb.freqs, nb.dirs), dtype=np.float64)
     cond, a, b = _condition_slots(condition, tables)
     w_outer = wa[:, None] * wb[None, :]
     cross = complex(np.sum(w_outer * a * np.conj(b)))

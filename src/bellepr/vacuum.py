@@ -22,6 +22,7 @@ measure is invariant.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 _FAMILIES = ("power-exponential", "log-normal-isotropic")
+
+#: Default node counts of the normalization integral.
+_NORM_SPEC = QuadratureSpec(n_freq=20, n_polar=2, n_azimuth=2)
 
 
 @dataclass(frozen=True)
@@ -111,19 +115,12 @@ def normalize(
     """Construct a density with norm_const fixed so integral(dGamma Z) = 1.
 
     The normalization integral is evaluated with the semi-infinite radial
-    rule; ``spec`` controls node counts (its radial_scale is overridden by a
-    family-appropriate decay scale).
+    rule; ``spec`` controls node counts (its mode and radial_scale are
+    overridden by the product rule and a family-appropriate decay scale).
     """
     _validate_params(family, params)
-    base = spec or QuadratureSpec(n_freq=20, n_polar=2, n_azimuth=2)
-    quad = QuadratureSpec(
-        n_freq=base.n_freq,
-        n_polar=base.n_polar,
-        n_azimuth=base.n_azimuth,
-        mode="product",
-        seed=base.seed,
-        n_samples=base.n_samples,
-        radial_scale=_default_radial_scale(family, params),
+    quad = dataclasses.replace(
+        spec or _NORM_SPEC, mode="product", radial_scale=_default_radial_scale(family, params)
     )
     try:
         with np.errstate(over="ignore", invalid="ignore"):

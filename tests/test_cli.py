@@ -165,6 +165,23 @@ class TestConfigValidation:
         assert main(["correlate", cfg, "--out", out]) == EXIT_PRECONDITION
         assert_one_error_line(capsys.readouterr().err, "precondition violated")
 
+    def test_demo_cone_on_the_chart_cut_is_a_precondition(self, tmp_path, capsys):
+        # a real-width laboratory cone around -z: no quadrature node lands on
+        # the cut itself, so only the scenario's own check can refuse it
+        from pathlib import Path
+
+        demo = Path(__file__).resolve().parents[1] / "demos" / "case2_single_arm_boost.yaml"
+        text = demo.read_text(encoding="utf-8").replace(
+            "  bob:\n    axis: [0.0, 0.0, 1.0]", "  bob:\n    axis: [0.0, 0.0, -1.0]"
+        )
+        assert "axis: [0.0, 0.0, -1.0]" in text
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "cut.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "precondition violated")
+        assert "chart cut" in err
+
     def test_overflowing_vacuum_norm_is_a_config_error(self, tmp_path, capsys):
         text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
             "exponent: 2.0", "exponent: 400.0"

@@ -20,7 +20,7 @@ from bellepr.correlators import (
     rest_case,
     swap_roles,
 )
-from bellepr.errors import InputError, PreconditionError
+from bellepr.errors import ChartError, InputError, PreconditionError
 from bellepr.measure import DetectorRegion, QuadratureSpec
 from bellepr.states import (
     TwoPhotonAmplitude,
@@ -111,6 +111,13 @@ class TestValidation:
         wide_b = DetectorRegion(axis=Z_HAT, half_angle=5.0 * DEG, freq_lo=0.5, freq_hi=2.0)
         with pytest.raises(PreconditionError, match="oracle"):
             make_scn(AMP21, z_mid, 0.1, 0.2, rb=wide_b, ra=close)
+
+    def test_laboratory_cone_on_the_chart_cut_rejected(self, z_mid):
+        on_cut = DetectorRegion(axis=-Z_HAT, half_angle=2.0 * DEG, freq_lo=0.5, freq_hi=2.0)
+        with pytest.raises(ChartError, match="Bob's cone"):
+            make_scn(AMP21, z_mid, 0.1, 0.2, rb=on_cut)
+        with pytest.raises(ChartError, match="Alice's cone"):
+            make_scn(AMP21, z_mid, 0.1, 0.2, ra=on_cut)
 
     def test_non_finite_analyzer_angle_rejected(self):
         with pytest.raises(InputError):
@@ -387,6 +394,17 @@ class TestJointTransform:
             )
         )
         assert r.diagnostics["realized_gap"] > 10.0 * r.err_estimate
+
+    def test_rotation_onto_the_chart_cut_keeps_the_rest_value(self, z_mid, fit21):
+        # the half-turn about x pulls Bob's +z cone back onto -z; the per-node
+        # Wigner phase cancels the chart's winding there, so pulled-back cones
+        # on the cut stay allowed
+        rest = epr_bell_rest(make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field))
+        m = bp.rotation(math.pi, X_HAT)
+        joint = epr_case1(
+            make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=joint_case(m))
+        )
+        assert joint.value == pytest.approx(rest.value, abs=1e-12)
 
     def test_axis_rotation_transports_difference_kind_values_exactly(self, z_mid, fit11):
         # rotation about the first cone's axis: the phase shift is uniform,

@@ -136,6 +136,32 @@ class TestAlgebra:
             for check in verify_suite(grid3, n_osc=n_osc):
                 assert check.passed, f"{check.name}: {check.residual:.3e}"
 
+    @pytest.mark.parametrize("n_osc", [2, 3])
+    def test_ladder_is_the_normalized_slot_sum(self, grid3, n_osc):
+        # (1/sqrt N) sum_n I x ... x A x ... x I, with A the one-oscillator
+        # ladder in slot n, written out with explicit Kronecker products
+        space1 = OracleSpace(grid3, OscillatorTruncation(), 1)
+        space = OracleSpace(grid3, OscillatorTruncation(), n_osc)
+        eye = sp.identity(space1.dim_single, format="csr")
+        for cell in range(grid3.size):
+            for mode in (1, 2):
+                a = ladder(space1, cell, mode)
+                if n_osc == 2:
+                    slot_sum = sp.kron(a, eye) + sp.kron(eye, a)
+                else:
+                    slot_sum = (
+                        sp.kron(sp.kron(a, eye), eye)
+                        + sp.kron(sp.kron(eye, a), eye)
+                        + sp.kron(sp.kron(eye, eye), a)
+                    )
+                expected = slot_sum / math.sqrt(n_osc)
+                low = ladder(space, cell, mode, "lower")
+                rai = ladder(space, cell, mode, "raise")
+                assert abs(low - expected).max() <= 1e-15
+                assert abs(rai - expected.conjugate().transpose()).max() <= 1e-15
+                assert abs(ladder(space, cell, mode, "lower") - low).max() == 0.0
+                assert abs(ladder(space, cell, mode, "raise") - rai).max() == 0.0
+
     def test_ladder_ccr_needs_cutoff_guard(self, space2):
         # the truncation artifact lives exactly at top occupation: without
         # the safe-domain projector the pair commutator misses the central
