@@ -27,17 +27,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib.resources
+import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import jsonschema
 import numpy as np
 import yaml
 
 from . import __version__
 from .correlators import (
+    DEFAULT_QUADRATURE,
     DetectorSetting,
     Scenario,
     TransformCase,
@@ -93,221 +95,13 @@ EXIT_PRECONDITION = 3
 
 _SLOT_KEYS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 
-_VEC3 = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 3,
-    "maxItems": 3,
-}
-
-_DETECTOR = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["axis", "half_angle", "freq_lo", "freq_hi", "angle"],
-    "properties": {
-        "axis": _VEC3,
-        "half_angle": {"type": "number", "exclusiveMinimum": 0},
-        "freq_lo": {"type": "number", "minimum": 0},
-        "freq_hi": {"type": "number", "exclusiveMinimum": 0},
-        "angle": {"type": "number"},
-    },
-}
-
-_MAP = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["boost", "rotation", "identity"]},
-        "rapidity": {"type": "number"},
-        "angle": {"type": "number"},
-        "axis": _VEC3,
-    },
-}
-
-#: Published configuration schema (also shipped as docs/config-schema.json).
-CONFIG_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "bellepr run configuration",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "scenario": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["state", "vacuum", "bob", "alice"],
-            "properties": {
-                "state": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind"],
-                    "properties": {
-                        "kind": {
-                            "enum": [
-                                "bell11",
-                                "bell12",
-                                "bell21",
-                                "bell22",
-                                "general",
-                            ]
-                        },
-                        "envelope": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["kind"],
-                            "properties": {
-                                "kind": {
-                                    "enum": [
-                                        "frequency-power",
-                                        "frequency-gaussian",
-                                    ]
-                                },
-                                "power": {"type": "number"},
-                                "center": {"type": "number"},
-                                "width": {"type": "number", "exclusiveMinimum": 0},
-                            },
-                        },
-                        "theta": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["kind"],
-                            "properties": {
-                                "kind": {
-                                    "enum": [
-                                        "constant",
-                                        "azimuthal",
-                                        "tabulated",
-                                        "fitted",
-                                    ]
-                                },
-                                "theta0": {"type": "number"},
-                                "coeff": {"type": "number"},
-                                "axes": {"type": "array", "items": _VEC3},
-                                "values": {
-                                    "type": "array",
-                                    "items": {"type": "number"},
-                                },
-                            },
-                        },
-                        "coefficients": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "patternProperties": {
-                                r"^(\+\+|\+-|-\+|--)$": {
-                                    "type": "array",
-                                    "items": {"type": "number"},
-                                    "minItems": 2,
-                                    "maxItems": 2,
-                                }
-                            },
-                        },
-                    },
-                },
-                "vacuum": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["family", "params"],
-                    "properties": {
-                        "family": {
-                            "enum": [
-                                "power-exponential",
-                                "log-normal-isotropic",
-                            ]
-                        },
-                        "params": {
-                            "type": "object",
-                            "additionalProperties": {"type": "number"},
-                        },
-                    },
-                },
-                "n_osc": {
-                    "oneOf": [
-                        {"type": "integer", "minimum": 2},
-                        {"const": "inf"},
-                    ]
-                },
-                "bob": _DETECTOR,
-                "alice": _DETECTOR,
-                "transform": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["case"],
-                    "properties": {
-                        "case": {"enum": ["rest", "joint", "alice_only"]},
-                        "map": _MAP,
-                    },
-                },
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["variable", "start", "stop", "count"],
-            "properties": {
-                "variable": {"enum": ["beta", "alpha", "rapidity", "n_osc"]},
-                "start": {"type": "number"},
-                "stop": {"type": "number"},
-                "count": {"type": "integer", "minimum": 1},
-            },
-        },
-        "quadrature": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_freq": {"type": "integer", "minimum": 2},
-                "n_polar": {"type": "integer", "minimum": 2},
-                "n_azimuth": {"type": "integer", "minimum": 2},
-                "mode": {"enum": ["product", "mc"]},
-                "seed": {"type": "integer", "minimum": 0},
-                "n_samples": {"type": "integer", "minimum": 2},
-                "radial_scale": {"type": "number", "exclusiveMinimum": 0},
-                "radial_map": {"enum": ["linear", "log"]},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path": {"type": "string"},
-                "format": {"enum": ["csv"]},
-            },
-        },
-        "oracle": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "cells": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["freq", "dir", "weight"],
-                        "properties": {
-                            "freq": {"type": "number", "exclusiveMinimum": 0},
-                            "dir": _VEC3,
-                            "weight": {"type": "number", "exclusiveMinimum": 0},
-                        },
-                    },
-                },
-                "n_osc": {"type": "integer", "minimum": 1},
-                "max_occupation": {"type": "integer", "minimum": 2},
-                "seed": {"type": "integer", "minimum": 0},
-                "fault_scale": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "diagnose": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "momentum_samples": {"type": "integer", "minimum": 1},
-                "map_samples": {"type": "integer", "minimum": 1},
-                "pair_samples": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-    },
-}
+#: Configuration schema (JSON Schema draft-07), shipped as package data;
+#: docs/config-schema.json links to the same file.
+CONFIG_SCHEMA = json.loads(
+    importlib.resources.files(__package__)
+    .joinpath("config-schema.json")
+    .read_text(encoding="utf-8")
+)
 
 
 class ConfigError(Exception):
@@ -331,6 +125,8 @@ def _load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path!r} must be a mapping at top level")
+    import jsonschema  # deferred: only commands that read a config pay its import
+
     try:
         jsonschema.validate(doc, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -340,18 +136,10 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 
 def _build_quadrature(doc: dict, seed_override: int | None) -> QuadratureSpec:
-    q = doc.get("quadrature", {})
-    seed = seed_override if seed_override is not None else q.get("seed", 0)
-    return QuadratureSpec(
-        n_freq=q.get("n_freq", 6),
-        n_polar=q.get("n_polar", 4),
-        n_azimuth=q.get("n_azimuth", 8),
-        mode=q.get("mode", "product"),
-        seed=seed,
-        n_samples=q.get("n_samples", 20000),
-        radial_scale=q.get("radial_scale", 1.0),
-        radial_map=q.get("radial_map", "linear"),
-    )
+    spec = dataclasses.replace(DEFAULT_QUADRATURE, **doc.get("quadrature", {}))
+    if seed_override is not None:
+        spec = dataclasses.replace(spec, seed=seed_override)
+    return spec
 
 
 def _build_envelope(spec: dict | None):
@@ -583,9 +371,7 @@ def cmd_correlate(args) -> int:
         )
         if not bound_check(res):
             violations.append(value)
-    payload = "\n".join(lines) + "\n"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+    _write_text(out_path, "\n".join(lines) + "\n")
     print(f"wrote {len(values)} rows to {out_path}")
     if violations:
         print(
@@ -650,9 +436,17 @@ def _write_report(args, lines: list[str], ok: bool) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
+        _write_text(args.out, report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

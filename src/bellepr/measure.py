@@ -25,7 +25,7 @@ omega = -scale*ln(u), with composite Gauss-Legendre panels on (0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -142,15 +142,12 @@ class QuadratureSpec:
 
     def halved(self) -> "QuadratureSpec":
         """Spec with all node counts halved (floor 2); used for error estimates."""
-        return QuadratureSpec(
+        return replace(
+            self,
             n_freq=max(2, self.n_freq // 2),
             n_polar=max(2, self.n_polar // 2),
             n_azimuth=max(2, self.n_azimuth // 2),
-            mode=self.mode,
-            seed=self.seed,
             n_samples=max(2, self.n_samples // 2),
-            radial_scale=self.radial_scale,
-            radial_map=self.radial_map,
         )
 
 

@@ -201,6 +201,27 @@ class TestConfigValidation:
         assert main(["correlate", str(tmp_path / "unused.yaml")]) == EXIT_CHECK_FAILED
         assert_one_error_line(capsys.readouterr().err, "evaluation failed")
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, BASE_SCENARIO.format(beta="0.0", transform=REST) + SWEEP_BETA
+        )
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "config error: cannot write")
+        assert "missing" in err
+
+    def test_missing_quadrature_block_builds_the_default(self):
+        from dataclasses import replace
+
+        from bellepr.correlators import DEFAULT_QUADRATURE
+
+        assert cli._build_quadrature({}, None) == DEFAULT_QUADRATURE
+        doc = {"quadrature": {"n_freq": 10, "seed": 3}}
+        assert cli._build_quadrature(doc, 7) == replace(
+            DEFAULT_QUADRATURE, n_freq=10, seed=7
+        )
+
     def test_schema_document_in_sync(self):
         import json
         from pathlib import Path
@@ -382,6 +403,15 @@ class TestOracleVerify:
         assert "# grid: 2 cells, n_osc=1" in content
 
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "oracle:\n  n_osc: 1\n")
+        report = str(tmp_path / "missing" / "report.txt")
+        assert main(["oracle-verify", cfg, "--out", report]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "RESULT PASS" in captured.out
+        assert_one_error_line(captured.err, "config error: cannot write")
+
+
 class TestDiagnose:
     def test_rest_scenario_passes(self, tmp_path, capsys):
         cfg = write_config(
@@ -439,3 +469,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "bellepr" in proc.stdout
+
+    def test_cli_import_defers_jsonschema(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, bellepr.cli; print('jsonschema' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,7 +1,12 @@
 """Package surface: ``bellepr.__all__`` lists exactly the names that
-``bellepr/__init__.py`` imports."""
+``bellepr/__init__.py`` imports, and the configuration schema ships as
+package data."""
 
+import importlib.resources
 import types
+from pathlib import Path
+
+import pytest
 
 import bellepr
 
@@ -16,3 +21,18 @@ def test_all_lists_every_imported_name():
     assert set(bellepr.__all__) == imported | {"__version__"}
     for name in bellepr.__all__:
         assert getattr(bellepr, name) is not None
+
+
+def test_config_schema_is_package_data():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    package_data = pyproject["tool"]["setuptools"]["package-data"]
+    assert "config-schema.json" in package_data["bellepr"]
+    packaged = importlib.resources.files("bellepr").joinpath("config-schema.json")
+    assert packaged.is_file()
+    # the published document is a link to the packaged file, not a second copy
+    docs = root / "docs" / "config-schema.json"
+    assert docs.is_symlink()
+    assert docs.resolve() == Path(str(packaged)).resolve()
