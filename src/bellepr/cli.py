@@ -332,6 +332,8 @@ def cmd_correlate(args) -> int:
     doc, digest = _load_config(args.config)
     if "sweep" not in doc:
         raise ConfigError("correlate requires a 'sweep' block")
+    out_path = args.out or doc.get("output", {}).get("path", "correlate.csv")
+    _check_writable(out_path)
     quad = _build_quadrature(doc, args.seed)
     base = _build_scenario(doc, quad)
     sweep = doc["sweep"]
@@ -341,7 +343,6 @@ def cmd_correlate(args) -> int:
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(_evaluate_scenario, scenarios))
 
-    out_path = args.out or doc.get("output", {}).get("path", "correlate.csv")
     lines = [
         f"# bellepr correlate {__version__}",
         f"# config-sha256: {digest}",
@@ -438,6 +439,13 @@ def _write_report(args, lines: list[str], ok: bool) -> int:
     if args.out:
         _write_text(args.out, report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path outside a writable directory; creates nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ConfigError(f"cannot write {path!r}: {parent!r} is not a writable directory")
 
 
 def _write_text(path: str, text: str) -> None:

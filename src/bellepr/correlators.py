@@ -51,7 +51,6 @@ from .states import (
     BELL_KINDS,
     PolarizationAngleField,
     TwoPhotonAmplitude,
-    amplitude_pair_tables,
     condition_residual_rel,
     condition_residuals,
     field_values,
@@ -218,18 +217,15 @@ class _Arm(NamedTuple):
 
     ``freqs/dirs`` are the momenta at which amplitude tables and the vacuum
     density are read (pulled back through the arm's map when one is set),
-    ``weights`` the invariant-measure weights of the acceptance mesh,
-    ``zvals`` the vacuum density at the table momenta, and ``angles`` the
-    per-node effective analyzer angle (the scalar setting, shifted by minus
-    twice the map's Wigner phase at each acceptance node)."""
+    ``u`` the invariant-measure weights of the acceptance mesh times the
+    vacuum density at the table momenta, ``angles`` the per-node effective
+    analyzer angle (the scalar setting, shifted by minus twice the map's
+    Wigner phase at each acceptance node) and ``wigner`` that phase."""
 
     freqs: np.ndarray
     dirs: np.ndarray
-    weights: np.ndarray
-    zvals: np.ndarray
+    u: np.ndarray
     angles: np.ndarray
-    mesh_freqs: np.ndarray
-    mesh_dirs: np.ndarray
     wigner: np.ndarray
 
 
@@ -244,18 +240,8 @@ def _arm(
         freqs, dirs, wig = nodes.freqs, nodes.dirs, np.zeros(len(nodes))
     else:
         freqs, dirs, wig = wigner_pullback(arm_map, nodes.freqs, nodes.dirs)
-    angles = setting.angle - wig
-    zv = evaluate_batch(z, freqs, dirs)
-    return _Arm(
-        freqs=freqs,
-        dirs=dirs,
-        weights=nodes.weights,
-        zvals=zv,
-        angles=angles,
-        mesh_freqs=nodes.freqs,
-        mesh_dirs=nodes.dirs,
-        wigner=wig,
-    )
+    u = nodes.weights * evaluate_batch(z, freqs, dirs)
+    return _Arm(freqs=freqs, dirs=dirs, u=u, angles=setting.angle - wig, wigner=wig)
 
 
 def _four_term(
@@ -269,13 +255,12 @@ def _four_term(
     angles ``beta``/``alpha`` are per-node arrays or scalars; a slot pair
     absent from ``tables`` contributes nothing.
     """
-    ub = bob.weights * bob.zvals * np.exp(-2.0j * beta)
-    ua = alice.weights * alice.zvals
+    ub = bob.u * np.exp(-2.0j * beta)
     total = 0.0 + 0.0j
     for (plus, minus), coupling in _SLOT_COUPLINGS.items():
         if plus in tables and minus in tables:
             product = np.conj(tables[plus]) * tables[minus]
-            total += ub @ product @ (ua * np.exp(-2.0j * coupling * alpha))
+            total += ub @ product @ (alice.u * np.exp(-2.0j * coupling * alpha))
     return oscillator_factors(n_osc)[2] * float(total.real)
 
 
@@ -299,20 +284,21 @@ def _transported_numerator(
 
 def _denominator(
     amp: TwoPhotonAmplitude, bob: _Arm, alice: _Arm, n_osc
-) -> tuple[float, float]:
+) -> tuple[float, float, dict[tuple[int, int], np.ndarray]]:
     """Support-restricted squared norm over the two cones.
 
     Same-momentum term (2/N) over each cone plus all four ordered cone-pair
     blocks (2(N-1)/N), each with every active helicity slot.  Also returns
     the relative mismatch of the two cross-cone blocks, which the symmetry
     of |psi|^2 Z Z' makes equal up to quadrature: the identity behind
-    folding both orderings into twice one block.
+    folding both orderings into twice one block; and the Bob x Alice slot
+    tables of the sum, from which the numerator and diagnostics read.
     """
-    total, blocks = norm_sum(
-        amp, [(arm.freqs, arm.dirs, arm.weights * arm.zvals) for arm in (bob, alice)], n_osc
+    total, blocks, tables = norm_sum(
+        amp, [(arm.freqs, arm.dirs, arm.u) for arm in (bob, alice)], n_osc
     )
     scale = max(abs(blocks[0, 1]), abs(blocks[1, 0]), 1e-300)
-    return total, abs(blocks[0, 1] - blocks[1, 0]) / scale
+    return total, abs(blocks[0, 1] - blocks[1, 0]) / scale, tables
 
 
 # --------------------------------------------------------------------------
@@ -338,9 +324,7 @@ def _bell_diagnostics(
     th_b = field_values(field, bob.freqs, bob.dirs)
     th_a = field_values(field, alice.freqs, alice.dirs)
     res = condition_residuals(condition, tables, th_b, th_a)
-    rel = condition_residual_rel(
-        condition, tables, res, bob.weights * bob.zvals, alice.weights * alice.zvals
-    )
+    rel = condition_residual_rel(condition, tables, res, bob.u, alice.u)
     # On the condition conj(psi_plus) psi_minus = -branch e^{2ix} |psi_minus|^2,
     # so the reduced value is the four-term sum of |psi_minus|^2 with the
     # field angles taken off the analyzer angles.
@@ -399,19 +383,18 @@ class _Evaluation(NamedTuple):
 
 def _evaluate(scn: Scenario, spec: QuadratureSpec) -> _Evaluation:
     bob, alice = _route_arms(scn, spec)
-    tables = amplitude_pair_tables(
-        scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs, outer=True
-    )
+    # an amplitude that overflows leaves a non-finite denominator, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        den, swap_res, tables = _denominator(scn.amplitude, bob, alice, scn.n_osc)
+    if not 0.0 < den < math.inf:
+        raise PreconditionError(
+            "denominator is not a positive finite number: it underflowed or "
+            "overflowed, or the state has no weight on the detector cones"
+        )
     num = _four_term(tables, bob, alice, bob.angles, alice.angles, scn.n_osc)
     vacuum_num = None
     if scn.transform.kind == "joint":
         vacuum_num = _transported_numerator(scn, bob, alice, tables)
-    den, swap_res = _denominator(scn.amplitude, bob, alice, scn.n_osc)
-    if den <= 0.0:
-        raise PreconditionError(
-            "denominator is not positive: it underflowed, or the state has no "
-            "weight on the detector cones"
-        )
     return _Evaluation(num, den, bob, alice, tables, swap_res, vacuum_num)
 
 

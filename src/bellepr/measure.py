@@ -171,8 +171,9 @@ class IntegralResult(NamedTuple):
     err: float
 
 
-def _gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
+def _gauss_legendre(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [lo, hi]; interval ends
+    given as (m, 1) arrays give one row of n nodes per interval."""
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
@@ -204,16 +205,12 @@ def _radial_rule(
             om = np.exp(t)
             return om, wt * om
         return _gauss_legendre(n_freq, freq_lo, freq_hi)
-    omegas = []
-    wts = []
-    edges_hi = [2.0 ** (-j) for j in range(_RADIAL_PANELS)]
-    for j, hi in enumerate(edges_hi):
-        lo = 0.0 if j == _RADIAL_PANELS - 1 else hi / 2.0
-        u, wu = _gauss_legendre(n_freq, lo, hi)
-        omegas.append(-radial_scale * np.log(u))
-        wts.append(radial_scale * wu / u)
-    om = np.concatenate(omegas)
-    wt = np.concatenate(wts)
+    hi = 2.0 ** -np.arange(_RADIAL_PANELS, dtype=np.float64)
+    lo = hi / 2.0
+    lo[-1] = 0.0
+    u, wu = _gauss_legendre(n_freq, lo[:, None], hi[:, None])
+    om = (-radial_scale * np.log(u)).ravel()
+    wt = (radial_scale * wu / u).ravel()
     order = np.argsort(om, kind="stable")
     return om[order], wt[order]
 

@@ -154,6 +154,8 @@ class PolarizationAngleField:
             if self.axes is None or self.values is None:
                 raise InputError("tabulated field needs axes and values")
             axes = np.asarray(self.axes, dtype=np.float64).reshape(-1, 3)
+            if axes.shape[0] == 0:
+                raise InputError("tabulated field needs at least one axis")
             norms = np.linalg.norm(axes, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-9):
                 raise InputError("tabulated axes must be unit vectors")
@@ -464,7 +466,10 @@ def _norm_region(z: VacuumDensity) -> DetectorRegion:
         return full_sphere_region(0.0, cap)
     w = params["width"]
     lo = params["scale"] * math.exp(-8.0 * w * w - 8.0 * w)
-    hi = params["scale"] * math.exp(4.0 * w * w + 8.0 * w)
+    try:
+        hi = params["scale"] * math.exp(4.0 * w * w + 8.0 * w)
+    except OverflowError as exc:
+        raise InputError(f"log-normal width {w} puts the norm window beyond double range") from exc
     return full_sphere_region(lo, hi)
 
 
@@ -493,15 +498,16 @@ def norm_sum(
     amp: TwoPhotonAmplitude,
     arms: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     n_osc,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, dict[tuple[int, int], np.ndarray]]:
     """Squared norm of the state restricted to a union of node sets:
 
         (2/N)      * sum_a sum_ss' sum_i u_i |psi_ss'(k_i, k_i)|^2
       + (2(N-1)/N) * sum_ab sum_ss' sum_ij u_i |psi_ss'(k_i, k'_j)|^2 u'_j
 
     with ``arms`` a list of (freqs, dirs, u) node sets and u the quadrature
-    weights times the vacuum density.  Returns the total and the matrix of
-    ordered two-momentum blocks (a, b).
+    weights times the vacuum density.  Returns the total, the matrix of
+    ordered two-momentum blocks (a, b) and the outer slot tables of block
+    (first arm, last arm), for callers that contract them further.
     """
     first_fac, cross_fac, _ = oscillator_factors(n_osc)
     diag_total = 0.0
@@ -517,7 +523,10 @@ def norm_sum(
             blocks[a, b] = sum(
                 float(ua @ (np.abs(vals) ** 2) @ ub) for vals in tabs.values()
             )
-    return first_fac * diag_total + cross_fac * float(blocks.sum()), blocks
+            if (a, b) == (0, len(arms) - 1):
+                first_last = tabs
+            del tabs  # free the block before the next one is built
+    return first_fac * diag_total + cross_fac * float(blocks.sum()), blocks, first_last
 
 
 def two_photon_norm(amp: TwoPhotonAmplitude, z: VacuumDensity, n_osc) -> float:
@@ -532,7 +541,7 @@ def two_photon_norm(amp: TwoPhotonAmplitude, z: VacuumDensity, n_osc) -> float:
     """
     nodes = invariant_node_set(_norm_region(z), _norm_spec(z))
     u = nodes.weights * evaluate_batch(z, nodes.freqs, nodes.dirs)
-    total, _ = norm_sum(amp, [(nodes.freqs, nodes.dirs, u)], n_osc)
+    total, _, _ = norm_sum(amp, [(nodes.freqs, nodes.dirs, u)], n_osc)
     return total
 
 
@@ -570,16 +579,21 @@ def fit_theta(
     quad = spec or QuadratureSpec(n_freq=4, n_polar=4, n_azimuth=8)
     na = invariant_node_set(region_a, quad)
     nb = invariant_node_set(region_b, quad)
-    tables = amplitude_pair_tables(amp, na.freqs, na.dirs, nb.freqs, nb.dirs, outer=True)
     wa, wb = na.weights, nb.weights
-    cond, a, b = _condition_slots(condition, tables)
-    w_outer = wa[:, None] * wb[None, :]
-    cross = complex(np.sum(w_outer * a * np.conj(b)))
-    if abs(cross) == 0.0:
-        raise InputError("condition cross term vanishes; the fit is degenerate")
-    # minimize sum w |e^{i x} a + branch e^{-i x} b|^2 over x
-    two_x = (math.pi if cond.branch > 0 else 0.0) - float(np.angle(cross))
-    fitted = float(wrap_angle(two_x)) / 2.0
+    # an amplitude that overflows fits NaN; the correlators refuse its denominator
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = amplitude_pair_tables(amp, na.freqs, na.dirs, nb.freqs, nb.dirs, outer=True)
+        cond, a, b = _condition_slots(condition, tables)
+        # a slot the amplitude lacks is a scalar 0; if both are absent so is the cross term
+        cross = complex(wa @ (a * np.conj(b)) @ wb) if np.ndim(a) or np.ndim(b) else 0.0
+        if abs(cross) == 0.0:
+            raise InputError("condition cross term vanishes; the fit is degenerate")
+        # minimize sum w |e^{i x} a + branch e^{-i x} b|^2 over x
+        two_x = (math.pi if cond.branch > 0 else 0.0) - float(np.angle(cross))
+        fitted = float(wrap_angle(two_x)) / 2.0
+        # x = fitted on every pair: 1 x 1 angle grids broadcast against the tables
+        res = condition_residuals(condition, tables, np.array([fitted]), np.zeros(1))
+        rel = condition_residual_rel(condition, tables, res, wa, wb)
 
     axis_gap = float(np.linalg.norm(region_a.axis - region_b.axis))
     if axis_gap < 1e-6:
@@ -589,8 +603,4 @@ def fit_theta(
         field = tabulated_field(
             np.stack([region_a.axis, region_b.axis]), np.array([fitted, 0.0])
         )
-
-    # x = fitted on every pair: 1 x 1 angle grids broadcast against the tables
-    res = condition_residuals(condition, tables, np.array([fitted]), np.zeros(1))
-    rel = condition_residual_rel(condition, tables, res, wa, wb)
     return FitResult(field=field, residual_rel=rel)

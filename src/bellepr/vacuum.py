@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, InputError
-from .measure import QuadratureSpec, full_sphere_region, integrate_region
+from .errors import InputError
+from .measure import QuadratureSpec, full_sphere_region, invariant_node_set
 from .spinor_tetrad import LorentzMap, NullMomentum, compose, inverse, map_momenta
 
 __all__ = [
@@ -119,22 +119,18 @@ def normalize(
     overridden by the product rule and a family-appropriate decay scale).
     """
     _validate_params(family, params)
-    quad = dataclasses.replace(
-        spec or _NORM_SPEC, mode="product", radial_scale=_default_radial_scale(family, params)
-    )
+    no_norm = InputError(f"family {family!r} with params {params} has no finite positive norm")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = integrate_region(
-                lambda freqs, dirs: _radial_profile(family, params, freqs),
-                full_sphere_region(),
-                quad,
-            ).value.real
-    except EvaluationError:  # the profile overflows at some node
-        total = math.inf
+        radial_scale = _default_radial_scale(family, params)
+    except OverflowError as exc:  # the mass sits beyond the double range
+        raise no_norm from exc
+    quad = dataclasses.replace(spec or _NORM_SPEC, mode="product", radial_scale=radial_scale)
+    # a profile that overflows at some node makes the total non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = invariant_node_set(full_sphere_region(), quad)
+        total = float(np.sum(_radial_profile(family, params, nodes.freqs) * nodes.weights))
     if not (total > 0.0) or not np.isfinite(total):
-        raise InputError(
-            f"family {family!r} with params {params} has no finite positive norm"
-        )
+        raise no_norm
     return VacuumDensity(
         family=family,
         params=tuple(sorted(params.items())),

@@ -62,6 +62,14 @@ def assert_one_error_line(err, prefix):
     assert lines[0].startswith(prefix)
 
 
+def demo_text(name):
+    from pathlib import Path
+
+    return (Path(__file__).resolve().parents[1] / "demos" / f"{name}.yaml").read_text(
+        encoding="utf-8"
+    )
+
+
 def write_config(tmp_path, text, name="run.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -210,6 +218,54 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert_one_error_line(err, "config error: cannot write")
         assert "missing" in err
+
+    def test_unwritable_out_is_refused_before_evaluation(self, tmp_path, capsys, monkeypatch):
+        def fail(scn):
+            raise AssertionError("evaluated a sweep point before checking --out")
+
+        monkeypatch.setattr(cli, "_evaluate_scenario", fail)
+        cfg = write_config(
+            tmp_path, BASE_SCENARIO.format(beta="0.0", transform=REST) + SWEEP_BETA
+        )
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["correlate", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, "config error: cannot write")
+        assert not out.parent.exists()
+
+    def test_empty_tabulated_theta_is_a_config_error(self, tmp_path, capsys):
+        text = demo_text("bell21_rest_sweep").replace(
+            "    theta:\n      kind: fitted\n",
+            "    theta: {kind: tabulated, axes: [], values: []}\n",
+        )
+        assert "axes: []" in text
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "empty.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, "config error")
+
+    def test_vacuum_beyond_double_range_is_a_config_error(self, tmp_path, capsys):
+        text = demo_text("bell21_rest_sweep").replace(
+            "family: power-exponential\n    params: {exponent: 2.0, scale: 1.0}",
+            "family: log-normal-isotropic\n    params: {scale: 1.0, width: 20.0}",
+        )
+        assert "width: 20.0" in text
+        cfg = write_config(tmp_path, text)
+        out = str(tmp_path / "wide.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, "config error")
+
+    def test_overflowing_denominator_is_a_precondition(self, tmp_path, capsys):
+        text = demo_text("bell21_rest_sweep").replace(
+            "    theta:\n", "    envelope: {kind: frequency-power, power: 800}\n    theta:\n"
+        )
+        assert "power: 800" in text
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "overflow.csv"
+        assert main(["correlate", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "precondition violated")
+        assert "overflow" in err
+        assert not out.exists()
 
     def test_missing_quadrature_block_builds_the_default(self):
         from dataclasses import replace
@@ -366,6 +422,105 @@ class TestCorrelate:
         with open(out, "r", encoding="utf-8") as fh:
             content = fh.read()
         assert "# seed: 7" in content
+
+
+SWEEP_BETA_3 = SWEEP_BETA.replace("count: 9", "count: 3")
+
+#: route name -> (transform block, theta block, sweep block); each three rows
+ROUTES = {
+    "joint-rotation": (
+        "case: joint\n    map:\n      kind: rotation\n      angle: 0.4\n      axis: [0.0, 1.0, 0.0]",
+        "theta:\n      kind: fitted",
+        SWEEP_BETA_3,
+    ),
+    "alice-only-identity": (
+        "case: alice_only\n    map:\n      kind: identity",
+        "theta:\n      kind: fitted",
+        SWEEP_BETA_3,
+    ),
+    "alice-only-boost": (
+        "case: alice_only\n    map:\n      kind: boost\n      rapidity: 0.3\n      axis: [1.0, 0.0, 0.0]",
+        "theta:\n      kind: fitted",
+        SWEEP_BETA_3,
+    ),
+    "constant-theta": (REST, "theta: {kind: constant, theta0: 0.2}", SWEEP_BETA_3),
+    "azimuthal-theta": (REST, "theta: {kind: azimuthal, theta0: 0.1, coeff: 1.0}", SWEEP_BETA_3),
+    "tabulated-theta": (
+        REST,
+        "theta: {kind: tabulated, axes: [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], values: [0.5, 0.0]}",
+        SWEEP_BETA_3,
+    ),
+    "alpha-sweep": (
+        REST,
+        "theta:\n      kind: fitted",
+        SWEEP_BETA_3.replace("variable: beta", "variable: alpha"),
+    ),
+    "n-osc-sweep": (
+        REST,
+        "theta:\n      kind: fitted",
+        "sweep:\n  variable: n_osc\n  start: 2\n  stop: 4\n  count: 3\n",
+    ),
+}
+
+#: envelope block -> the same envelope as a library callable
+ENVELOPES = {
+    "{kind: frequency-power, power: 1.5}": lambda freqs, dirs: freqs**1.5,
+    "{kind: frequency-gaussian, center: 1.2, width: 0.4}": lambda freqs, dirs: np.exp(
+        -((freqs - 1.2) ** 2) / (2.0 * 0.4**2)
+    ),
+}
+
+
+class TestCorrelateRoutes:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_route_writes_bounded_rows(self, tmp_path, route):
+        transform, theta, sweep = ROUTES[route]
+        text = BASE_SCENARIO.format(beta="0.0", transform=transform).replace(
+            "theta:\n      kind: fitted", theta
+        )
+        assert theta in text
+        cfg = write_config(tmp_path, text + sweep)
+        out = str(tmp_path / "route.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_OK
+        rows = read_rows(out)
+        assert rows.shape == (3, 6)
+        assert np.all(np.abs(rows[:, 3]) <= 1.0 + rows[:, 4])
+
+    @pytest.mark.parametrize("block", sorted(ENVELOPES))
+    def test_envelope_matches_the_library(self, tmp_path, block):
+        from bellepr.correlators import DetectorSetting, Scenario, epr_bell_rest
+        from bellepr.measure import DetectorRegion
+        from bellepr.states import TwoPhotonAmplitude
+        from bellepr.vacuum import normalize
+
+        text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
+            "    theta:\n", f"    envelope: {block}\n    theta:\n"
+        )
+        assert "envelope" in text
+        cfg = write_config(tmp_path, text + SWEEP_BETA_3)
+        out = str(tmp_path / "envelope.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_OK
+        rows = read_rows(out)
+        assert rows.shape == (3, 6)
+        assert np.all(np.abs(rows[:, 3]) <= 1.0 + rows[:, 4])
+
+        amp = TwoPhotonAmplitude(kind="bell21", envelope=ENVELOPES[block])
+        vac = normalize("power-exponential", {"exponent": 2.0, "scale": 1.0})
+        bob = DetectorRegion(np.array([0.0, 0.0, 1.0]), 0.0349, 0.5, 2.0)
+        alice = DetectorRegion(np.array([1.0, 0.0, 0.0]), 0.0349, 0.5, 2.0)
+        for beta, value in rows[:, [0, 3]]:
+            scn = Scenario(amp, vac, DetectorSetting(bob, beta), DetectorSetting(alice, 0.3))
+            assert epr_bell_rest(scn).value == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+    def test_bound_violation_is_reported(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bound_check", lambda result: False)
+        cfg = write_config(
+            tmp_path, BASE_SCENARIO.format(beta="0.0", transform=REST) + SWEEP_BETA_3
+        )
+        out = str(tmp_path / "violated.csv")
+        assert main(["correlate", cfg, "--out", out]) == EXIT_CHECK_FAILED
+        assert_one_error_line(capsys.readouterr().err, "BOUND VIOLATION at sweep values: ")
+        assert read_rows(out).shape == (3, 6)
 
 
 class TestOracleVerify:

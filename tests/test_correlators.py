@@ -584,3 +584,30 @@ class TestBoundAndSymmetry:
             direct = epr_bell_rest(scn).value
             swapped = epr_bell_rest(swap_roles(scn)).value
             assert abs(direct - swapped) <= 1e-12
+
+
+class TestTableReuse:
+    def test_rest_evaluation_builds_the_bob_alice_tables_once(self, z_mid, fit21, monkeypatch):
+        from bellepr import correlators, states
+
+        scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field)
+        bob = bp.invariant_node_set(REGION_B, SPEC)
+        alice = bp.invariant_node_set(REGION_A, SPEC)
+        build = states.amplitude_pair_tables
+        bob_alice = []
+
+        def spy(amp, f1, d1, f2, d2, *, outer=True):
+            bob_alice.append(
+                outer
+                and np.array_equal(f1, bob.freqs)
+                and np.array_equal(d1, bob.dirs)
+                and np.array_equal(f2, alice.freqs)
+                and np.array_equal(d2, alice.dirs)
+            )
+            return build(amp, f1, d1, f2, d2, outer=outer)
+
+        monkeypatch.setattr(states, "amplitude_pair_tables", spy)
+        monkeypatch.setattr(correlators, "amplitude_pair_tables", spy, raising=False)
+        result = epr_bell_rest(scn)
+        assert sum(bob_alice) == 1
+        assert result.value == epr_bell_rest(scn).value

@@ -513,6 +513,12 @@ class TestTwoPhotonNorm:
         # N = 1 keeps only the (vanishing) diagonal term
         assert two_photon_norm(amp, z, 1) == pytest.approx(0.0, abs=1e-10)
 
+    def test_frequency_window_beyond_double_range_is_an_input_error(self):
+        # width 13 normalizes, but its norm window ends at exp(4w^2 + 8w) > 1e308
+        z = normalize("log-normal-isotropic", {"scale": 1.0, "width": 13.0})
+        with pytest.raises(bp.InputError, match="beyond double range"):
+            two_photon_norm(TwoPhotonAmplitude(kind="bell21"), z, 2)
+
     def test_invalid_oscillator_count(self):
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
         amp = TwoPhotonAmplitude(kind="bell11")
@@ -548,3 +554,7 @@ class TestFieldKinds:
     def test_tabulated_validation(self):
         with pytest.raises(bp.InputError):
             tabulated_field(np.array([[0.0, 0.0, 2.0]]), np.array([0.1]))
+
+    def test_tabulated_field_needs_an_axis(self):
+        with pytest.raises(bp.InputError, match="at least one axis"):
+            tabulated_field(np.zeros((0, 3)), np.zeros(0))
