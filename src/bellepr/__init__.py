@@ -75,7 +75,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ChartError,

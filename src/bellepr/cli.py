@@ -45,6 +45,7 @@ from .correlators import (
     TransformCase,
     alice_only_case,
     bound_check,
+    check_regions,
     epr_bell_rest,
     epr_case1,
     epr_case2,
@@ -262,6 +263,8 @@ def _build_scenario(doc: dict, quad: QuadratureSpec) -> Scenario:
     alice_region = _build_region(sc["alice"])
     n_osc = sc.get("n_osc", "inf")
     n_osc = math.inf if n_osc == "inf" else int(n_osc)
+    # a fit on overlapping cones is degenerate: refuse the cones first
+    check_regions(bob_region, alice_region)
     theta = _build_theta(sc["state"], amp, bob_region, alice_region, quad)
     return Scenario(
         amplitude=amp,

@@ -49,8 +49,10 @@ from .spinor_tetrad import LorentzMap, inverse, wigner_pullback
 from .states import (
     BELL_CONDITIONS,
     BELL_KINDS,
+    PairTable,
     PolarizationAngleField,
     TwoPhotonAmplitude,
+    amplitude_pair_tables,
     condition_residual_rel,
     condition_residuals,
     field_values,
@@ -75,6 +77,7 @@ __all__ = [
     "epr_case1",
     "epr_case2",
     "bound_check",
+    "check_regions",
 ]
 
 #: Default per-cone product rule: 6 frequency x 4 polar x 8 azimuth nodes.
@@ -125,6 +128,24 @@ def alice_only_case(lorentz_map: LorentzMap) -> TransformCase:
     return TransformCase(kind="alice_only", lorentz_map=lorentz_map)
 
 
+def check_regions(bob: DetectorRegion, alice: DetectorRegion) -> None:
+    """The scenario preconditions on the two laboratory cones: they are
+    directionally disjoint (else PreconditionError) and clear of the spinor
+    chart cut (else ChartError)."""
+    if not regions_disjoint(bob, alice):
+        raise PreconditionError(
+            "detector cones must be directionally disjoint; overlapping "
+            "acceptance adds a same-momentum coincidence term that only "
+            "the discrete-grid oracle evaluates"
+        )
+    for name, region in (("Bob", bob), ("Alice", alice)):
+        if not regions_disjoint(region, _CHART_CUT):
+            raise ChartError(
+                f"{name}'s cone contains the spinor chart cut at -z; "
+                "rotate the whole scene away from it"
+            )
+
+
 @dataclass(frozen=True)
 class DetectorSetting:
     """One detector: acceptance cone plus a single fixed analyzer angle."""
@@ -171,18 +192,7 @@ class Scenario:
                 )
             if n < 1:
                 raise InputError(f"n_osc must be an integer >= 2 or math.inf, got {n!r}")
-        if not regions_disjoint(self.bob.region, self.alice.region):
-            raise PreconditionError(
-                "detector cones must be directionally disjoint; overlapping "
-                "acceptance adds a same-momentum coincidence term that only "
-                "the discrete-grid oracle evaluates"
-            )
-        for name, setting in (("Bob", self.bob), ("Alice", self.alice)):
-            if not regions_disjoint(setting.region, _CHART_CUT):
-                raise ChartError(
-                    f"{name}'s cone contains the spinor chart cut at -z; "
-                    "rotate the whole scene away from it"
-                )
+        check_regions(self.bob.region, self.alice.region)
 
 
 @dataclass(frozen=True)
@@ -245,7 +255,7 @@ def _arm(
 
 
 def _four_term(
-    tables: dict[tuple[int, int], np.ndarray], bob: _Arm, alice: _Arm, beta, alpha, n_osc
+    tables: dict[tuple[int, int], PairTable], bob: _Arm, alice: _Arm, beta, alpha, n_osc
 ) -> float:
     """Four-term unnormalized average over the Bob-cone x Alice-cone block.
 
@@ -259,13 +269,13 @@ def _four_term(
     total = 0.0 + 0.0j
     for (plus, minus), coupling in _SLOT_COUPLINGS.items():
         if plus in tables and minus in tables:
-            product = np.conj(tables[plus]) * tables[minus]
-            total += ub @ product @ (alice.u * np.exp(-2.0j * coupling * alpha))
-    return oscillator_factors(n_osc)[2] * float(total.real)
+            ua = alice.u * np.exp(-2.0j * coupling * alpha)
+            total += tables[plus].conj().contract(tables[minus], ub, ua)
+    return oscillator_factors(n_osc)[2] * total.real
 
 
 def _transported_numerator(
-    scn: Scenario, bob: _Arm, alice: _Arm, tables: dict[tuple[int, int], np.ndarray]
+    scn: Scenario, bob: _Arm, alice: _Arm, tables: dict[tuple[int, int], PairTable]
 ) -> float:
     """Numerator of the joint case's vacuum-side bookkeeping: plain analyzer
     angles over the laboratory cones and the slot tables transported by the
@@ -274,9 +284,7 @@ def _transported_numerator(
     Equals the detector-side numerator when the phase bookkeeping is
     consistent."""
     transported = {
-        (s, sp): np.exp(-1.0j * s * bob.wigner)[:, None]
-        * np.exp(-1.0j * sp * alice.wigner)[None, :]
-        * vals
+        (s, sp): vals.scaled(np.exp(-1.0j * s * bob.wigner), np.exp(-1.0j * sp * alice.wigner))
         for (s, sp), vals in tables.items()
     }
     return _four_term(transported, bob, alice, scn.bob.angle, scn.alice.angle, scn.n_osc)
@@ -284,7 +292,7 @@ def _transported_numerator(
 
 def _denominator(
     amp: TwoPhotonAmplitude, bob: _Arm, alice: _Arm, n_osc
-) -> tuple[float, float, dict[tuple[int, int], np.ndarray]]:
+) -> tuple[float, float, dict[tuple[int, int], PairTable]]:
     """Support-restricted squared norm over the two cones.
 
     Same-momentum term (2/N) over each cone plus all four ordered cone-pair
@@ -305,32 +313,34 @@ def _denominator(
 # diagnostics
 
 
-def _bell_diagnostics(
-    scn: Scenario,
-    bob: _Arm,
-    alice: _Arm,
-    tables: dict[tuple[int, int], np.ndarray],
-    denominator: float,
-    value: float,
-) -> dict[str, float]:
-    """Residual of the polarization-angle condition over the sampled node
-    pairs, and the reduced single-cosine value it implies, compared against
-    the four-term value."""
+def _bell_diagnostics(scn: Scenario, full: _Evaluation, value: float) -> dict[str, float]:
+    """Residual of the polarization-angle condition over the node pairs, and
+    the reduced single-cosine value it implies, compared against the
+    four-term value."""
     condition = BELL_KINDS.get(scn.amplitude.kind)
     field = scn.theta_field
     if condition is None or field is None:
         return {}
     cond = BELL_CONDITIONS[condition]
+    bob, alice, tables = full.bob, full.alice, full.tables
     th_b = field_values(field, bob.freqs, bob.dirs)
     th_a = field_values(field, alice.freqs, alice.dirs)
-    res = condition_residuals(condition, tables, th_b, th_a)
-    rel = condition_residual_rel(condition, tables, res, bob.u, alice.u)
+    rel = condition_residual_rel(condition, tables, th_b, th_a, bob.u, alice.u)
     # On the condition conj(psi_plus) psi_minus = -branch e^{2ix} |psi_minus|^2,
     # so the reduced value is the four-term sum of |psi_minus|^2 with the
     # field angles taken off the analyzer angles.
     moduli = dict.fromkeys(cond.slots, tables[cond.slots[1]])
     spec_num = _four_term(moduli, bob, alice, bob.angles - th_b, alice.angles - th_a, scn.n_osc)
-    spec_value = -cond.branch * spec_num / denominator
+    spec_value = -cond.branch * spec_num / full.den
+    # a max over pairs does not factor: take it on the fixed DEFAULT_QUADRATURE
+    # sample of the same cones and maps, which is the full rule's own arms
+    # when the scenario uses the default rule
+    if dataclasses.replace(scn.quadrature, seed=DEFAULT_QUADRATURE.seed) != DEFAULT_QUADRATURE:
+        bob, alice = _route_arms(scn, DEFAULT_QUADRATURE)
+        th_b = field_values(field, bob.freqs, bob.dirs)
+        th_a = field_values(field, alice.freqs, alice.dirs)
+    sample = amplitude_pair_tables(scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs)
+    res = condition_residuals(condition, sample, th_b, th_a)
     return {
         "bell_residual_max": float(res.max(initial=0.0)),
         "bell_residual_rel": rel,
@@ -376,7 +386,7 @@ class _Evaluation(NamedTuple):
     den: float
     bob: _Arm
     alice: _Arm
-    tables: dict[tuple[int, int], np.ndarray]
+    tables: dict[tuple[int, int], PairTable]
     swap_residual: float
     vacuum_num: float | None
 
@@ -428,9 +438,7 @@ def _finish(scn: Scenario) -> CorrelationResult:
     half = _evaluate(scn, spec.halved())
     value = full.num / full.den
     diagnostics: dict[str, float] = {"den_swap_block_residual": full.swap_residual}
-    diagnostics.update(
-        _bell_diagnostics(scn, full.bob, full.alice, full.tables, full.den, value)
-    )
+    diagnostics.update(_bell_diagnostics(scn, full, value))
     diagnostics.update(_theta_shift_diag(scn))
     if full.vacuum_num is not None:
         vac = full.vacuum_num / full.den

@@ -24,6 +24,9 @@ pi/4 from one arm of a difference-coupled field (condition 11 <-> 12), or
 pi/4 overall for a sum-coupled one (condition 21 <-> 22).
 
 Each slot is multiplied by a product envelope g(k) g(k') when one is given.
+Over two node batches a slot is a pair table: dense from
+amplitude_pair_tables, or as per-node factors from pair_factors (Bell kinds
+factor exactly), which PairTable contracts without building the table.
 Equal-helicity bell amplitudes transform exactly under
 psi(L^-1 k, L^-1 k') = e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi(k, k');
 opposite-helicity ones obey the same rule under rotations, while boosts add
@@ -52,6 +55,7 @@ from .spinor_tetrad import (
     LorentzMap,
     NullMomentum,
     batch_m_vectors,
+    batch_spin_frames,
     batch_spinors,
     compose,
     wigner_pullback,
@@ -75,6 +79,8 @@ __all__ = [
     "bell_amplitude",
     "amplitude_eval",
     "amplitude_pair_tables",
+    "PairTable",
+    "pair_factors",
     "symmetry_residual",
     "symmetry_residuals",
     "bell_condition_residual",
@@ -336,6 +342,102 @@ def amplitude_pair_tables(
     return out
 
 
+def _pole_turn(dirs: np.ndarray) -> np.ndarray:
+    """SU(2) matrix that turns the spinor chart so that the batch's mean
+    direction (or its antipode, whichever is in the upper hemisphere) sits
+    at a pole: it maps that direction's unit spinor (s0, s1) to (1, 0)."""
+    mean = dirs.sum(axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm == 0.0:
+        return np.eye(2)
+    x, y, z = mean * (math.copysign(1.0, mean[2]) / norm)
+    s0 = math.sqrt((1.0 + z) / 2.0)
+    s1 = complex(x, y) / (2.0 * s0)
+    return np.array([[s0, s1.conjugate()], [-s1, s0]])
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """An n1 x n2 complex table over the pairs of two node batches.
+
+    Held as per-node factors, table = a @ b.T with ``a`` (n1, r) and ``b``
+    (n2, r), or dense, ``a`` (n1, n2) with ``b`` None, for amplitudes that do
+    not factor.  Conjugates, per-node phases and weighted sums of elementwise
+    products act on the factors, so a factored table costs O((n1 + n2) r)
+    and is never built at n1 x n2.  Both operands of a product must be held
+    the same way.
+    """
+
+    a: np.ndarray
+    b: np.ndarray | None = None
+
+    def conj(self) -> PairTable:
+        return PairTable(np.conj(self.a), None if self.b is None else np.conj(self.b))
+
+    def scaled(self, rows: np.ndarray, cols: np.ndarray) -> PairTable:
+        """diag(rows) @ table @ diag(cols), for per-node factors rows (n1,) and cols (n2,)."""
+        if self.b is None:
+            return PairTable(rows[:, None] * cols[None, :] * self.a)
+        return PairTable(rows[:, None] * self.a, cols[:, None] * self.b)
+
+    def contract(self, other: PairTable, u: np.ndarray, v: np.ndarray) -> complex:
+        """u @ (table * other) @ v, the weighted sum of the elementwise product.
+
+        The product's factors are the row-wise Kronecker products of the two
+        tables' factors, and its sum sum_r (u.a_r)(v.b_r) regroups into the
+        entrywise product of the r x r' matrices a^T diag(u) a' and
+        b^T diag(v) b', so the product is not formed either."""
+        if self.b is None:
+            return complex(u @ (self.a * other.a) @ v)
+        rows = (self.a * u[:, None]).T @ other.a
+        cols = (self.b * v[:, None]).T @ other.b
+        return complex(np.sum(rows * cols))
+
+
+def pair_factors(
+    amp: TwoPhotonAmplitude, f1: np.ndarray, d1: np.ndarray, f2: np.ndarray, d2: np.ndarray
+) -> dict[tuple[int, int], PairTable]:
+    """Active helicity slots over the Cartesian product of two batches, as
+    PairTables.
+
+    A Bell kind factors exactly: the square of the spinor pairing
+    p0 q1' - p1 q0' has rank 3 (21/22), the tetrad contraction
+    sum_mu eta_mu m_mu conj(m'_mu), a product of two pairings, rank 4
+    (11/12); the envelope g(k) g(k') folds into the rows.  A general
+    amplitude's evaluators do not factor, so its slots are the dense outer
+    amplitude_pair_tables.
+    """
+    if amp.kind not in BELL_KINDS:
+        tables = amplitude_pair_tables(amp, f1, d1, f2, d2)
+        return {slot: PairTable(t) for slot, t in tables.items()}
+    cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
+    # Both kinds are products of spinor pairings D(x, y) = x0 y1 - x1 y0 of
+    # the spin frames (p, o), and D(U x, U y) = D(x, y) for U in SL(2, C).
+    # Turned so that the first batch sits at a pole, each term of a pairing
+    # between nearby momenta is as small as the pairing itself, so the
+    # expanded sums of a narrow cone with itself do not cancel.
+    turn = _pole_turn(d1)
+    p0, p1, o0, o1 = (turn @ np.reshape(batch_spin_frames(f1, d1), (2, 2, -1))).reshape(4, -1)
+    q0, q1, r0, r1 = (turn @ np.reshape(batch_spin_frames(f2, d2), (2, 2, -1))).reshape(4, -1)
+    if cond.coupling > 0:  # psi_-- = D(p, q)^2 = p0^2 q1^2 - 2 p0 p1 q0 q1 + p1^2 q0^2
+        minus = PairTable(
+            np.stack([p0 * p0, -2.0 * p0 * p1, p1 * p1], axis=1),
+            np.stack([q1 * q1, q0 * q1, q0 * q0], axis=1),
+        )
+        plus = minus.conj()
+    else:  # psi_+- = m(k).mbar(k') = D(o, q) conj(D(p, r))
+        pc0, pc1, rc0, rc1 = np.conj([p0, p1, r0, r1])
+        plus = PairTable(
+            np.stack([o0 * pc0, -o0 * pc1, -o1 * pc0, o1 * pc1], axis=1),
+            np.stack([q1 * rc1, q1 * rc0, q0 * rc1, q0 * rc0], axis=1),
+        )
+        minus = plus.conj()
+    if amp.envelope is not None:
+        e1, e2 = (np.asarray(amp.envelope(f, d)) for f, d in ((f1, d1), (f2, d2)))
+        plus, minus = plus.scaled(e1, e2), minus.scaled(e1, e2)
+    return {cond.slots[0]: plus, cond.slots[1]: minus}
+
+
 def amplitude_eval(
     amp: TwoPhotonAmplitude, k: NullMomentum, kp: NullMomentum, s: int, sp: int
 ) -> complex:
@@ -391,15 +493,38 @@ def condition_residuals(
     return np.abs(np.exp(1j * x) * a + cond.branch * np.exp(-1j * x) * b)
 
 
+def _slot_scale(a: PairTable, b: PairTable, u1: np.ndarray, u2: np.ndarray) -> float:
+    """u1 @ (|a|^2 + |b|^2) @ u2."""
+    return sum(t.conj().contract(t, u1, u2).real for t in (a, b))
+
+
 def condition_residual_rel(
-    condition: int, tables: Mapping, residuals: np.ndarray, u1: np.ndarray, u2: np.ndarray
+    condition: int,
+    tables: Mapping[tuple[int, int], PairTable],
+    theta1: np.ndarray,
+    theta2: np.ndarray,
+    u1: np.ndarray,
+    u2: np.ndarray,
 ) -> float:
-    """Weighted relative RMS of a condition_residuals table with per-node
-    weights u1, u2: sqrt(u1 @ res^2 @ u2 / u1 @ (|psi_plus|^2 + |psi_minus|^2) @ u2),
-    0 when the weighted scale vanishes."""
-    _, a, b = _condition_slots(condition, tables)
-    scale = float(u1 @ (np.abs(a) ** 2 + np.abs(b) ** 2) @ u2)
-    return math.sqrt(float(u1 @ residuals**2 @ u2) / scale) if scale > 0.0 else 0.0
+    """Weighted relative RMS of the condition_residuals table of the pair_factors
+    ``tables`` at angles theta1, theta2 (or single angles, shape (1,)) with
+    per-node weights u1, u2:
+
+        sqrt(u1 @ res^2 @ u2 / S),   S = u1 @ (|psi_plus|^2 + |psi_minus|^2) @ u2,
+
+    0 when S vanishes.  The squared residual is summed in the expanded form
+    |a + b|^2 = |a|^2 + |b|^2 + 2 Re(a conj(b)), which factors, so no pair table
+    is built; the expansion cancels where the residual is small, so the sum is
+    clamped at 0 and the result has an absolute floor of about 1e-8
+    (sqrt of the double-precision epsilon)."""
+    cond, a, b = _condition_slots(condition, tables)
+    scale = _slot_scale(a, b, u1, u2)
+    # e^{2i x_ij} = e^{2i theta1_i} e^{2i coupling theta2_j} folds into the weights
+    cross = a.contract(
+        b.conj(), u1 * np.exp(2.0j * theta1), u2 * np.exp(2.0j * cond.coupling * theta2)
+    )
+    squared = scale + 2.0 * cond.branch * cross.real
+    return math.sqrt(max(squared, 0.0) / scale) if scale > 0.0 else 0.0
 
 
 def bell_condition_residual(
@@ -498,7 +623,7 @@ def norm_sum(
     amp: TwoPhotonAmplitude,
     arms: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     n_osc,
-) -> tuple[float, np.ndarray, dict[tuple[int, int], np.ndarray]]:
+) -> tuple[float, np.ndarray, dict[tuple[int, int], PairTable]]:
     """Squared norm of the state restricted to a union of node sets:
 
         (2/N)      * sum_a sum_ss' sum_i u_i |psi_ss'(k_i, k_i)|^2
@@ -506,8 +631,8 @@ def norm_sum(
 
     with ``arms`` a list of (freqs, dirs, u) node sets and u the quadrature
     weights times the vacuum density.  Returns the total, the matrix of
-    ordered two-momentum blocks (a, b) and the outer slot tables of block
-    (first arm, last arm), for callers that contract them further.
+    ordered two-momentum blocks (a, b) and the pair_factors slot tables of
+    block (first arm, last arm), for callers that contract them further.
     """
     first_fac, cross_fac, _ = oscillator_factors(n_osc)
     diag_total = 0.0
@@ -519,14 +644,16 @@ def norm_sum(
     blocks = np.zeros((len(arms), len(arms)))
     for a, (fa, da, ua) in enumerate(arms):
         for b, (fb, db, ub) in enumerate(arms):
-            tabs = amplitude_pair_tables(amp, fa, da, fb, db, outer=True)
-            blocks[a, b] = sum(
-                float(ua @ (np.abs(vals) ** 2) @ ub) for vals in tabs.values()
-            )
+            tabs = pair_factors(amp, fa, da, fb, db)
+            blocks[a, b] = sum(t.conj().contract(t, ua, ub).real for t in tabs.values())
             if (a, b) == (0, len(arms) - 1):
                 first_last = tabs
-            del tabs  # free the block before the next one is built
+            del tabs  # free a dense block before the next one is built
     return first_fac * diag_total + cross_fac * float(blocks.sum()), blocks, first_last
+
+
+#: Largest accepted deviation from 1 of the vacuum's mass on the norm's nodes.
+_NORM_MASS_TOL = 1e-4
 
 
 def two_photon_norm(amp: TwoPhotonAmplitude, z: VacuumDensity, n_osc) -> float:
@@ -537,16 +664,29 @@ def two_photon_norm(amp: TwoPhotonAmplitude, z: VacuumDensity, n_osc) -> float:
 
     ``n_osc`` is an integer >= 1 or math.inf (limit factors 0 and 2).  The
     integrals run over all momenta (frequency-capped where the vacuum weight
-    has decayed to double-precision zero).
+    has decayed to double-precision zero).  Raises InputError when the rule
+    does not resolve the vacuum: its mass on the nodes differs from 1 by
+    more than 1e-4 (wide log-normal vacua).
     """
     nodes = invariant_node_set(_norm_region(z), _norm_spec(z))
     u = nodes.weights * evaluate_batch(z, nodes.freqs, nodes.dirs)
+    mass = float(np.sum(u))
+    if not abs(mass - 1.0) <= _NORM_MASS_TOL:
+        raise InputError(
+            f"the norm rule does not resolve the vacuum: its mass on the nodes is "
+            f"{mass:.6g}, not 1 within {_NORM_MASS_TOL:g}"
+        )
     total, _, _ = norm_sum(amp, [(nodes.freqs, nodes.dirs, u)], n_osc)
     return total
 
 
 # --------------------------------------------------------------------------
 # theta fitting
+
+
+#: Largest |cross term| / (sum w w' (|psi_plus|^2 + |psi_minus|^2) / 2) that
+#: fit_theta treats as roundoff: a genuine fit has a ratio of order 1.
+_FIT_ROUNDOFF = 1e-12
 
 
 class FitResult(NamedTuple):
@@ -574,7 +714,9 @@ def fit_theta(
     with S = sum w w' psi_+- conj(psi_-+) and T = sum w w' psi_++ conj(psi_--);
     these are the exact minimizers of the quadratic objective.  Returns a
     tabulated two-cone field (value on region_a's axis, 0 on region_b's) and
-    the relative root-mean-square residual after the fit.
+    the relative root-mean-square residual after the fit.  Raises InputError
+    when the cross term is at roundoff level, |S| or |T| <= 1e-12 *
+    sum w w' (|psi_plus|^2 + |psi_minus|^2) / 2, where its angle is noise.
     """
     quad = spec or QuadratureSpec(n_freq=4, n_polar=4, n_azimuth=8)
     na = invariant_node_set(region_a, quad)
@@ -582,18 +724,23 @@ def fit_theta(
     wa, wb = na.weights, nb.weights
     # an amplitude that overflows fits NaN; the correlators refuse its denominator
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = amplitude_pair_tables(amp, na.freqs, na.dirs, nb.freqs, nb.dirs, outer=True)
+        tables = pair_factors(amp, na.freqs, na.dirs, nb.freqs, nb.dirs)
         cond, a, b = _condition_slots(condition, tables)
-        # a slot the amplitude lacks is a scalar 0; if both are absent so is the cross term
-        cross = complex(wa @ (a * np.conj(b)) @ wb) if np.ndim(a) or np.ndim(b) else 0.0
-        if abs(cross) == 0.0:
+        # a slot the amplitude lacks is a scalar 0, and with it the cross term
+        if isinstance(a, PairTable) and isinstance(b, PairTable):
+            cross = a.contract(b.conj(), wa, wb)
+            scale = _slot_scale(a, b, wa, wb)
+        else:
+            cross, scale = 0.0, 0.0
+        # a cross term at roundoff level has no angle (e.g. equal-helicity
+        # slots on two identical cones); NaN passes to the correlators
+        if abs(cross) <= _FIT_ROUNDOFF * 0.5 * scale:
             raise InputError("condition cross term vanishes; the fit is degenerate")
         # minimize sum w |e^{i x} a + branch e^{-i x} b|^2 over x
         two_x = (math.pi if cond.branch > 0 else 0.0) - float(np.angle(cross))
         fitted = float(wrap_angle(two_x)) / 2.0
-        # x = fitted on every pair: 1 x 1 angle grids broadcast against the tables
-        res = condition_residuals(condition, tables, np.array([fitted]), np.zeros(1))
-        rel = condition_residual_rel(condition, tables, res, wa, wb)
+        # x = fitted on every pair: single angles broadcast against the weights
+        rel = condition_residual_rel(condition, tables, np.array([fitted]), np.zeros(1), wa, wb)
 
     axis_gap = float(np.linalg.norm(region_a.axis - region_b.axis))
     if axis_gap < 1e-6:

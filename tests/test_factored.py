@@ -1,0 +1,224 @@
+"""The factored contraction engine against dense pair tables.
+
+Every Bell-kind sum of a correlation point runs on per-node factors
+(``states.pair_factors`` / ``states.PairTable``).  Here each one is recomputed
+from scratch on the dense outer ``amplitude_pair_tables`` tables over the same
+arms, for the four kinds x the three transform cases x N in {2, 3, inf},
+with and without an envelope, at 192 nodes per cone, and for joint points
+at 1536.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import bellepr as bp
+from bellepr import correlators, states
+from bellepr.correlators import (
+    DetectorSetting,
+    Scenario,
+    alice_only_case,
+    epr_bell_rest,
+    epr_case1,
+    epr_case2,
+    joint_case,
+    rest_case,
+)
+from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
+from bellepr.spinor_tetrad import wigner_pullback
+from bellepr.states import (
+    BELL_CONDITIONS,
+    BELL_KINDS,
+    TwoPhotonAmplitude,
+    amplitude_pair_tables,
+    condition_residuals,
+    field_values,
+    fit_theta,
+    norm_sum,
+    oscillator_factors,
+    tabulated_field,
+)
+from bellepr.vacuum import evaluate_batch, normalize
+
+DEG = math.pi / 180.0
+SPEC = QuadratureSpec(n_freq=6, n_polar=4, n_azimuth=8)
+SPEC_1536 = QuadratureSpec(n_freq=12, n_polar=8, n_azimuth=16)
+BOB = DetectorRegion(np.array([0.0, 0.0, 1.0]), 2.0 * DEG, 0.5, 2.0)
+ALICE = DetectorRegion(np.array([1.0, 0.0, 0.0]), 2.0 * DEG, 0.5, 2.0)
+BOOST = bp.boost(0.7, np.array([0.0, 1.0, 0.0]))
+CASES = {
+    "rest": (rest_case(), epr_bell_rest),
+    "joint": (joint_case(BOOST), epr_case1),
+    "alice_only": (alice_only_case(BOOST), epr_case2),
+}
+RTOL = 1e-12
+
+
+def gaussian_envelope(freqs, dirs):
+    return np.exp(-((np.asarray(freqs) - 1.0) ** 2) / 0.5)
+
+
+@pytest.fixture(scope="module")
+def vacuum():
+    return normalize("power-exponential", {"exponent": 2.0, "scale": 1.0})
+
+
+_FITS: dict = {}
+
+
+def scenario(vacuum, kind, case, n_osc, envelope, spec=SPEC) -> Scenario:
+    amp = TwoPhotonAmplitude(kind=kind, envelope=gaussian_envelope if envelope else None)
+    if (kind, envelope) not in _FITS:
+        # the fitted per-cone angles, both shifted so that neither is 0
+        fit = fit_theta(amp, BELL_KINDS[kind], BOB, ALICE, spec=SPEC).field
+        _FITS[kind, envelope] = tabulated_field(fit.axes, fit.values + 0.3)
+    return Scenario(
+        amplitude=amp,
+        vacuum=vacuum,
+        bob=DetectorSetting(BOB, 0.4),
+        alice=DetectorSetting(ALICE, -0.3),
+        n_osc=n_osc,
+        theta_field=_FITS[kind, envelope],
+        transform=CASES[case][0],
+        quadrature=spec,
+    )
+
+
+def dense_arms(scn: Scenario):
+    """(freqs, dirs, u, Wigner phase) of Bob's and Alice's arms, rebuilt from
+    the node sets, the pull-back and the vacuum."""
+    kind = scn.transform.kind
+    arms = []
+    for setting, moves in ((scn.bob, kind == "joint"), (scn.alice, kind != "rest")):
+        nodes = invariant_node_set(setting.region, scn.quadrature)
+        if moves:
+            f, d, wig = wigner_pullback(scn.transform.lorentz_map, nodes.freqs, nodes.dirs)
+        else:
+            f, d, wig = nodes.freqs, nodes.dirs, np.zeros(len(nodes))
+        arms.append((f, d, nodes.weights * evaluate_batch(scn.vacuum, f, d), wig))
+    return arms
+
+
+def dense_numerator(scn, tables, ub, ua, beta, alpha) -> float:
+    """8(N-1)/N Re sum of the two slot products with analyzer phases."""
+    total = 0.0 + 0.0j
+    for cond in (BELL_CONDITIONS[21], BELL_CONDITIONS[11]):
+        plus, minus = cond.slots
+        if plus in tables:
+            product = np.conj(tables[plus]) * tables[minus]
+            alice_phase = np.exp(-2.0j * cond.coupling * alpha)
+            total += (ub * np.exp(-2.0j * beta)) @ product @ (ua * alice_phase)
+    return oscillator_factors(scn.n_osc)[2] * total.real
+
+
+def check_against_dense(scn: Scenario) -> None:
+    amp, n_osc = scn.amplitude, scn.n_osc
+    case = scn.transform.kind
+    result = CASES[case][1](scn)
+    arms = dense_arms(scn)
+
+    # denominator blocks and total
+    dense_blocks = np.array(
+        [
+            [
+                sum(float(ua @ np.abs(t) ** 2 @ ub) for t in
+                    amplitude_pair_tables(amp, fa, da, fb, db).values())
+                for fb, db, ub, _ in arms
+            ]
+            for fa, da, ua, _ in arms
+        ]
+    )
+    _, blocks, _ = norm_sum(amp, [arm[:3] for arm in arms], n_osc)
+    np.testing.assert_allclose(blocks, dense_blocks, rtol=RTOL, atol=0.0)
+    first_fac, cross_fac, _ = oscillator_factors(n_osc)
+    diag = sum(
+        float(np.sum(np.abs(t) ** 2 * u))
+        for f, d, u, _ in arms
+        for t in amplitude_pair_tables(amp, f, d, f, d, outer=False).values()
+    )
+    den = first_fac * diag + cross_fac * dense_blocks.sum()
+    assert result.denominator == pytest.approx(den, rel=RTOL, abs=0.0)
+
+    # numerator: per-node analyzer angles shifted by minus the Wigner phase
+    (fb, db, ub, wb), (fa, da, ua, wa) = arms
+    tables = amplitude_pair_tables(amp, fb, db, fa, da)
+    beta, alpha = scn.bob.angle - wb, scn.alice.angle - wa
+    num = dense_numerator(scn, tables, ub, ua, beta, alpha)
+    assert result.numerator == pytest.approx(num, rel=RTOL, abs=0.0)
+
+    # vacuum-side numerator: plain angles, slots transported by e^{-i s Theta}
+    if case == "joint":
+        transported = {
+            (s, sp): np.exp(-1.0j * s * wb)[:, None] * np.exp(-1.0j * sp * wa)[None, :] * t
+            for (s, sp), t in tables.items()
+        }
+        vac = dense_numerator(scn, transported, ub, ua, scn.bob.angle, scn.alice.angle)
+        factored_vac = result.diagnostics["vacuum_picture_value"] * result.denominator
+        assert factored_vac == pytest.approx(vac, rel=RTOL, abs=0.0)
+
+    # Bell condition residuals: the weighted RMS in its expanded form, whose
+    # error is a roundoff of the weighted scale, so its square is compared
+    # on that scale
+    condition = BELL_KINDS[amp.kind]
+    th_b, th_a = (field_values(scn.theta_field, f, d) for f, d, _, _ in arms)
+    res = condition_residuals(condition, tables, th_b, th_a)
+    a, b = (tables[slot] for slot in BELL_CONDITIONS[condition].slots)
+    scale = float(ub @ (np.abs(a) ** 2 + np.abs(b) ** 2) @ ua)
+    rel = math.sqrt(float(ub @ res**2 @ ua) / scale)
+    assert result.diagnostics["bell_residual_rel"] ** 2 == pytest.approx(rel**2, abs=RTOL)
+
+    # the max over pairs, exactly, on the 192-node arms of the same cones and maps
+    (fb, db, _, _), (fa, da, _, _) = dense_arms(dataclasses.replace(scn, quadrature=SPEC))
+    sample = amplitude_pair_tables(amp, fb, db, fa, da)
+    th_b, th_a = (field_values(scn.theta_field, f, d) for f, d in ((fb, db), (fa, da)))
+    res = condition_residuals(condition, sample, th_b, th_a)
+    assert result.diagnostics["bell_residual_max"] == float(res.max())
+
+
+@pytest.mark.parametrize("envelope", [False, True], ids=["plain", "envelope"])
+@pytest.mark.parametrize("n_osc", [2, 3, math.inf], ids=["N2", "N3", "Ninf"])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_factored_point_matches_dense_tables(vacuum, kind, case, n_osc, envelope):
+    check_against_dense(scenario(vacuum, kind, case, n_osc, envelope))
+
+
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_factored_joint_point_at_1536_nodes_matches_dense_tables(vacuum, kind):
+    check_against_dense(scenario(vacuum, kind, "joint", 3, True, spec=SPEC_1536))
+
+
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_joint_point_builds_no_table_beyond_the_residual_sample(vacuum, kind, monkeypatch):
+    scn = scenario(vacuum, kind, "joint", 3, False, spec=SPEC_1536)
+    build = states.amplitude_pair_tables
+    sizes = []
+
+    def spy(amp, f1, d1, f2, d2, *, outer=True):
+        if outer:
+            sizes.append(np.size(f1) * np.size(f2))
+        return build(amp, f1, d1, f2, d2, outer=outer)
+
+    monkeypatch.setattr(states, "amplitude_pair_tables", spy)
+    monkeypatch.setattr(correlators, "amplitude_pair_tables", spy)
+    epr_case1(scn)
+    # the only outer table is the DEFAULT_QUADRATURE sample of bell_residual_max
+    assert sizes == [192 * 192]
+
+
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_joint_point_at_1536_nodes_stays_small(vacuum, kind):
+    scn = scenario(vacuum, kind, "joint", 3, False, spec=SPEC_1536)
+    tracemalloc.start()
+    try:
+        epr_case1(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense 1536 x 1536 complex table alone is 37.7 MB
+    assert peak <= 32e6

@@ -423,6 +423,22 @@ class TestBellConditions:
         fit = fit_theta(TwoPhotonAmplitude(kind="bell21"), 21, ra, rb)
         assert fit.residual_rel > 0.3
 
+    @pytest.mark.parametrize("kind", ["bell21", "bell22"])
+    def test_same_cone_equal_helicity_fit_is_degenerate(self, kind):
+        # psi_++ conj(psi_--) = conj(P)^4 sums to roundoff over one cone with
+        # itself (about 6e-17 of the slot scale): its angle is noise
+        region = DetectorRegion(Z_HAT, 2.0 * DEG, 0.5, 2.0)
+        amp = TwoPhotonAmplitude(kind=kind)
+        with pytest.raises(bp.InputError, match="degenerate"):
+            fit_theta(amp, bp.states.BELL_KINDS[kind], region, region)
+
+    @pytest.mark.parametrize("kind", ["bell11", "bell12"])
+    def test_same_cone_opposite_helicity_fit_succeeds(self, kind):
+        region = DetectorRegion(Z_HAT, 2.0 * DEG, 0.5, 2.0)
+        fit = fit_theta(TwoPhotonAmplitude(kind=kind), bp.states.BELL_KINDS[kind], region, region)
+        assert fit.field.kind == "constant"
+        assert 0.0 <= fit.residual_rel < 1e-3
+
 
 class TestThetaWignerResidual:
     def test_identity_zero(self):
@@ -518,6 +534,20 @@ class TestTwoPhotonNorm:
         z = normalize("log-normal-isotropic", {"scale": 1.0, "width": 13.0})
         with pytest.raises(bp.InputError, match="beyond double range"):
             two_photon_norm(TwoPhotonAmplitude(kind="bell21"), z, 2)
+
+    @pytest.mark.parametrize("kind", ["bell11", "bell21"])
+    @pytest.mark.parametrize("width", [2.0, 3.0, 5.0, 8.0])
+    def test_unresolved_wide_log_normal_is_an_input_error(self, width, kind):
+        # the norm rule's vacuum mass is off by 2.3e-3 at width 2 and by
+        # 1.7 at width 8; bell11 at N = 2 would return 2.66-10.5, not 8/3
+        z = normalize("log-normal-isotropic", {"scale": 1.0, "width": width})
+        with pytest.raises(bp.InputError, match="does not resolve the vacuum"):
+            two_photon_norm(TwoPhotonAmplitude(kind=kind), z, 2)
+
+    def test_resolved_log_normal_keeps_the_cross_term_third(self):
+        z = normalize("log-normal-isotropic", {"scale": 1.0, "width": 1.0})
+        val = two_photon_norm(TwoPhotonAmplitude(kind="bell11"), z, 2)
+        assert val == pytest.approx(2.0 + 2.0 / 3.0, rel=1e-4)
 
     def test_invalid_oscillator_count(self):
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
