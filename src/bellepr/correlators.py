@@ -179,19 +179,11 @@ class Scenario:
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self) -> None:
-        n = self.n_osc
-        if n != math.inf:
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-                raise InputError(
-                    f"n_osc must be an integer >= 2 or math.inf, got {n!r}"
-                )
-            if n == 1:
-                raise InputError(
-                    "n_osc = 1 is rejected: the disjoint-detector correlation "
-                    "numerator carries an (N-1) factor and vanishes identically"
-                )
-            if n < 1:
-                raise InputError(f"n_osc must be an integer >= 2 or math.inf, got {n!r}")
+        if oscillator_factors(self.n_osc)[2] == 0.0:
+            raise InputError(
+                "n_osc = 1 is rejected: the disjoint-detector correlation "
+                "numerator carries an (N-1) factor and vanishes identically"
+            )
         check_regions(self.bob.region, self.alice.region)
 
 

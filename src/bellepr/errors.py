@@ -3,7 +3,8 @@ from __future__ import annotations
 
 
 class InputError(ValueError):
-    """Invalid argument values (non-unit axis, bad parameters, N = 0, ...)."""
+    """Invalid argument values (non-unit axis, bad parameters, N = 0, ...);
+    the command-line runner reports it as a configuration error (exit 2)."""
 
 
 class ChartError(ValueError):

@@ -24,6 +24,7 @@ omega = -scale*ln(u), with composite Gauss-Legendre panels on (0, 1].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -171,10 +172,19 @@ class IntegralResult(NamedTuple):
     err: float
 
 
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per order
+    and returned as read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [lo, hi]; interval ends
     given as (m, 1) arrays give one row of n nodes per interval."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

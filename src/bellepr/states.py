@@ -426,7 +426,8 @@ def pair_factors(
         )
         plus = minus.conj()
     else:  # psi_+- = m(k).mbar(k') = D(o, q) conj(D(p, r))
-        pc0, pc1, rc0, rc1 = np.conj([p0, p1, r0, r1])
+        pc0, pc1 = np.conj([p0, p1])
+        rc0, rc1 = np.conj([r0, r1])
         plus = PairTable(
             np.stack([o0 * pc0, -o0 * pc1, -o1 * pc0, o1 * pc1], axis=1),
             np.stack([q1 * rc1, q1 * rc0, q0 * rc1, q0 * rc0], axis=1),
@@ -614,7 +615,7 @@ def oscillator_factors(n_osc) -> tuple[float, float, float]:
     """
     if n_osc == math.inf:
         return 0.0, 2.0, 8.0
-    if not isinstance(n_osc, (int, np.integer)) or n_osc < 1:
+    if not isinstance(n_osc, (int, np.integer)) or isinstance(n_osc, bool) or n_osc < 1:
         raise InputError(f"n_osc must be a positive integer or inf, got {n_osc!r}")
     return 2.0 / n_osc, 2.0 * (n_osc - 1) / n_osc, 8.0 * (n_osc - 1) / n_osc
 

@@ -17,7 +17,7 @@ from bellepr.cli import (
     CONFIG_SCHEMA,
     main,
 )
-from bellepr.errors import ConsistencyError, EvaluationError
+from bellepr.errors import ConsistencyError, EvaluationError, InputError
 
 BASE_SCENARIO = """\
 scenario:
@@ -287,6 +287,154 @@ class TestConfigValidation:
             .read_text(encoding="utf-8")
         )
         assert shipped == CONFIG_SCHEMA
+
+
+DEMO_THETA = "    kind: bell21\n    theta:\n      kind: fitted\n"
+DEMO_REST = "  transform:\n    case: rest\n"
+DEMO_SWEEP = "  variable: beta\n  start: 0.0\n  stop: 3.141592653589793\n  count: 13\n"
+
+
+def demo_with(*edits):
+    """bell21_rest_sweep with each (old, new) edit applied once."""
+    text = demo_text("bell21_rest_sweep")
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+def rapidity_sweep(start):
+    return (DEMO_SWEEP, f"  variable: rapidity\n  start: {start}\n  stop: 1.0\n  count: 3\n")
+
+
+#: name -> (config text, extra argv, environment, a fragment of the message);
+#: each input reaches a different owner of a validity rule
+CONFIG_ERRORS = {
+    "top-level-list": ("[1, 2]\n", [], {}, "at <root>: [1, 2] is not of type 'object'"),
+    "empty-file": ("", [], {}, "at <root>: None is not of type 'object'"),
+    "general-without-coefficients": (
+        demo_with((DEMO_THETA, "    kind: general\n")), [], {}, "'coefficients'"
+    ),
+    "boost-without-rapidity": (
+        demo_with((DEMO_REST, "  transform:\n    case: joint\n    map: {kind: boost}\n")),
+        [], {}, "boost map needs a 'rapidity'",
+    ),
+    "rotation-without-angle": (
+        demo_with((DEMO_REST, "  transform:\n    case: joint\n    map: {kind: rotation}\n")),
+        [], {}, "rotation map needs an 'angle'",
+    ),
+    "rest-with-map": (
+        demo_with((DEMO_REST, "  transform:\n    case: rest\n    map: {kind: identity}\n")),
+        [], {}, "rest case carries no Lorentz map",
+    ),
+    "joint-without-map": (
+        demo_with((DEMO_REST, "  transform:\n    case: joint\n")),
+        [], {}, "joint case requires a Lorentz map",
+    ),
+    "tabulated-theta-without-axes": (
+        demo_with((DEMO_THETA, "    kind: bell21\n    theta: {kind: tabulated, values: [0.1]}\n")),
+        [], {}, "tabulated field needs axes and values",
+    ),
+    "fitted-theta-on-general": (
+        demo_with(
+            (DEMO_THETA, DEMO_THETA.replace("bell21", "general")
+             + "    coefficients: {'++': [1.0, 0.0]}\n")
+        ),
+        [], {}, "fitted theta requires a Bell state kind",
+    ),
+    "no-scenario-block": (
+        demo_text("bell21_rest_sweep").split("scenario:")[0] + "sweep:\n" + DEMO_SWEEP,
+        [], {}, "requires a 'scenario' block",
+    ),
+    "n_osc-sweep-from-1": (
+        demo_with((DEMO_SWEEP, "  variable: n_osc\n  start: 1\n  stop: 3\n  count: 3\n")),
+        [], {}, "(N-1)",
+    ),
+    "n_osc-sweep-from-0.2": (
+        demo_with((DEMO_SWEEP, "  variable: n_osc\n  start: 0.2\n  stop: 3\n  count: 3\n")),
+        [], {}, "n_osc must be a positive integer or inf, got 0",
+    ),
+    "rapidity-sweep-at-rest": (
+        demo_with(rapidity_sweep(0.0)), [], {}, "needs a non-rest transform case"
+    ),
+    "rapidity-sweep-on-rotation": (
+        demo_with(
+            rapidity_sweep(0.0),
+            (DEMO_REST, "  transform:\n    case: joint\n    map: {kind: rotation, angle: 0.3}\n"),
+        ),
+        [], {}, "rapidity sweep needs a boost map",
+    ),
+    "threads-0": (demo_text("bell21_rest_sweep"), ["--threads", "0"], {}, "--threads must be >= 1"),
+    "BELLEPR_THREADS-not-an-integer": (
+        demo_text("bell21_rest_sweep"), [], {"BELLEPR_THREADS": "x"}, "must be an integer, got 'x'"
+    ),
+    "BELLEPR_THREADS-0": (
+        demo_text("bell21_rest_sweep"), [], {"BELLEPR_THREADS": "0"}, "BELLEPR_THREADS must be >= 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
+def test_config_error_exits_two_with_one_line(name, tmp_path, capsys, monkeypatch):
+    text, argv, env, fragment = CONFIG_ERRORS[name]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main(["correlate", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert_one_error_line(err, "config error: ")
+    assert fragment in err
+    assert not out.exists()
+
+
+class TestSchemaInvariants:
+    """The packaged schema is checked here once, not on every config load."""
+
+    def test_schema_is_a_valid_draft7_schema(self):
+        import jsonschema
+
+        jsonschema.Draft7Validator.check_schema(CONFIG_SCHEMA)
+
+    def test_declared_dialect_is_the_validator_used(self):
+        import jsonschema
+
+        assert jsonschema.validators.validator_for(CONFIG_SCHEMA) is jsonschema.Draft7Validator
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": 3},
+            {"sweep": {"variable": "beta", "start": 0.0, "stop": 1.0}},
+            {"sweep": {"variable": "gamma", "start": 0.0, "stop": 1.0, "count": 2}},
+            {"sweep": {"variable": "beta", "start": 0.0, "stop": 1.0, "count": 0}},
+            {"mystery": 1},
+            {"scenario": {"state": {"kind": "bell21"}}},
+        ],
+        ids=["wrong-type", "missing-key", "bad-enum", "below-minimum", "extra-key", "nested"],
+    )
+    def test_load_message_equals_validate(self, doc, tmp_path):
+        import json
+
+        import jsonschema
+
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        where = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+        path = write_config(tmp_path, json.dumps(doc))
+        with pytest.raises(InputError) as got:
+            cli._load_config(path)
+        assert str(got.value) == f"config {path!r}: at {where}: {expected.value.message}"
+
+    def test_load_makes_no_metaschema_pass(self, tmp_path, monkeypatch):
+        import jsonschema
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the packaged schema was checked on load")
+
+        monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", refuse)
+        doc, digest = cli._load_config(write_config(tmp_path, demo_text("bell21_rest_sweep")))
+        assert doc["sweep"]["variable"] == "beta" and len(digest) == 64
 
 
 @pytest.fixture(scope="module")

@@ -222,3 +222,74 @@ def test_joint_point_at_1536_nodes_stays_small(vacuum, kind):
         tracemalloc.stop()
     # one dense 1536 x 1536 complex table alone is 37.7 MB
     assert peak <= 32e6
+
+
+def general_amplitude() -> TwoPhotonAmplitude:
+    """An exchange-symmetric amplitude with all four slots that does not
+    factor: its slots are held as dense tables."""
+
+    def same(f1, d1, f2, d2):
+        return (1.0 + 0.5j) * np.exp(-0.3 * (f1 - f2) ** 2) * (1.0 + d1[..., 0] * d2[..., 2])
+
+    def mixed(f1, d1, f2, d2):
+        return (0.4 - 0.2j) * f1 * f2 / (1.0 + f1 + f2)
+
+    return TwoPhotonAmplitude(
+        kind="general",
+        table={(1, 1): same, (-1, -1): same, (1, -1): mixed, (-1, 1): mixed},
+    )
+
+
+def test_general_joint_point_matches_dense_tables(vacuum):
+    scn = Scenario(
+        amplitude=general_amplitude(),
+        vacuum=vacuum,
+        bob=DetectorSetting(BOB, 0.4),
+        alice=DetectorSetting(ALICE, -0.3),
+        n_osc=3,
+        transform=CASES["joint"][0],
+        quadrature=SPEC,
+    )
+    result = epr_case1(scn)
+    (fb, db, ub, wb), (fa, da, ua, wa) = dense_arms(scn)
+    tables = amplitude_pair_tables(scn.amplitude, fb, db, fa, da)
+    assert len(tables) == 4
+    num = dense_numerator(scn, tables, ub, ua, scn.bob.angle - wb, scn.alice.angle - wa)
+    assert result.numerator == pytest.approx(num, rel=RTOL, abs=0.0)
+    # the vacuum-side route scales the dense slot tables by the transport phases
+    transported = {
+        (s, sp): np.exp(-1.0j * s * wb)[:, None] * np.exp(-1.0j * sp * wa)[None, :] * t
+        for (s, sp), t in tables.items()
+    }
+    vac = dense_numerator(scn, transported, ub, ua, scn.bob.angle, scn.alice.angle)
+    factored_vac = result.diagnostics["vacuum_picture_value"] * result.denominator
+    assert factored_vac == pytest.approx(vac, rel=RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_fit_on_a_condition_the_amplitude_lacks_is_degenerate(kind):
+    # a 21/22 condition reads the equal-helicity slots, an 11/12 kind has none
+    # (and the other way round)
+    other = {11: 21, 12: 22, 21: 11, 22: 12}[BELL_KINDS[kind]]
+    with pytest.raises(bp.InputError, match="degenerate"):
+        fit_theta(TwoPhotonAmplitude(kind=kind), other, BOB, ALICE, spec=SPEC)
+
+
+@pytest.mark.parametrize("envelope", [False, True], ids=["plain", "envelope"])
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_pair_factors_on_a_batch_whose_directions_sum_to_zero(kind, envelope):
+    # no mean direction to turn to a pole: the chart stays as it is
+    amp = TwoPhotonAmplitude(kind=kind, envelope=gaussian_envelope if envelope else None)
+    f1 = np.array([1.0, 2.0, 1.5, 0.7])
+    d1 = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    assert not np.any(d1.sum(axis=0))
+    rng = np.random.default_rng(3)
+    d2 = rng.normal(size=(5, 3)) + np.array([0.0, 0.0, 2.0])
+    d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
+    f2 = rng.uniform(0.5, 2.0, size=5)
+    dense = amplitude_pair_tables(amp, f1, d1, f2, d2)
+    factored = states.pair_factors(amp, f1, d1, f2, d2)
+    assert factored.keys() == dense.keys()
+    for slot, table in dense.items():
+        built = factored[slot].a @ factored[slot].b.T
+        np.testing.assert_allclose(built, table, rtol=0.0, atol=RTOL * np.abs(table).max())

@@ -255,6 +255,18 @@ class TestDeterminism:
         assert a.dirs.tobytes() == b.dirs.tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
 
+    def test_legendre_rule_built_once_per_order_and_read_only(self):
+        from bellepr.measure import _legendre_rule
+
+        x, w = _legendre_rule(7)
+        assert _legendre_rule(7)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(7)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
     def test_mc_seed_reproducible(self):
         r = DetectorRegion(Z_AXIS, 0.5, 1.0, 2.0)
         spec = QuadratureSpec(mode="mc", seed=987, n_samples=500)

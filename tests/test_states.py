@@ -19,6 +19,7 @@ from bellepr.states import (
     field_value,
     field_values,
     fit_theta,
+    oscillator_factors,
     symmetry_residual,
     tabulated_field,
     theta_wigner_residual,
@@ -558,6 +559,14 @@ class TestTwoPhotonNorm:
             two_photon_norm(amp, z, -3)
         with pytest.raises(bp.InputError):
             two_photon_norm(amp, z, 1.5)
+
+    def test_boolean_oscillator_count_rejected(self):
+        # True == 1 in Python; the N-factor helper must not read it as N = 1
+        z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
+        with pytest.raises(bp.InputError):
+            oscillator_factors(True)
+        with pytest.raises(bp.InputError):
+            two_photon_norm(TwoPhotonAmplitude(kind="bell11"), z, True)
 
 
 class TestFieldKinds:
