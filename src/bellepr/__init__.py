@@ -18,11 +18,9 @@ Library layout:
 """
 from .measure import (
     DetectorRegion,
-    IntegralResult,
     NodeSet,
     QuadratureSpec,
     full_sphere_region,
-    integrate_region,
     invariant_node_set,
     map_nodes,
     region_measure,
@@ -75,12 +73,11 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ChartError,
     ConsistencyError,
-    EvaluationError,
     InputError,
     PreconditionError,
 )
@@ -110,11 +107,9 @@ __all__ = [
     "__version__",
     # measure
     "DetectorRegion",
-    "IntegralResult",
     "NodeSet",
     "QuadratureSpec",
     "full_sphere_region",
-    "integrate_region",
     "invariant_node_set",
     "map_nodes",
     "region_measure",
@@ -162,7 +157,6 @@ __all__ = [
     # errors
     "ChartError",
     "ConsistencyError",
-    "EvaluationError",
     "InputError",
     "PreconditionError",
     # spinor_tetrad

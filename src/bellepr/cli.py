@@ -50,13 +50,12 @@ from .correlators import (
     epr_case2,
     epr_general_rest,
 )
-from .errors import ChartError, ConsistencyError, EvaluationError, InputError, PreconditionError
+from .errors import ChartError, ConsistencyError, InputError, PreconditionError
 from .fock_oracle import DiscreteGrid, OscillatorTruncation, verify_suite
 from .measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from .spinor_tetrad import (
     LorentzMap,
     NullMomentum,
-    batch_wigner_phases,
     boost,
     compose,
     identity_map,
@@ -482,8 +481,8 @@ def _cocycle_defect(a: LorentzMap, b: LorentzMap, freqs: np.ndarray, dirs: np.nd
     freqs, dirs = freqs[keep], dirs[keep]
     pre_f, pre_d, two_theta_a = wigner_pullback(a, freqs, dirs)
     keep = wigner_defined(b, pre_f, pre_d)
-    lhs = batch_wigner_phases(ab, freqs[keep], dirs[keep])
-    rhs = two_theta_a[keep] + batch_wigner_phases(b, pre_f[keep], pre_d[keep])
+    lhs = wigner_pullback(ab, freqs[keep], dirs[keep])[2]
+    rhs = two_theta_a[keep] + wigner_pullback(b, pre_f[keep], pre_d[keep])[2]
     return float(np.abs(wrap_angle(lhs - rhs)).max(initial=0.0))
 
 
@@ -495,7 +494,7 @@ def _frequency_defect(a: LorentzMap, freq: float, direction: np.ndarray) -> floa
     keep = np.logical_and.accumulate(wigner_defined(a, freqs, dirs))
     if not keep[0]:
         return 0.0
-    phases = batch_wigner_phases(a, freqs[keep], dirs[keep])
+    phases = wigner_pullback(a, freqs[keep], dirs[keep])[2]
     return float(np.abs(wrap_angle(phases[1:] - phases[0])).max(initial=0.0))
 
 
@@ -640,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ChartError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ConsistencyError, EvaluationError) as exc:
+    except ConsistencyError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -20,7 +20,3 @@ class ConsistencyError(RuntimeError):
 
 class PreconditionError(ValueError):
     """A scenario precondition is violated (e.g. detector regions overlap)."""
-
-
-class EvaluationError(RuntimeError):
-    """An integrand returned a non-finite value at a quadrature node."""

@@ -12,10 +12,9 @@ cos(polar) and in omega (about the region axis) and a uniform periodic rule
 in azimuth, which is spectrally accurate for smooth integrands.  A seeded
 Monte Carlo mode provides an independent cross-check.
 
-Boosted regions are never meshed directly (the aberration image of a cone
-is not a cone); instead integrals over a mapped region are computed by the
-change of variables l = Lambda u, which carries no Jacobian because the
-measure is invariant.
+Boosted regions are never meshed directly; instead map_nodes pushes a node
+set through the map, the change of variables l = Lambda u, which carries no
+Jacobian because the measure is invariant.
 
 Semi-infinite frequency windows (freq_hi = inf) are supported for
 normalization integrals via the substitution u = exp(-omega/scale), i.e.
@@ -26,22 +25,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EvaluationError, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 from .spinor_tetrad import LorentzMap, map_momenta
 
 __all__ = [
     "DetectorRegion",
     "QuadratureSpec",
     "NodeSet",
-    "IntegralResult",
     "invariant_node_set",
     "region_measure",
-    "integrate_region",
     "regions_disjoint",
     "map_nodes",
     "mapped_bounding_region",
@@ -165,11 +161,6 @@ class NodeSet:
 
     def __len__(self) -> int:
         return self.freqs.shape[0]
-
-
-class IntegralResult(NamedTuple):
-    value: complex
-    err: float
 
 
 @functools.cache
@@ -307,61 +298,6 @@ def region_measure(region: DetectorRegion) -> float:
     radial = 0.5 * (region.freq_hi**2 - region.freq_lo**2)
     angular = 2.0 * math.pi * (1.0 - math.cos(region.half_angle))
     return radial * angular * _MEASURE_CONST
-
-
-def _evaluate(f: Callable, nodes: NodeSet) -> np.ndarray:
-    vals = np.asarray(f(nodes.freqs, nodes.dirs))
-    if vals.shape != nodes.freqs.shape:
-        raise EvaluationError(
-            f"integrand returned shape {vals.shape}, expected {nodes.freqs.shape}"
-        )
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise EvaluationError(
-            "integrand non-finite at node "
-            f"(freq={nodes.freqs[i]!r}, dir={nodes.dirs[i]!r})"
-        )
-    return vals
-
-
-def _sum_weighted(vals: np.ndarray, weights: np.ndarray) -> complex:
-    # np.sum uses pairwise accumulation over a fixed array order, so results
-    # are deterministic regardless of how evaluation was parallelized.
-    return complex(np.sum(vals * weights))
-
-
-def integrate_region(
-    f: Callable,
-    region: DetectorRegion,
-    spec: QuadratureSpec,
-    *,
-    lorentz_map: LorentzMap | None = None,
-) -> IntegralResult:
-    """Integrate f against dGamma over the region, with an error estimate.
-
-    Product mode estimates error by comparison with the half-resolution rule;
-    MC mode uses the sample standard error.  f takes the nodes' ``(freqs,
-    dirs)`` arrays and returns an array of their shape.  If ``lorentz_map``
-    is given, f is evaluated at the mapped nodes (change of variables for
-    integrals over the image region; the measure carries no Jacobian).
-    """
-    nodes = invariant_node_set(region, spec)
-    if lorentz_map is not None:
-        nodes = map_nodes(lorentz_map, nodes)
-    vals = _evaluate(f, nodes)
-    value = _sum_weighted(vals, nodes.weights)
-    if spec.mode == "mc":
-        mean = np.mean(vals)
-        var = np.mean(np.abs(vals - mean) ** 2)
-        err = region_measure(region) * math.sqrt(var / len(nodes))
-        return IntegralResult(value, float(err))
-    coarse_nodes = invariant_node_set(region, spec.halved())
-    if lorentz_map is not None:
-        coarse_nodes = map_nodes(lorentz_map, coarse_nodes)
-    coarse = _sum_weighted(_evaluate(f, coarse_nodes), coarse_nodes.weights)
-    floor = 64.0 * np.finfo(np.float64).eps * float(np.sum(np.abs(vals * nodes.weights)))
-    return IntegralResult(value, abs(value - coarse) + floor)
 
 
 def map_nodes(lorentz_map: LorentzMap, nodes: NodeSet) -> NodeSet:

@@ -380,6 +380,12 @@ class PairTable:
             return PairTable(rows[:, None] * cols[None, :] * self.a)
         return PairTable(rows[:, None] * self.a, cols[:, None] * self.b)
 
+    def diagonal(self) -> np.ndarray:
+        """The table's diagonal, for a table over one batch paired with itself."""
+        if self.b is None:
+            return np.diagonal(self.a)
+        return np.sum(self.a * self.b, axis=1)
+
     def contract(self, other: PairTable, u: np.ndarray, v: np.ndarray) -> complex:
         """u @ (table * other) @ v, the weighted sum of the elementwise product.
 
@@ -490,8 +496,8 @@ def condition_residuals(
     ``theta1``/``theta2`` the polarization angles at them (or single angles,
     shape (1,), that hold on every row or column)."""
     cond, a, b = _condition_slots(condition, tables)
-    x = theta1[:, None] + cond.coupling * theta2[None, :]
-    return np.abs(np.exp(1j * x) * a + cond.branch * np.exp(-1j * x) * b)
+    phase = np.exp(1j * theta1)[:, None] * np.exp(1j * cond.coupling * theta2)[None, :]
+    return np.abs(phase * a + cond.branch * np.conj(phase) * b)
 
 
 def _slot_scale(a: PairTable, b: PairTable, u1: np.ndarray, u2: np.ndarray) -> float:
@@ -631,22 +637,21 @@ def norm_sum(
       + (2(N-1)/N) * sum_ab sum_ss' sum_ij u_i |psi_ss'(k_i, k'_j)|^2 u'_j
 
     with ``arms`` a list of (freqs, dirs, u) node sets and u the quadrature
-    weights times the vacuum density.  Returns the total, the matrix of
+    weights times the vacuum density; the same-momentum term is the diagonal
+    of the (a, a) blocks' slot tables.  Returns the total, the matrix of
     ordered two-momentum blocks (a, b) and the pair_factors slot tables of
     block (first arm, last arm), for callers that contract them further.
     """
     first_fac, cross_fac, _ = oscillator_factors(n_osc)
     diag_total = 0.0
-    if first_fac != 0.0:
-        for f, d, u in arms:
-            tabs = amplitude_pair_tables(amp, f, d, f, d, outer=False)
-            for vals in tabs.values():
-                diag_total += float(np.sum(np.abs(vals) ** 2 * u))
     blocks = np.zeros((len(arms), len(arms)))
     for a, (fa, da, ua) in enumerate(arms):
         for b, (fb, db, ub) in enumerate(arms):
             tabs = pair_factors(amp, fa, da, fb, db)
             blocks[a, b] = sum(t.conj().contract(t, ua, ub).real for t in tabs.values())
+            if a == b and first_fac != 0.0:
+                for t in tabs.values():
+                    diag_total += float(np.sum(np.abs(t.diagonal()) ** 2 * ua))
             if (a, b) == (0, len(arms) - 1):
                 first_last = tabs
             del tabs  # free a dense block before the next one is built
@@ -740,8 +745,8 @@ def fit_theta(
         # minimize sum w |e^{i x} a + branch e^{-i x} b|^2 over x
         two_x = (math.pi if cond.branch > 0 else 0.0) - float(np.angle(cross))
         fitted = float(wrap_angle(two_x)) / 2.0
-        # x = fitted on every pair: single angles broadcast against the weights
-        rel = condition_residual_rel(condition, tables, np.array([fitted]), np.zeros(1), wa, wb)
+        # the objective is scale + 2 branch Re(e^{2ix} cross), at its minimum scale - 2 |cross|
+        rel = math.sqrt(max(scale - 2.0 * abs(cross), 0.0) / scale) if scale > 0.0 else 0.0
 
     axis_gap = float(np.linalg.norm(region_a.axis - region_b.axis))
     if axis_gap < 1e-6:

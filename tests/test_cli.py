@@ -17,7 +17,7 @@ from bellepr.cli import (
     CONFIG_SCHEMA,
     main,
 )
-from bellepr.errors import ConsistencyError, EvaluationError, InputError
+from bellepr.errors import ConsistencyError, InputError
 
 BASE_SCENARIO = """\
 scenario:
@@ -200,10 +200,9 @@ class TestConfigValidation:
         assert main(["correlate", cfg, "--out", out]) == EXIT_CONFIG
         assert_one_error_line(capsys.readouterr().err, "config error")
 
-    @pytest.mark.parametrize("error", [ConsistencyError, EvaluationError])
-    def test_numerical_failures_exit_one(self, tmp_path, capsys, monkeypatch, error):
+    def test_numerical_failures_exit_one(self, tmp_path, capsys, monkeypatch):
         def fail(args):
-            raise error("identity violated")
+            raise ConsistencyError("identity violated")
 
         monkeypatch.setattr(cli, "cmd_correlate", fail)
         assert main(["correlate", str(tmp_path / "unused.yaml")]) == EXIT_CHECK_FAILED

@@ -24,6 +24,7 @@ from bellepr.errors import ChartError, InputError, PreconditionError
 from bellepr.measure import DetectorRegion, QuadratureSpec
 from bellepr.states import (
     TwoPhotonAmplitude,
+    constant_field,
     fit_theta,
     tabulated_field,
     with_transform_field,
@@ -345,6 +346,48 @@ class TestOscillatorCount:
             for n in (2, 3, 5, 10, 50)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestRestInvariance:
+    """At rest and at N = inf, a Bell kind's frequency dependence factors out of
+    the numerator and the denominator alike, so the value depends on neither
+    the vacuum nor the frequency window nor the frequency rule.  At finite N
+    the same-momentum term is a single sum and does not cancel."""
+
+    VACUA = [
+        ("power-exponential", {"exponent": 2.0, "scale": 1.0}),
+        ("power-exponential", {"exponent": 1.0, "scale": 0.4}),
+        ("log-normal-isotropic", {"scale": 1.0, "width": 0.5}),
+    ]
+    WINDOWS = [(0.5, 2.0), (0.1, 7.0)]
+
+    @staticmethod
+    def value(kind, z, window, n_freq, n_osc):
+        bob, alice = (
+            dataclasses.replace(r, freq_lo=window[0], freq_hi=window[1])
+            for r in (REGION_B, REGION_A)
+        )
+        scn = make_scn(
+            TwoPhotonAmplitude(kind=kind), z, 0.7, 0.2,
+            field=constant_field(0.3), n_osc=n_osc, rb=bob, ra=alice,
+        )
+        scn = dataclasses.replace(scn, quadrature=dataclasses.replace(SPEC, n_freq=n_freq))
+        return epr_bell_rest(scn).value
+
+    @pytest.mark.parametrize("kind", ["bell11", "bell12", "bell21", "bell22"])
+    def test_value_at_infinite_count_depends_on_no_frequency_content(self, kind):
+        values = [
+            self.value(kind, normalize(family, params), window, n_freq, math.inf)
+            for family, params in self.VACUA
+            for window in self.WINDOWS
+            for n_freq in (2, 6, 17)
+        ]
+        assert max(values) - min(values) <= 1e-14
+
+    def test_same_momentum_term_moves_the_value_with_the_window(self):
+        z = normalize(*self.VACUA[0])
+        narrow, wide = (self.value("bell11", z, w, 6, 3) for w in self.WINDOWS)
+        assert abs(narrow - wide) > 0.5 * abs(narrow)
 
 
 # --------------------------------------------------------------------------

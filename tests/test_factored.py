@@ -36,6 +36,7 @@ from bellepr.states import (
     BELL_KINDS,
     TwoPhotonAmplitude,
     amplitude_pair_tables,
+    condition_residual_rel,
     condition_residuals,
     field_values,
     fit_theta,
@@ -197,18 +198,19 @@ def test_factored_joint_point_at_1536_nodes_matches_dense_tables(vacuum, kind):
 def test_joint_point_builds_no_table_beyond_the_residual_sample(vacuum, kind, monkeypatch):
     scn = scenario(vacuum, kind, "joint", 3, False, spec=SPEC_1536)
     build = states.amplitude_pair_tables
-    sizes = []
+    sizes, paired = [], []
 
     def spy(amp, f1, d1, f2, d2, *, outer=True):
-        if outer:
-            sizes.append(np.size(f1) * np.size(f2))
+        (sizes if outer else paired).append(np.size(f1) * np.size(f2))
         return build(amp, f1, d1, f2, d2, outer=outer)
 
     monkeypatch.setattr(states, "amplitude_pair_tables", spy)
     monkeypatch.setattr(correlators, "amplitude_pair_tables", spy)
     epr_case1(scn)
-    # the only outer table is the DEFAULT_QUADRATURE sample of bell_residual_max
+    # the only outer table is the DEFAULT_QUADRATURE sample of bell_residual_max;
+    # the norm's same-momentum term is read off its own blocks' factors
     assert sizes == [192 * 192]
+    assert paired == []
 
 
 @pytest.mark.parametrize("kind", sorted(BELL_KINDS))
@@ -264,6 +266,24 @@ def test_general_joint_point_matches_dense_tables(vacuum):
     vac = dense_numerator(scn, transported, ub, ua, scn.bob.angle, scn.alice.angle)
     factored_vac = result.diagnostics["vacuum_picture_value"] * result.denominator
     assert factored_vac == pytest.approx(vac, rel=RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("half_angle", [2.0 * DEG, 0.6], ids=["narrow", "wide"])
+@pytest.mark.parametrize("envelope", [False, True], ids=["plain", "envelope"])
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_fit_residual_is_the_condition_residual_of_the_fitted_field(kind, envelope, half_angle):
+    # the fit reports the minimum it solved for; recompute it from the field.
+    # Alice's axis off the x-z plane gives the 21/22 cross term a generic phase.
+    amp = TwoPhotonAmplitude(kind=kind, envelope=gaussian_envelope if envelope else None)
+    bob = dataclasses.replace(BOB, half_angle=half_angle)
+    alice = DetectorRegion(np.array([0.8, 0.6, 0.0]), half_angle, 0.5, 2.0)
+    condition = BELL_KINDS[kind]
+    fit = fit_theta(amp, condition, bob, alice, spec=SPEC)
+    nb, na = invariant_node_set(bob, SPEC), invariant_node_set(alice, SPEC)
+    tables = states.pair_factors(amp, nb.freqs, nb.dirs, na.freqs, na.dirs)
+    th_b, th_a = (field_values(fit.field, n.freqs, n.dirs) for n in (nb, na))
+    rel = condition_residual_rel(condition, tables, th_b, th_a, nb.weights, na.weights)
+    assert fit.residual_rel**2 == pytest.approx(rel**2, abs=RTOL)
 
 
 @pytest.mark.parametrize("kind", sorted(BELL_KINDS))

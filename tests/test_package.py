@@ -1,9 +1,10 @@
 """Package surface: ``bellepr.__all__`` lists exactly the names that
-``bellepr/__init__.py`` imports, and the configuration schema ships as
-package data."""
+``bellepr/__init__.py`` imports, the configuration schema ships as package
+data, and the package version is written once."""
 
 import importlib.resources
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,14 @@ def test_config_schema_is_package_data():
     docs = root / "docs" / "config-schema.json"
     assert docs.is_symlink()
     assert docs.resolve() == Path(str(packaged)).resolve()
+
+
+def test_version_is_written_once():
+    # pyproject.toml reads the version from bellepr.__version__
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parents[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] support is marked beta
+        config = pyprojecttoml.read_configuration(root / "pyproject.toml")
+    assert "version" in config["project"]["dynamic"]
+    assert config["project"]["version"] == bellepr.__version__
