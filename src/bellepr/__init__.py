@@ -73,7 +73,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     ChartError,

@@ -50,7 +50,7 @@ from .correlators import (
     epr_case2,
     epr_general_rest,
 )
-from .errors import ChartError, ConsistencyError, InputError, PreconditionError
+from .errors import ConsistencyError, InputError, PreconditionError
 from .fock_oracle import DiscreteGrid, OscillatorTruncation, verify_suite
 from .measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from .spinor_tetrad import (
@@ -544,12 +544,13 @@ def cmd_diagnose(args) -> int:
     check("wigner-phase-cocycle", worst_cocycle, 1e-8)
     check("wigner-frequency-independence", worst_freq, 1e-8)
 
-    # amplitude exchange symmetry on sampled pairs
+    # amplitude exchange symmetry over the pair grid of two sampled batches
     pool_f, pool_d = _random_momenta(rng, 2 * n_pairs)
     sym = symmetry_residuals(scn.amplitude, pool_f[::2], pool_d[::2], pool_f[1::2], pool_d[1::2])
     check("amplitude-exchange-symmetry", float(sym.max()), 1e-10)
 
-    # model-quality diagnostics (reported, non-fatal), on every (n // 8)-th node
+    # model-quality diagnostics (reported, non-fatal), over the Bob x Alice
+    # pair grid of every (n // 8)-th node
     nodes_b = invariant_node_set(scn.bob.region, quad)
     nodes_a = invariant_node_set(scn.alice.region, quad)
     fb, db = (x[:: max(1, len(nodes_b) // 8)] for x in (nodes_b.freqs, nodes_b.dirs))
@@ -568,8 +569,7 @@ def cmd_diagnose(args) -> int:
                 scn.theta_field, lmap, np.concatenate([fb, fa]), np.concatenate([db, da])
             )
             info("theta-wigner-shift", float(shift.max()))
-        n = min(len(fb), len(fa))
-        cov = covariance_residuals(scn.amplitude, lmap, fb[:n], db[:n], fa[:n], da[:n])
+        cov = covariance_residuals(scn.amplitude, lmap, fb, db, fa, da)
         info("amplitude-covariance-defect", float(cov.max()))
 
     ok = failures == 0
@@ -579,19 +579,6 @@ def cmd_diagnose(args) -> int:
 
 # --------------------------------------------------------------------------
 # entry point
-
-
-def _default_threads() -> int:
-    env = os.environ.get("BELLEPR_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise InputError(f"BELLEPR_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise InputError("BELLEPR_THREADS must be >= 1")
-        return n
-    return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -617,8 +604,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="worker threads for sweep evaluation (default: BELLEPR_THREADS or 1)",
+            default=1,
+            help="worker threads for sweep evaluation (default: 1)",
         )
         p.set_defaults(func=fn)
     return parser
@@ -628,15 +615,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is None:
-            args.threads = _default_threads()
-        elif args.threads < 1:
+        if args.threads < 1:
             raise InputError("--threads must be >= 1")
         return args.func(args)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PreconditionError, ChartError) as exc:
+    except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ConsistencyError as exc:

@@ -374,20 +374,22 @@ def wigner_pullback(
     return pre_freqs, pre_dirs, wrap_angle(-2.0 * np.angle(ratio))
 
 
-#: Private name of wigner_pullback, kept for callers that look it up by name.
+#: Old private name of wigner_pullback; nothing in bellepr calls it, and its
+#: only reader is the benchmark tracer (perfbench/tracing.py), which looks it
+#: up by name.
 _batch_wigner = wigner_pullback
 
 
 def batch_wigner_phases(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """2*Theta(L, k_i) for arrays of momenta, each reduced to (-pi, pi]
     (the phase part of wigner_pullback)."""
-    return _batch_wigner(a, freqs, dirs)[2]
+    return wigner_pullback(a, freqs, dirs)[2]
 
 
 def wigner_phase(a: LorentzMap, k: NullMomentum) -> float:
     """Value of 2*Theta(L, k), reduced to (-pi, pi] (single-momentum form of
     wigner_pullback)."""
-    return float(_batch_wigner(a, *k.as_batch)[2][0])
+    return float(wigner_pullback(a, *k.as_batch)[2][0])
 
 
 def wigner_defined(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -401,7 +403,7 @@ def wigner_defined(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.nda
 def _m_defects(a: LorentzMap, k: NullMomentum) -> tuple[NullTetrad, np.ndarray, np.ndarray]:
     """Tetrad at k and the defects of m and mbar under the map a:
     L m(L^-1 k) - e^{2i Theta} m(k) and L mbar(L^-1 k) - e^{-2i Theta} mbar(k)."""
-    pre_freqs, pre_dirs, two_theta = _batch_wigner(a, *k.as_batch)
+    pre_freqs, pre_dirs, two_theta = wigner_pullback(a, *k.as_batch)
     t, tpre = null_tetrad(k), null_tetrad(NullMomentum(float(pre_freqs[0]), pre_dirs[0]))
     d_m = a.matrix @ tpre.m_vec - np.exp(1.0j * float(two_theta[0])) * t.m_vec
     d_mbar = a.matrix @ tpre.mbar_vec - np.exp(-1.0j * float(two_theta[0])) * t.mbar_vec

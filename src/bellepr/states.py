@@ -10,11 +10,10 @@ Helicity amplitudes psi_ss'(k, k') are built from the spin-frame chart:
   symplectic spinor pairing, psi_-- its conjugate; |psi_++| = 2 k.k' (Lorentz
   invariant) and the diagonal vanishes.  Equal-helicity pairs only.
 * ``general``: an explicit table of batch evaluators for any of the four
-  slots.  Each evaluator is called as ``fn(f1, d1, f2, d2)`` on frequency
-  and unit-direction arrays and returns an array broadcastable to the pair
-  shape: pair tables pass the broadcast shapes (n1, 1), (n1, 1, 3),
-  (1, n2), (1, n2, 3), paired evaluation passes the plain batches (n,),
-  (n, 3), (n,), (n, 3).  A constant evaluator may return a scalar.
+  slots.  Each evaluator is called as ``fn(f1, d1, f2, d2)`` on the
+  broadcast shapes (n1, 1), (n1, 1, 3), (1, n2), (1, n2, 3) of two
+  frequency and unit-direction batches and returns an array broadcastable
+  to the (n1, n2) pair grid.  A constant evaluator may return a scalar.
 
 The two kinds in each pair share one amplitude table; they differ in which
 phase condition (difference- or sum-coupled, plus or minus branch) their
@@ -24,9 +23,12 @@ pi/4 from one arm of a difference-coupled field (condition 11 <-> 12), or
 pi/4 overall for a sum-coupled one (condition 21 <-> 22).
 
 Each slot is multiplied by a product envelope g(k) g(k') when one is given.
-Over two node batches a slot is a pair table: dense from
-amplitude_pair_tables, or as per-node factors from pair_factors (Bell kinds
-factor exactly), which PairTable contracts without building the table.
+Every function of two momentum batches works on their (n1, n2) pair grid: a
+slot is a pair table, dense from amplitude_pair_tables or as per-node
+factors from pair_factors (Bell kinds factor exactly), which PairTable
+contracts without building the table, and the condition, symmetry and
+covariance residuals are (n1, n2) tables; their single-pair forms read
+entry [0, 0].
 Equal-helicity bell amplitudes transform exactly under
 psi(L^-1 k, L^-1 k') = e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi(k, k');
 opposite-helicity ones obey the same rule under rotations, while boosts add
@@ -277,47 +279,25 @@ class TwoPhotonAmplitude:
             raise InputError("general amplitude needs a table of evaluators")
 
 
-def _envelope_factor(
-    amp: TwoPhotonAmplitude,
-    f1: np.ndarray,
-    d1: np.ndarray,
-    f2: np.ndarray,
-    d2: np.ndarray,
-    outer: bool,
-) -> np.ndarray | float:
-    if amp.envelope is None:
-        return 1.0
-    e1 = np.asarray(amp.envelope(f1, d1))
-    e2 = np.asarray(amp.envelope(f2, d2))
-    return e1[:, None] * e2[None, :] if outer else e1 * e2
-
-
 def amplitude_pair_tables(
-    amp: TwoPhotonAmplitude,
-    f1: np.ndarray,
-    d1: np.ndarray,
-    f2: np.ndarray,
-    d2: np.ndarray,
-    *,
-    outer: bool = True,
+    amp: TwoPhotonAmplitude, f1: np.ndarray, d1: np.ndarray, f2: np.ndarray, d2: np.ndarray
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Active helicity slots evaluated on momentum batches.
+    """Active helicity slots as (n1, n2) tables over the Cartesian product of
+    two momentum batches.
 
-    ``outer=True`` returns (n1, n2) tables over the Cartesian product of the
-    two batches; ``outer=False`` evaluates elementwise on paired batches.
     Slots outside the kind's support are omitted (exactly zero).  A general
-    amplitude's evaluators receive the (n1, 1) / (1, n2) broadcast shapes in
-    outer mode and the plain batches otherwise.
+    amplitude's evaluators receive the (n1, 1) / (1, n2) broadcast shapes.
     """
     f1 = np.asarray(f1, dtype=np.float64)
     d1 = np.asarray(d1, dtype=np.float64)
     f2 = np.asarray(f2, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
-    env = _envelope_factor(amp, f1, d1, f2, d2, outer)
-    if outer:  # shapes (n1, 1) and (1, n2) broadcast to the pair table
-        k1, k2 = (f1[:, None], d1[:, None]), (f2[None, :], d2[None, :])
-    else:
-        k1, k2 = (f1, d1), (f2, d2)
+    env = 1.0
+    if amp.envelope is not None:
+        e1, e2 = (np.asarray(amp.envelope(f, d)) for f, d in ((f1, d1), (f2, d2)))
+        env = e1[:, None] * e2[None, :]
+    # shapes (n1, 1) and (1, n2) broadcast to the pair table
+    k1, k2 = (f1[:, None], d1[:, None]), (f2[None, :], d2[None, :])
     out: dict[tuple[int, int], np.ndarray] = {}
     if amp.kind in BELL_KINDS:
         cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
@@ -331,11 +311,11 @@ def amplitude_pair_tables(
         else:  # opposite helicity: tetrad contraction m(k).mbar(k')
             m1 = batch_m_vectors(f1, d1) * _MINK_SIGNS
             m2c = np.conj(batch_m_vectors(f2, d2))
-            core = m1 @ m2c.T if outer else np.sum(m1 * m2c, axis=-1)
+            core = m1 @ m2c.T
             out[plus] = core * env
             out[minus] = np.conj(core) * env
         return out
-    shape = np.broadcast_shapes(k1[0].shape, k2[0].shape)
+    shape = (f1.size, f2.size)
     for slot, fn in amp.table.items():
         vals = np.asarray(fn(*k1, *k2), dtype=np.complex128)
         out[slot] = np.broadcast_to(vals, shape) * env
@@ -410,7 +390,7 @@ def pair_factors(
     p0 q1' - p1 q0' has rank 3 (21/22), the tetrad contraction
     sum_mu eta_mu m_mu conj(m'_mu), a product of two pairings, rank 4
     (11/12); the envelope g(k) g(k') folds into the rows.  A general
-    amplitude's evaluators do not factor, so its slots are the dense outer
+    amplitude's evaluators do not factor, so its slots are the dense
     amplitude_pair_tables.
     """
     if amp.kind not in BELL_KINDS:
@@ -470,18 +450,20 @@ def bell_amplitude(
 def symmetry_residuals(
     amp: TwoPhotonAmplitude, f1: np.ndarray, d1: np.ndarray, f2: np.ndarray, d2: np.ndarray
 ) -> np.ndarray:
-    """max over s, s' of |psi_ss'(k_i, k'_i) - psi_s's(k'_i, k_i)| on paired batches."""
-    fwd = amplitude_pair_tables(amp, f1, d1, f2, d2, outer=False)
-    bwd = amplitude_pair_tables(amp, f2, d2, f1, d1, outer=False)
-    worst = np.zeros(np.shape(f1))
+    """max over s, s' of |psi_ss'(k_i, k'_j) - psi_s's(k'_j, k_i)| over the
+    n1 x n2 pair grid."""
+    fwd = amplitude_pair_tables(amp, f1, d1, f2, d2)
+    bwd = amplitude_pair_tables(amp, f2, d2, f1, d1)
+    worst = np.zeros((np.size(f1), np.size(f2)))
     for s, sp in _ALL_SLOTS:
-        worst = np.maximum(worst, np.abs(fwd.get((s, sp), 0.0) - bwd.get((sp, s), 0.0)))
+        back = np.transpose(bwd.get((sp, s), 0.0))  # the backward grid is (n2, n1)
+        worst = np.maximum(worst, np.abs(fwd.get((s, sp), 0.0) - back))
     return worst
 
 
 def symmetry_residual(amp: TwoPhotonAmplitude, k: NullMomentum, kp: NullMomentum) -> float:
     """Single-pair form of symmetry_residuals."""
-    return float(symmetry_residuals(amp, *k.as_batch, *kp.as_batch)[0])
+    return float(symmetry_residuals(amp, *k.as_batch, *kp.as_batch)[0, 0])
 
 
 def condition_residuals(
@@ -492,7 +474,7 @@ def condition_residuals(
         |e^{ix} psi_plus + branch e^{-ix} psi_minus|,  x_ij = theta1_i + coupling theta2_j,
 
     with the slots, coupling and branch of ``BELL_CONDITIONS[condition]``,
-    ``tables`` the outer amplitude_pair_tables of the two batches and
+    ``tables`` the amplitude_pair_tables of the two batches and
     ``theta1``/``theta2`` the polarization angles at them (or single angles,
     shape (1,), that hold on every row or column)."""
     cond, a, b = _condition_slots(condition, tables)
@@ -563,17 +545,17 @@ def covariance_residuals(
     f2: np.ndarray,
     d2: np.ndarray,
 ) -> np.ndarray:
-    """Defect of the helicity transformation rule on paired batches, maximized
-    over the kind's active slots:
+    """Defect of the helicity transformation rule over the n1 x n2 pair grid,
+    maximized over the kind's active slots:
 
     |psi_ss'(L^-1 k, L^-1 k') - e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi_ss'(k, k')|
     """
     pre_f1, pre_d1, two_th1 = wigner_pullback(lorentz_map, f1, d1)
     pre_f2, pre_d2, two_th2 = wigner_pullback(lorentz_map, f2, d2)
-    lhs = amplitude_pair_tables(amp, pre_f1, pre_d1, pre_f2, pre_d2, outer=False)
-    worst = np.zeros(two_th1.shape)
-    for (s, sp), vals in amplitude_pair_tables(amp, f1, d1, f2, d2, outer=False).items():
-        phase = np.exp(1.0j * s * two_th1) * np.exp(1.0j * sp * two_th2)
+    lhs = amplitude_pair_tables(amp, pre_f1, pre_d1, pre_f2, pre_d2)
+    worst = np.zeros((two_th1.size, two_th2.size))
+    for (s, sp), vals in amplitude_pair_tables(amp, f1, d1, f2, d2).items():
+        phase = np.exp(1.0j * s * two_th1)[:, None] * np.exp(1.0j * sp * two_th2)[None, :]
         worst = np.maximum(worst, np.abs(lhs[(s, sp)] - phase * vals))
     return worst
 
@@ -582,7 +564,7 @@ def covariance_residual(
     amp: TwoPhotonAmplitude, lorentz_map: LorentzMap, k: NullMomentum, kp: NullMomentum
 ) -> float:
     """Single-pair form of covariance_residuals."""
-    return float(covariance_residuals(amp, lorentz_map, *k.as_batch, *kp.as_batch)[0])
+    return float(covariance_residuals(amp, lorentz_map, *k.as_batch, *kp.as_batch)[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -745,8 +727,9 @@ def fit_theta(
         # minimize sum w |e^{i x} a + branch e^{-i x} b|^2 over x
         two_x = (math.pi if cond.branch > 0 else 0.0) - float(np.angle(cross))
         fitted = float(wrap_angle(two_x)) / 2.0
-        # the objective is scale + 2 branch Re(e^{2ix} cross), at its minimum scale - 2 |cross|
-        rel = math.sqrt(max(scale - 2.0 * abs(cross), 0.0) / scale) if scale > 0.0 else 0.0
+        # the objective is scale + 2 branch Re(e^{2ix} cross), at its minimum
+        # scale - 2 |cross|; scale > 0 here unless it is NaN, which passes on
+        rel = math.sqrt(max(scale - 2.0 * abs(cross), 0.0) / scale)
 
     axis_gap = float(np.linalg.norm(region_a.axis - region_b.axis))
     if axis_gap < 1e-6:

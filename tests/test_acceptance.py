@@ -386,16 +386,12 @@ def test_criterion_06_oscillator_number_dependence(z_mid):
     c_int = 0.0
     arms = ((nb, ub), (na, ua))
     for nodes, u in arms:
-        diag = amplitude_pair_tables(
-            AMP11, nodes.freqs, nodes.dirs, nodes.freqs, nodes.dirs, outer=False
-        )
+        diag = amplitude_pair_tables(AMP11, nodes.freqs, nodes.dirs, nodes.freqs, nodes.dirs)
         for vals in diag.values():
-            d_int += float(np.sum(np.abs(vals) ** 2 * u))
+            d_int += float(np.sum(np.abs(np.diagonal(vals)) ** 2 * u))
     for n1, u1 in arms:
         for n2, u2 in arms:
-            block = amplitude_pair_tables(
-                AMP11, n1.freqs, n1.dirs, n2.freqs, n2.dirs, outer=True
-            )
+            block = amplitude_pair_tables(AMP11, n1.freqs, n1.dirs, n2.freqs, n2.dirs)
             for vals in block.values():
                 c_int += float(u1 @ (np.abs(vals) ** 2) @ u2)
 

@@ -2,10 +2,11 @@
 
 The pull-back pair, the Bell-condition residual, the theta-transport
 residual, the covariance residual and the symmetry residual are each
-computed once, over momentum batches; the scalar functions wrap them.  On 50
-random momentum pairs and 5 random boost-after-rotation maps, for the four
+computed once, over momentum batches; the scalar functions wrap them.  The
+two-batch residuals are tables over the 50 x 50 pair grid of two random
+momentum batches.  With 5 random boost-after-rotation maps, for the four
 Bell kinds and one momentum-dependent general amplitude, both forms agree per
-pair within 1e-13 * max(1, |value|).
+momentum or pair within 1e-13 * max(1, |value|).
 """
 
 import math
@@ -103,6 +104,13 @@ def assert_close(batch, scalar):
     assert abs(batch - scalar) <= 1e-13 * max(1.0, abs(scalar))
 
 
+def grid_pairs():
+    """(i, j) for each row i: the diagonal pair and an off-diagonal one, which
+    fixes the grid's orientation."""
+    for i in range(N_PAIRS):
+        yield from ((i, i), (i, (7 * i + 3) % N_PAIRS))
+
+
 def test_pullback_pair_matches_scalar_forms():
     for lam in MAPS:
         pre_f, pre_d, two_theta = wigner_pullback(lam, F1, D1)
@@ -122,11 +130,9 @@ def test_condition_residual_table_matches_scalar_form(amp):
     for condition in BELL_CONDITIONS:
         res = condition_residuals(condition, tables, th1, th2)
         assert res.shape == (N_PAIRS, N_PAIRS)
-        for i in range(N_PAIRS):
-            j = (7 * i + 3) % N_PAIRS  # off-diagonal pairs fix the grid's orientation
-            for jj in (i, j):
-                scalar = bell_condition_residual(condition, amp, field, K1[i], K2[jj])
-                assert_close(res[i, jj], scalar)
+        for i, j in grid_pairs():
+            scalar = bell_condition_residual(condition, amp, field, K1[i], K2[j])
+            assert_close(res[i, j], scalar)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["constant", "azimuthal", "tabulated", "mapped"])
@@ -142,15 +148,17 @@ def test_theta_transport_residuals_match_scalar_form(field):
 def test_covariance_residuals_match_scalar_form(amp):
     for lam in MAPS:
         res = covariance_residuals(amp, lam, F1, D1, F2, D2)
-        for i in range(N_PAIRS):
-            assert_close(res[i], covariance_residual(amp, lam, K1[i], K2[i]))
+        assert res.shape == (N_PAIRS, N_PAIRS)
+        for i, j in grid_pairs():
+            assert_close(res[i, j], covariance_residual(amp, lam, K1[i], K2[j]))
 
 
 @pytest.mark.parametrize("amp", AMPLITUDES, ids=AMP_IDS)
 def test_symmetry_residuals_match_scalar_form(amp):
     res = symmetry_residuals(amp, F1, D1, F2, D2)
-    for i in range(N_PAIRS):
-        assert_close(res[i], symmetry_residual(amp, K1[i], K2[i]))
+    assert res.shape == (N_PAIRS, N_PAIRS)
+    for i, j in grid_pairs():
+        assert_close(res[i, j], symmetry_residual(amp, K1[i], K2[j]))
     if amp is GENERAL:
         assert res.max() > 0.1  # the asymmetry is seen, not only roundoff
 

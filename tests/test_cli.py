@@ -17,7 +17,7 @@ from bellepr.cli import (
     CONFIG_SCHEMA,
     main,
 )
-from bellepr.errors import ConsistencyError, InputError
+from bellepr.errors import ChartError, ConsistencyError, InputError, PreconditionError
 
 BASE_SCENARIO = """\
 scenario:
@@ -172,6 +172,8 @@ class TestConfigValidation:
         out = str(tmp_path / "cut.csv")
         assert main(["correlate", cfg, "--out", out]) == EXIT_PRECONDITION
         assert_one_error_line(capsys.readouterr().err, "precondition violated")
+        # a chart cut is one kind of violated precondition: exit 3 has one exception
+        assert issubclass(ChartError, PreconditionError)
 
     def test_demo_cone_on_the_chart_cut_is_a_precondition(self, tmp_path, capsys):
         # a real-width laboratory cone around -z: no quadrature node lands on
@@ -306,78 +308,70 @@ def rapidity_sweep(start):
     return (DEMO_SWEEP, f"  variable: rapidity\n  start: {start}\n  stop: 1.0\n  count: 3\n")
 
 
-#: name -> (config text, extra argv, environment, a fragment of the message);
+#: name -> (config text, extra argv, a fragment of the message);
 #: each input reaches a different owner of a validity rule
 CONFIG_ERRORS = {
-    "top-level-list": ("[1, 2]\n", [], {}, "at <root>: [1, 2] is not of type 'object'"),
-    "empty-file": ("", [], {}, "at <root>: None is not of type 'object'"),
+    "top-level-list": ("[1, 2]\n", [], "at <root>: [1, 2] is not of type 'object'"),
+    "empty-file": ("", [], "at <root>: None is not of type 'object'"),
     "general-without-coefficients": (
-        demo_with((DEMO_THETA, "    kind: general\n")), [], {}, "'coefficients'"
+        demo_with((DEMO_THETA, "    kind: general\n")), [], "'coefficients'"
     ),
     "boost-without-rapidity": (
         demo_with((DEMO_REST, "  transform:\n    case: joint\n    map: {kind: boost}\n")),
-        [], {}, "boost map needs a 'rapidity'",
+        [], "boost map needs a 'rapidity'",
     ),
     "rotation-without-angle": (
         demo_with((DEMO_REST, "  transform:\n    case: joint\n    map: {kind: rotation}\n")),
-        [], {}, "rotation map needs an 'angle'",
+        [], "rotation map needs an 'angle'",
     ),
     "rest-with-map": (
         demo_with((DEMO_REST, "  transform:\n    case: rest\n    map: {kind: identity}\n")),
-        [], {}, "rest case carries no Lorentz map",
+        [], "rest case carries no Lorentz map",
     ),
     "joint-without-map": (
         demo_with((DEMO_REST, "  transform:\n    case: joint\n")),
-        [], {}, "joint case requires a Lorentz map",
+        [], "joint case requires a Lorentz map",
     ),
     "tabulated-theta-without-axes": (
         demo_with((DEMO_THETA, "    kind: bell21\n    theta: {kind: tabulated, values: [0.1]}\n")),
-        [], {}, "tabulated field needs axes and values",
+        [], "tabulated field needs axes and values",
     ),
     "fitted-theta-on-general": (
         demo_with(
             (DEMO_THETA, DEMO_THETA.replace("bell21", "general")
              + "    coefficients: {'++': [1.0, 0.0]}\n")
         ),
-        [], {}, "fitted theta requires a Bell state kind",
+        [], "fitted theta requires a Bell state kind",
     ),
     "no-scenario-block": (
         demo_text("bell21_rest_sweep").split("scenario:")[0] + "sweep:\n" + DEMO_SWEEP,
-        [], {}, "requires a 'scenario' block",
+        [], "requires a 'scenario' block",
     ),
     "n_osc-sweep-from-1": (
         demo_with((DEMO_SWEEP, "  variable: n_osc\n  start: 1\n  stop: 3\n  count: 3\n")),
-        [], {}, "(N-1)",
+        [], "(N-1)",
     ),
     "n_osc-sweep-from-0.2": (
         demo_with((DEMO_SWEEP, "  variable: n_osc\n  start: 0.2\n  stop: 3\n  count: 3\n")),
-        [], {}, "n_osc must be a positive integer or inf, got 0",
+        [], "n_osc must be a positive integer or inf, got 0",
     ),
     "rapidity-sweep-at-rest": (
-        demo_with(rapidity_sweep(0.0)), [], {}, "needs a non-rest transform case"
+        demo_with(rapidity_sweep(0.0)), [], "needs a non-rest transform case"
     ),
     "rapidity-sweep-on-rotation": (
         demo_with(
             rapidity_sweep(0.0),
             (DEMO_REST, "  transform:\n    case: joint\n    map: {kind: rotation, angle: 0.3}\n"),
         ),
-        [], {}, "rapidity sweep needs a boost map",
+        [], "rapidity sweep needs a boost map",
     ),
-    "threads-0": (demo_text("bell21_rest_sweep"), ["--threads", "0"], {}, "--threads must be >= 1"),
-    "BELLEPR_THREADS-not-an-integer": (
-        demo_text("bell21_rest_sweep"), [], {"BELLEPR_THREADS": "x"}, "must be an integer, got 'x'"
-    ),
-    "BELLEPR_THREADS-0": (
-        demo_text("bell21_rest_sweep"), [], {"BELLEPR_THREADS": "0"}, "BELLEPR_THREADS must be >= 1"
-    ),
+    "threads-0": (demo_text("bell21_rest_sweep"), ["--threads", "0"], "--threads must be >= 1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
-def test_config_error_exits_two_with_one_line(name, tmp_path, capsys, monkeypatch):
-    text, argv, env, fragment = CONFIG_ERRORS[name]
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_config_error_exits_two_with_one_line(name, tmp_path, capsys):
+    text, argv, fragment = CONFIG_ERRORS[name]
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out.csv"
     assert main(["correlate", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
@@ -488,7 +482,7 @@ class TestCorrelate:
         rows = read_rows(out)
         assert np.all(np.abs(rows[:, 3]) <= 1.0 + rows[:, 4])
 
-    def test_determinism_and_thread_independence(self, sweep_csv, monkeypatch):
+    def test_determinism_and_thread_independence(self, sweep_csv):
         _, cfg, out = sweep_csv
         with open(out, "rb") as fh:
             first = fh.read()
@@ -497,12 +491,6 @@ class TestCorrelate:
         with open(again, "rb") as fh:
             second = fh.read()
         assert first == second
-        monkeypatch.setenv("BELLEPR_THREADS", "2")
-        envrun = out + ".env"
-        assert main(["correlate", cfg, "--out", envrun]) == EXIT_OK
-        with open(envrun, "rb") as fh:
-            third = fh.read()
-        assert first == third
 
     def test_identity_joint_matches_rest(self, tmp_path):
         rest_cfg = write_config(

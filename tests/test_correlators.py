@@ -639,15 +639,14 @@ class TestTableReuse:
         build = states.amplitude_pair_tables
         bob_alice = []
 
-        def spy(amp, f1, d1, f2, d2, *, outer=True):
+        def spy(amp, f1, d1, f2, d2):
             bob_alice.append(
-                outer
-                and np.array_equal(f1, bob.freqs)
+                np.array_equal(f1, bob.freqs)
                 and np.array_equal(d1, bob.dirs)
                 and np.array_equal(f2, alice.freqs)
                 and np.array_equal(d2, alice.dirs)
             )
-            return build(amp, f1, d1, f2, d2, outer=outer)
+            return build(amp, f1, d1, f2, d2)
 
         monkeypatch.setattr(states, "amplitude_pair_tables", spy)
         monkeypatch.setattr(correlators, "amplitude_pair_tables", spy, raising=False)

@@ -138,9 +138,9 @@ def check_against_dense(scn: Scenario) -> None:
     np.testing.assert_allclose(blocks, dense_blocks, rtol=RTOL, atol=0.0)
     first_fac, cross_fac, _ = oscillator_factors(n_osc)
     diag = sum(
-        float(np.sum(np.abs(t) ** 2 * u))
+        float(np.sum(np.abs(np.diagonal(t)) ** 2 * u))
         for f, d, u, _ in arms
-        for t in amplitude_pair_tables(amp, f, d, f, d, outer=False).values()
+        for t in amplitude_pair_tables(amp, f, d, f, d).values()
     )
     den = first_fac * diag + cross_fac * dense_blocks.sum()
     assert result.denominator == pytest.approx(den, rel=RTOL, abs=0.0)
@@ -198,19 +198,18 @@ def test_factored_joint_point_at_1536_nodes_matches_dense_tables(vacuum, kind):
 def test_joint_point_builds_no_table_beyond_the_residual_sample(vacuum, kind, monkeypatch):
     scn = scenario(vacuum, kind, "joint", 3, False, spec=SPEC_1536)
     build = states.amplitude_pair_tables
-    sizes, paired = [], []
+    sizes = []
 
-    def spy(amp, f1, d1, f2, d2, *, outer=True):
-        (sizes if outer else paired).append(np.size(f1) * np.size(f2))
-        return build(amp, f1, d1, f2, d2, outer=outer)
+    def spy(amp, f1, d1, f2, d2):
+        sizes.append(np.size(f1) * np.size(f2))
+        return build(amp, f1, d1, f2, d2)
 
     monkeypatch.setattr(states, "amplitude_pair_tables", spy)
     monkeypatch.setattr(correlators, "amplitude_pair_tables", spy)
     epr_case1(scn)
-    # the only outer table is the DEFAULT_QUADRATURE sample of bell_residual_max;
+    # the only table is the DEFAULT_QUADRATURE sample of bell_residual_max;
     # the norm's same-momentum term is read off its own blocks' factors
     assert sizes == [192 * 192]
-    assert paired == []
 
 
 @pytest.mark.parametrize("kind", sorted(BELL_KINDS))

@@ -1,8 +1,14 @@
 """Package surface: ``bellepr.__all__`` lists exactly the names that
 ``bellepr/__init__.py`` imports, the configuration schema ships as package
-data, and the package version is written once."""
+data, the package version is written once, and every function the
+benchmark tracer wraps by name exists once ``bellepr.cli`` is imported."""
 
 import importlib.resources
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 import warnings
 from pathlib import Path
@@ -48,3 +54,32 @@ def test_version_is_written_once():
         config = pyprojecttoml.read_configuration(root / "pyproject.toml")
     assert "version" in config["project"]["dynamic"]
     assert config["project"]["version"] == bellepr.__version__
+
+
+def test_benchmark_tracer_names_exist_after_importing_the_cli():
+    # perfbench/tracing.py wraps its SPANS and COUNTERS by (module, function)
+    # name, read from sys.modules right after `import bellepr.cli`; a renamed,
+    # deleted or lazily imported one breaks every traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", root / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [[mod, fn] for mod, fn, _, _ in tracing.SPANS + tracing.COUNTERS]
+    assert len(names) == 18
+    child = (
+        "import json, sys\n"
+        "import bellepr.cli\n"
+        "missing = [[m, f] for m, f in json.loads(sys.argv[1])\n"
+        "           if m not in sys.modules or not callable(getattr(sys.modules[m], f, None))]\n"
+        "print(json.dumps(missing))\n"
+    )
+    src = str(Path(bellepr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(names)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

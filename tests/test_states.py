@@ -42,6 +42,12 @@ def rand_momenta(rng, n, freq_lo=0.3, freq_hi=3.0):
     return f, d
 
 
+def paired_tables(amp, f1, d1, f2, d2):
+    """Slot values at the pairs (k_i, k'_i): the diagonals of the pair tables."""
+    tables = amplitude_pair_tables(amp, f1, d1, f2, d2)
+    return {slot: np.diagonal(table) for slot, table in tables.items()}
+
+
 def rand_map(rng, rap=1.0):
     ax1 = rng.normal(size=3)
     ax1 /= np.linalg.norm(ax1)
@@ -86,12 +92,8 @@ class TestBellAmplitudeValues:
         rng = np.random.default_rng(32)
         f, d = rand_momenta(rng, 200)
         f2, d2 = rand_momenta(rng, 200)
-        t11 = amplitude_pair_tables(
-            TwoPhotonAmplitude(kind="bell11"), f, d, f2, d2, outer=False
-        )
-        t21 = amplitude_pair_tables(
-            TwoPhotonAmplitude(kind="bell21"), f, d, f2, d2, outer=False
-        )
+        t11 = paired_tables(TwoPhotonAmplitude(kind="bell11"), f, d, f2, d2)
+        t21 = paired_tables(TwoPhotonAmplitude(kind="bell21"), f, d, f2, d2)
         cosg = np.sum(d * d2, axis=1)
         assert np.max(np.abs(np.abs(t11[(1, -1)]) - (1 + cosg) / 2)) < 1e-12
         two_kk = 2 * f * f2 * (1 - cosg)
@@ -131,12 +133,8 @@ class TestBellAmplitudeValues:
         rng = np.random.default_rng(33)
         f, d = rand_momenta(rng, 50)
         f2, d2 = rand_momenta(rng, 50)
-        t11 = amplitude_pair_tables(
-            TwoPhotonAmplitude(kind="bell11"), f, d, f2, d2, outer=False
-        )
-        t21 = amplitude_pair_tables(
-            TwoPhotonAmplitude(kind="bell21"), f, d, f2, d2, outer=False
-        )
+        t11 = paired_tables(TwoPhotonAmplitude(kind="bell11"), f, d, f2, d2)
+        t21 = paired_tables(TwoPhotonAmplitude(kind="bell21"), f, d, f2, d2)
         assert np.max(np.abs(t11[(-1, 1)] - np.conj(t11[(1, -1)]))) < 1e-12
         assert np.max(np.abs(t21[(-1, -1)] - np.conj(t21[(1, 1)]))) < 1e-11
 
@@ -154,9 +152,8 @@ class TestGeneralBatchEvaluators:
             },
             envelope=lambda freqs, dirs: np.exp(-freqs) * (1.0 + dirs[:, 1]),
         )
-        outer = amplitude_pair_tables(amp, f1, d1, f2, d2, outer=True)
-        paired = amplitude_pair_tables(amp, f1, d1, f2, d2, outer=False)
-        assert set(outer) == set(paired) == {(1, 1), (1, -1)}
+        outer = amplitude_pair_tables(amp, f1, d1, f2, d2)
+        assert set(outer) == {(1, 1), (1, -1)}
         for (s, sp), table in outer.items():
             assert table.shape == (6, 6)
             for i in range(6):
@@ -164,7 +161,6 @@ class TestGeneralBatchEvaluators:
                 for j in range(6):
                     kj = bp.NullMomentum(f2[j], d2[j])
                     assert table[i, j] == amplitude_eval(amp, ki, kj, s, sp)
-            np.testing.assert_array_equal(np.diag(table), paired[(s, sp)])
 
 
 class TestSymmetry:
@@ -174,8 +170,8 @@ class TestSymmetry:
         f1, d1 = rand_momenta(rng, 1000)
         f2, d2 = rand_momenta(rng, 1000)
         amp = TwoPhotonAmplitude(kind=kind)
-        fwd = amplitude_pair_tables(amp, f1, d1, f2, d2, outer=False)
-        rev = amplitude_pair_tables(amp, f2, d2, f1, d1, outer=False)
+        fwd = paired_tables(amp, f1, d1, f2, d2)
+        rev = paired_tables(amp, f2, d2, f1, d1)
         worst = 0.0
         for (s, sp), vals in fwd.items():
             worst = max(worst, float(np.max(np.abs(vals - rev[(sp, s)]))))
@@ -439,6 +435,20 @@ class TestBellConditions:
         fit = fit_theta(TwoPhotonAmplitude(kind=kind), bp.states.BELL_KINDS[kind], region, region)
         assert fit.field.kind == "constant"
         assert 0.0 <= fit.residual_rel < 1e-3
+
+    def test_overflowing_amplitude_fits_nan_not_a_perfect_fit(self):
+        # f**400 overflows the weighted slot sums: the fitted angle is NaN,
+        # and so must be the residual; f**200 stays finite and fits normally
+        ra = DetectorRegion(Z_HAT, 0.1, 0.5, 2.0)
+        rb = DetectorRegion(X_HAT, 0.1, 0.5, 2.0)
+        spec = QuadratureSpec(n_freq=4, n_polar=2, n_azimuth=4)
+        fits = {
+            p: fit_theta(TwoPhotonAmplitude("bell21", lambda f, d, p=p: f**p), 21, ra, rb, spec)
+            for p in (200, 400)
+        }
+        assert fits[200].residual_rel == pytest.approx(0.157, abs=1e-3)
+        assert math.isnan(fits[400].field.values[0])
+        assert math.isnan(fits[400].residual_rel)
 
 
 class TestThetaWignerResidual:
