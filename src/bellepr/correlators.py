@@ -13,6 +13,9 @@ ratio ``numerator / denominator``:
   cones: a same-momentum (coincidence) term with factor 2/N over each cone
   plus all ordered cone-pair blocks with factor 2(N-1)/N.
 
+Both are sums of ``states`` (``four_term``, ``norm_sum``), over the per-arm
+nodes, weights and angles built here.
+
 Detector transforms are handled by one rule per transformed arm: mesh the
 laboratory acceptance cone, pull each node back through the map, and shift
 the arm's analyzer angle per node by minus twice the Wigner phase of the map
@@ -56,6 +59,7 @@ from .states import (
     condition_residual_rel,
     condition_residuals,
     field_values,
+    four_term,
     norm_sum,
     oscillator_factors,
     theta_wigner_residuals,
@@ -82,10 +86,6 @@ __all__ = [
 
 #: Default per-cone product rule: 6 frequency x 4 polar x 8 azimuth nodes.
 DEFAULT_QUADRATURE = QuadratureSpec(n_freq=6, n_polar=4, n_azimuth=8)
-
-#: Slot pair (plus, minus) -> how Alice's analyzer angle couples in its
-#: product conj(psi_plus) psi_minus: +1 with the sum, -1 with the difference.
-_SLOT_COUPLINGS = {cond.slots: cond.coupling for cond in BELL_CONDITIONS.values()}
 
 #: A 1e-9 cone around -z, the cut of the spinor chart.  A laboratory cone that
 #: contains it holds one fixed analyzer angle against the chart's phase, which
@@ -211,7 +211,7 @@ def swap_roles(scenario: Scenario) -> Scenario:
 
 
 # --------------------------------------------------------------------------
-# arm descriptors and the four-term core
+# arm descriptors and the two sums over them
 
 
 class _Arm(NamedTuple):
@@ -246,26 +246,6 @@ def _arm(
     return _Arm(freqs=freqs, dirs=dirs, u=u, angles=setting.angle - wig, wigner=wig)
 
 
-def _four_term(
-    tables: dict[tuple[int, int], PairTable], bob: _Arm, alice: _Arm, beta, alpha, n_osc
-) -> float:
-    """Four-term unnormalized average over the Bob-cone x Alice-cone block.
-
-    Re[e^{-2i(beta_i+alpha_j)} conj(psi_++)psi_-- +
-       e^{-2i(beta_i-alpha_j)} conj(psi_+-)psi_-+] summed with invariant
-    weights and one vacuum factor per arm, times 8(N-1)/N.  The analyzer
-    angles ``beta``/``alpha`` are per-node arrays or scalars; a slot pair
-    absent from ``tables`` contributes nothing.
-    """
-    ub = bob.u * np.exp(-2.0j * beta)
-    total = 0.0 + 0.0j
-    for (plus, minus), coupling in _SLOT_COUPLINGS.items():
-        if plus in tables and minus in tables:
-            ua = alice.u * np.exp(-2.0j * coupling * alpha)
-            total += tables[plus].conj().contract(tables[minus], ub, ua)
-    return oscillator_factors(n_osc)[2] * total.real
-
-
 def _transported_numerator(
     scn: Scenario, bob: _Arm, alice: _Arm, tables: dict[tuple[int, int], PairTable]
 ) -> float:
@@ -279,7 +259,7 @@ def _transported_numerator(
         (s, sp): vals.scaled(np.exp(-1.0j * s * bob.wigner), np.exp(-1.0j * sp * alice.wigner))
         for (s, sp), vals in tables.items()
     }
-    return _four_term(transported, bob, alice, scn.bob.angle, scn.alice.angle, scn.n_osc)
+    return four_term(transported, bob.u, alice.u, scn.bob.angle, scn.alice.angle, scn.n_osc)
 
 
 def _denominator(
@@ -322,7 +302,7 @@ def _bell_diagnostics(scn: Scenario, full: _Evaluation, value: float) -> dict[st
     # so the reduced value is the four-term sum of |psi_minus|^2 with the
     # field angles taken off the analyzer angles.
     moduli = dict.fromkeys(cond.slots, tables[cond.slots[1]])
-    spec_num = _four_term(moduli, bob, alice, bob.angles - th_b, alice.angles - th_a, scn.n_osc)
+    spec_num = four_term(moduli, bob.u, alice.u, bob.angles - th_b, alice.angles - th_a, scn.n_osc)
     spec_value = -cond.branch * spec_num / full.den
     # a max over pairs does not factor: take it on the fixed DEFAULT_QUADRATURE
     # sample of the same cones and maps, which is the full rule's own arms
@@ -393,7 +373,7 @@ def _evaluate(scn: Scenario, spec: QuadratureSpec) -> _Evaluation:
             "denominator is not a positive finite number: it underflowed or "
             "overflowed, or the state has no weight on the detector cones"
         )
-    num = _four_term(tables, bob, alice, bob.angles, alice.angles, scn.n_osc)
+    num = four_term(tables, bob.u, alice.u, bob.angles, alice.angles, scn.n_osc)
     vacuum_num = None
     if scn.transform.kind == "joint":
         vacuum_num = _transported_numerator(scn, bob, alice, tables)

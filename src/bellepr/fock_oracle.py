@@ -1,15 +1,27 @@
 """Brute-force finite-dimensional oracle for the reducible N-oscillator
 representation on a small momentum grid.
 
-Everything here is literal linear algebra: ladder, number, and center
-operators as sparse matrices on ``grid x two truncated oscillator modes``
-tensored N times, with state vectors built by applying creation operators
-to an explicit vacuum.  Each space builds its lowering operators once (see
-``ladder``); the number, center and yes/no operators stay independent
-constructions, which the checks compare with the ladders.  The module exists to validate the closed-form
-integral formulas used elsewhere, so it makes no approximations beyond the
-occupation cutoff (which is exact for the two-photon sector when the
-cutoff is at least 2).
+The brute force is literal linear algebra: sparse operators on ``grid x
+two truncated oscillator modes`` tensored N times, state vectors built by
+applying creation operators to an explicit vacuum, and expectations as
+matrix products.  It is exact up to the occupation cutoff, and a cutoff of
+at least 2 is exact for the two-photon sector.
+
+Every operator is cell-diagonal, built by ``_one_body`` as scale * (sum over
+slots of diag(coeffs) tensor a two-mode operator): the ladders (once per
+space), ``number_op`` and ``center_op`` with the projector coefficient 1/w_i
+at one cell, ``yes_no_op`` with 1 on its subset, the energy operator as
+diag(freqs) on slot 0.  Number, center and yes/no operators do not read the
+ladders, so the checks comparing them stay independent; the whole-spectrum
+count and the center resolution sum w_i times the 1/w_i operators, so they
+test that cancellation.
+
+The closed forms are the engine's sums from ``states``: ``norm_reference``
+and ``four_term_reference`` run ``modulus_sum``, ``four_term``,
+``PairTable.diagonal`` and ``oscillator_factors`` on the grid tables.  Only
+``coincident_term``, which the engine's disjoint cones never meet, is
+written here.  A detector cell subset must be nonempty, without
+duplicates and on the grid (``_cells``).
 
 Conventions
 -----------
@@ -34,6 +46,7 @@ import scipy.sparse as sp
 
 from .errors import InputError, PreconditionError
 from .spinor_tetrad import NullMomentum
+from .states import PairTable, four_term, modulus_sum, oscillator_factors
 
 __all__ = [
     "CheckResult",
@@ -173,10 +186,8 @@ class OracleSpace:
         through ``ladder``."""
         a = _lowering_matrix(self.levels)
         return {
-            (cell, mode): _symmetrized(
-                self,
-                _cell_op(self, cell, _two_mode(self, a, mode)),
-                1.0 / math.sqrt(self.n_osc),
+            (cell, mode): _one_body(
+                self, _at_cell(self, cell), _two_mode(self, a, mode), 1.0 / math.sqrt(self.n_osc)
             )
             for cell in range(self.grid.size)
             for mode in (1, 2)
@@ -210,7 +221,7 @@ def _check_mode(mode: int) -> None:
 
 
 def _check_cell(space: OracleSpace, cell: int) -> None:
-    if not (0 <= cell < space.grid.size):
+    if not (isinstance(cell, (int, np.integer)) and 0 <= cell < space.grid.size):
         raise InputError(f"cell index {cell} outside grid of size {space.grid.size}")
 
 
@@ -222,14 +233,22 @@ def _two_mode(space: OracleSpace, x: sp.spmatrix, mode: int) -> sp.csr_matrix:
     return sp.kron(x, eye, format="csr") if mode == 1 else sp.kron(eye, x, format="csr")
 
 
-def _cell_op(space: OracleSpace, cell: int, osc_pair_matrix: sp.spmatrix) -> sp.csr_matrix:
-    """(1/w_i) |e_i><e_i| tensor (two-mode operator), on one oscillator slot."""
+def _cells(space: OracleSpace, subset: Sequence[int]) -> list[int]:
+    """A detector cell subset as a list: nonempty, without duplicates, on the grid."""
+    cells = list(subset)
+    if not cells:
+        raise InputError("detector cell subset is empty")
+    if len(set(cells)) != len(cells):
+        raise InputError("detector cell subset contains duplicates")
+    for i in cells:
+        _check_cell(space, i)
+    return cells
+
+
+def _at_cell(space: OracleSpace, cell: int) -> np.ndarray:
+    """Cell coefficients of the projector |k_i><k_i| = (1/w_i) e_i e_i^T."""
     _check_cell(space, cell)
-    w = space.grid.weights[cell]
-    proj = sp.csr_matrix(
-        ([1.0 / w], ([cell], [cell])), shape=(space.grid.size, space.grid.size)
-    )
-    return sp.kron(proj, osc_pair_matrix, format="csr")
+    return np.where(np.arange(space.grid.size) == cell, 1.0 / space.grid.weights[cell], 0.0)
 
 
 def _slot_embed(space: OracleSpace, op1: sp.spmatrix, slot: int) -> sp.csr_matrix:
@@ -238,7 +257,14 @@ def _slot_embed(space: OracleSpace, op1: sp.spmatrix, slot: int) -> sp.csr_matri
     return functools.reduce(functools.partial(sp.kron, format="csr"), factors)
 
 
-def _symmetrized(space: OracleSpace, op1: sp.spmatrix, scale: float) -> sp.csr_matrix:
+def _one_body(
+    space: OracleSpace, coeffs: np.ndarray, pair: sp.spmatrix, scale: float
+) -> sp.csr_matrix:
+    """scale * sum over the N slots of diag(coeffs) tensor ``pair``, with one
+    coefficient per cell and ``pair`` a two-mode operator."""
+    nz = np.flatnonzero(coeffs)
+    diag = sp.csr_matrix((coeffs[nz], (nz, nz)), shape=(space.grid.size, space.grid.size))
+    op1 = sp.kron(diag, pair, format="csr")
     total = sum(_slot_embed(space, op1, n) for n in range(space.n_osc))
     return (scale * total).tocsr()
 
@@ -268,7 +294,7 @@ def number_op(space: OracleSpace, cell: int, mode: int) -> sp.csr_matrix:
     |k_i><k_i| tensor a_mode^dag a_mode."""
     a = _lowering_matrix(space.levels)
     n_m = (a.conjugate().transpose() @ a).tocsr()
-    return _symmetrized(space, _cell_op(space, cell, _two_mode(space, n_m, mode)), 1.0)
+    return _one_body(space, _at_cell(space, cell), _two_mode(space, n_m, mode), 1.0)
 
 
 def number_op_quadratic(space: OracleSpace, cell: int, mode: int) -> sp.csr_matrix:
@@ -291,7 +317,7 @@ def center_op(space: OracleSpace, cell: int) -> sp.csr_matrix:
     """Central element of the commutation algebra: (1/n_osc) slot sum of
     |k_i><k_i| tensor identity."""
     pair = sp.identity(space.levels * space.levels, format="csr")
-    return _symmetrized(space, _cell_op(space, cell, pair), 1.0 / space.n_osc)
+    return _one_body(space, _at_cell(space, cell), pair, 1.0 / space.n_osc)
 
 
 def circular_ladder(space: OracleSpace, cell: int, s: int) -> sp.csr_matrix:
@@ -337,17 +363,13 @@ def whole_spectrum_number(space: OracleSpace, mode: int) -> sp.csr_matrix:
 
 def hamiltonian_single_polarization(space: OracleSpace) -> sp.csr_matrix:
     """Single-mode energy operator on one oscillator slot: weighted cell sum
-    of freq * |k_i><k_i| tensor (a^dag a + 1/2); basis kets |k_i, n, .>
-    are eigenvectors with eigenvalue freq_i (n + 1/2)."""
+    of freq * |k_i><k_i| tensor (a^dag a + 1/2), i.e. diag(freqs) on slot 0;
+    basis kets |k_i, n, .> are eigenvectors with eigenvalue freq_i (n + 1/2)."""
     a = _lowering_matrix(space.levels)
     n_m = (a.conjugate().transpose() @ a).tocsr()
     half = n_m + 0.5 * sp.identity(space.levels, format="csr")
-    pair = _two_mode(space, half, 1)
-    total = sum(
-        (space.grid.weights[i] * space.grid.freqs[i]) * _cell_op(space, i, pair)
-        for i in range(space.grid.size)
-    )
-    return _slot_embed(space, total.tocsr(), 0)
+    one = sp.kron(sp.diags(space.grid.freqs), _two_mode(space, half, 1), format="csr")
+    return _slot_embed(space, one, 0)
 
 
 def yes_no_op(
@@ -363,17 +385,14 @@ def yes_no_op(
     ``construction`` selects the build route: "number" subtracts the two
     perpendicular linear-mode number operators; "circular" uses the
     equivalent circular-basis combination e^{2 i s angle} a_{-s}^dag a_s.
-    Both produce the same matrix.
+    Both produce the same matrix.  Its cell sum of w_i |k_i><k_i| is 1 on
+    the subset.
     """
-    cells = list(cells)
-    if len(set(cells)) != len(cells):
-        raise InputError("cell subset contains duplicates")
+    cells = _cells(space, cells)
     if construction not in ("number", "circular"):
         raise InputError(
             f"construction must be 'number' or 'circular', got {construction!r}"
         )
-    if not cells:
-        raise InputError("cell subset is empty")
     a = _lowering_matrix(space.levels)
     a1 = _two_mode(space, a, 1)
     a2 = _two_mode(space, a, 2)
@@ -390,10 +409,7 @@ def yes_no_op(
             np.exp(2.0j * s * angle) * (a_circ[-s].conjugate().transpose() @ a_circ[s])
             for s in (1, -1)
         ).tocsr()
-    return sum(
-        space.grid.weights[i] * _symmetrized(space, _cell_op(space, i, pair), 1.0)
-        for i in cells
-    ).tocsr()
+    return _one_body(space, np.isin(np.arange(space.grid.size), cells) * 1.0, pair, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +487,7 @@ def two_photon_vector(
 
 
 # --------------------------------------------------------------------------
-# closed-form references (literal discretizations of the integral formulas)
+# closed-form references: the engine's sums on the grid tables
 
 
 def _z_values(space: OracleSpace, z_values: Sequence[float]) -> np.ndarray:
@@ -491,17 +507,12 @@ def norm_reference(
     z_values: Sequence[float],
 ) -> float:
     """Closed-form squared norm of the pair state: (2/N) weighted diagonal
-    sum plus (2(N-1)/N) weighted double sum, over all stored slots."""
-    tables = _check_tables(space, tables)
-    z = _z_values(space, z_values)
-    w = space.grid.weights
-    n = space.n_osc
-    diag = 0.0
-    cross = 0.0
-    for tab in tables.values():
-        diag += float(np.sum(w * np.abs(np.diag(tab)) ** 2 * z))
-        cross += float((w * z) @ (np.abs(tab) ** 2) @ (w * z))
-    return (2.0 / n) * diag + (2.0 * (n - 1) / n) * cross
+    sum plus (2(N-1)/N) ``states.modulus_sum``, over all stored slots."""
+    tables = {slot: PairTable(tab) for slot, tab in _check_tables(space, tables).items()}
+    u = space.grid.weights * _z_values(space, z_values)
+    first_fac, cross_fac, _ = oscillator_factors(space.n_osc)
+    diag = sum(float(np.sum(np.abs(t.diagonal()) ** 2 * u)) for t in tables.values())
+    return first_fac * diag + cross_fac * modulus_sum(tables.values(), u, u)
 
 
 def four_term_reference(
@@ -513,30 +524,13 @@ def four_term_reference(
     beta: float,
     alpha: float,
 ) -> float:
-    """Disjoint-detector correlation numerator, discretized: 8(N-1)/N times
-    the four cos/sin 2(beta +- alpha) combinations of the slot products over
-    the two cell subsets."""
-    tables = _check_tables(space, tables)
-    z = _z_values(space, z_values)
-    w = space.grid.weights
-    ib = np.asarray(list(subset_b), dtype=int)
-    ia = np.asarray(list(subset_a), dtype=int)
-    ub = (w * z)[ib]
-    ua = (w * z)[ia]
-    t_sum = complex(
-        ub @ (np.conj(tables[(1, 1)][np.ix_(ib, ia)]) * tables[(-1, -1)][np.ix_(ib, ia)]) @ ua
-    ) if (1, 1) in tables and (-1, -1) in tables else 0.0j
-    t_diff = complex(
-        ub @ (np.conj(tables[(1, -1)][np.ix_(ib, ia)]) * tables[(-1, 1)][np.ix_(ib, ia)]) @ ua
-    ) if (1, -1) in tables and (-1, 1) in tables else 0.0j
-    fac = 8.0 * (space.n_osc - 1) / space.n_osc
-    total = (
-        math.cos(2.0 * (beta + alpha)) * t_sum.real
-        + math.sin(2.0 * (beta + alpha)) * t_sum.imag
-        + math.cos(2.0 * (beta - alpha)) * t_diff.real
-        + math.sin(2.0 * (beta - alpha)) * t_diff.imag
-    )
-    return fac * total
+    """Disjoint-detector correlation numerator, discretized: ``states.four_term``
+    (8(N-1)/N times the four e^{-2i(beta +- alpha)} slot products) over the
+    two cell subsets."""
+    ib, ia = _cells(space, subset_b), _cells(space, subset_a)
+    pairs = {s: PairTable(tab[np.ix_(ib, ia)]) for s, tab in _check_tables(space, tables).items()}
+    u = space.grid.weights * _z_values(space, z_values)
+    return four_term(pairs, u[ib], u[ia], beta, alpha, space.n_osc)
 
 
 def coincident_term(
@@ -557,7 +551,7 @@ def coincident_term(
     z = _z_values(space, z_values)
     w = space.grid.weights
     n = space.n_osc
-    shared = sorted(set(subset_b) & set(subset_a))
+    shared = sorted(set(_cells(space, subset_b)) & set(_cells(space, subset_a)))
     total = 0.0 + 0.0j
     for i in shared:
         # same-cell piece of the two-point vacuum factor in the ordinary term
@@ -591,17 +585,6 @@ def coincident_term(
 # oracle correlation
 
 
-def _subset_ok(space: OracleSpace, subset: Sequence[int]) -> list[int]:
-    cells = list(subset)
-    if not cells:
-        raise InputError("detector cell subset is empty")
-    if len(set(cells)) != len(cells):
-        raise InputError("detector cell subset contains duplicates")
-    for i in cells:
-        _check_cell(space, i)
-    return cells
-
-
 def _correlation(
     space: OracleSpace,
     vec: np.ndarray,
@@ -611,8 +594,8 @@ def _correlation(
     alpha: float,
 ) -> complex:
     """<vec| Y_beta Y_alpha |vec> for a pair vector that is already built."""
-    y_b = yes_no_op(space, _subset_ok(space, subset_b), beta)
-    y_a = yes_no_op(space, _subset_ok(space, subset_a), alpha)
+    y_b = yes_no_op(space, subset_b, beta)
+    y_a = yes_no_op(space, subset_a, alpha)
     return complex(np.vdot(vec, y_b @ (y_a @ vec)))
 
 
@@ -631,6 +614,7 @@ def epr_unnormalized(
     Real for disjoint subsets; on shared cells the two analyzer
     observables do not commute, so the ordered product picks up an
     imaginary part and the real part is the symmetrized average."""
+    subset_b, subset_a = _cells(space, subset_b), _cells(space, subset_a)
     vec = two_photon_vector(space, tables, o_values)
     return _correlation(space, vec, subset_b, subset_a, beta, alpha)
 
@@ -646,6 +630,7 @@ def epr_oracle(
 ) -> float:
     """Normalized correlation: the symmetrized (real-part) expectation
     divided by the squared norm of the pair state."""
+    subset_b, subset_a = _cells(space, subset_b), _cells(space, subset_a)
     vec = two_photon_vector(space, tables, o_values)
     nrm2 = float(np.vdot(vec, vec).real)
     if nrm2 <= 0.0:
@@ -664,17 +649,12 @@ def _opnorm(m: sp.spmatrix) -> float:
     return float(np.max(np.abs(m.data)))
 
 
-def _sym_random_tables(rng, m: int, slots) -> dict:
-    out = {}
-    for s, spp in slots:
-        a = rng.normal(size=(m, m)) + 1.0j * rng.normal(size=(m, m))
-        out[(s, spp)] = a
-    # enforce the exchange symmetry psi_ss'(k,k') = psi_s's(k',k)
-    sym = {}
-    for (s, spp), tab in out.items():
-        partner = out.get((spp, s))
-        sym[(s, spp)] = 0.5 * (tab + partner.T) if partner is not None else tab
-    return sym
+def _sym_random_tables(rng, m: int) -> dict:
+    """Random tables of all four slots with the exchange symmetry
+    psi_ss'(k, k') = psi_s's(k', k)."""
+    slots = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    raw = {slot: rng.normal(size=(m, m)) + 1.0j * rng.normal(size=(m, m)) for slot in slots}
+    return {(s, spp): 0.5 * (tab + raw[(spp, s)].T) for (s, spp), tab in raw.items()}
 
 
 def verify_suite(
@@ -751,7 +731,8 @@ def verify_suite(
     space1 = OracleSpace(grid, trunc, 1)
     a = _lowering_matrix(space1.levels)
     eye = sp.identity(space1.levels, format="csr")
-    direct = _cell_op(space1, 0, sp.kron(a, eye, format="csr"))
+    proj = sp.csr_matrix(([1.0 / w[0]], ([0], [0])), shape=(m, m))
+    direct = sp.kron(proj, sp.kron(a, eye, format="csr"), format="csr")
     checks.append(
         CheckResult(
             "single-oscillator-ladder-form",
@@ -855,7 +836,7 @@ def verify_suite(
 
     # pair-state norm against the closed form
     z_vals = np.abs(_normalized_o(space, o_vals)) ** 2
-    tables = _sym_random_tables(rng, m, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    tables = _sym_random_tables(rng, m)
     vec = two_photon_vector(space, tables, o_vals)
     nrm2 = float(np.vdot(vec, vec).real)
     ref = norm_reference(space, tables, z_vals)

@@ -29,6 +29,11 @@ factors from pair_factors (Bell kinds factor exactly), which PairTable
 contracts without building the table, and the condition, symmetry and
 covariance residuals are (n1, n2) tables; their single-pair forms read
 entry [0, 0].
+
+The weighted slot sums modulus_sum (u1 @ sum |psi|^2 @ u2) and four_term (the
+correlation numerator) are written once, for factored and dense tables; the
+correlators and the matrix oracle's closed forms both call them.
+
 Equal-helicity bell amplitudes transform exactly under
 psi(L^-1 k, L^-1 k') = e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi(k, k');
 opposite-helicity ones obey the same rule under rotations, while boosts add
@@ -47,7 +52,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -83,6 +88,8 @@ __all__ = [
     "amplitude_pair_tables",
     "PairTable",
     "pair_factors",
+    "modulus_sum",
+    "four_term",
     "symmetry_residual",
     "symmetry_residuals",
     "bell_condition_residual",
@@ -425,6 +432,36 @@ def pair_factors(
     return {cond.slots[0]: plus, cond.slots[1]: minus}
 
 
+#: Slot pair (plus, minus) -> how the second batch's analyzer angle couples in
+#: the product conj(psi_plus) psi_minus: +1 with the sum, -1 with the difference.
+_SLOT_COUPLINGS = {cond.slots: cond.coupling for cond in BELL_CONDITIONS.values()}
+
+
+def modulus_sum(tables: Iterable[PairTable], u1: np.ndarray, u2: np.ndarray) -> float:
+    """u1 @ (sum over ``tables`` of |psi|^2) @ u2, the weighted two-momentum
+    sum of the slots' squared moduli."""
+    return sum(t.conj().contract(t, u1, u2).real for t in tables)
+
+
+def four_term(
+    tables: Mapping[tuple[int, int], PairTable], u1: np.ndarray, u2: np.ndarray, beta, alpha, n_osc
+) -> float:
+    """Four-term unnormalized correlation average over the pairs of two batches,
+
+        8(N-1)/N Re sum_ij u1_i u2_j [e^{-2i(beta_i+alpha_j)} conj(psi_++) psi_--
+                                    + e^{-2i(beta_i-alpha_j)} conj(psi_+-) psi_-+],
+
+    with per-node weights u1, u2 and analyzer angles ``beta``/``alpha`` as
+    per-node arrays or scalars; a slot pair absent from ``tables`` adds 0."""
+    ub = u1 * np.exp(-2.0j * beta)
+    total = 0.0 + 0.0j
+    for (plus, minus), coupling in _SLOT_COUPLINGS.items():
+        if plus in tables and minus in tables:
+            ua = u2 * np.exp(-2.0j * coupling * alpha)
+            total += tables[plus].conj().contract(tables[minus], ub, ua)
+    return oscillator_factors(n_osc)[2] * total.real
+
+
 def amplitude_eval(
     amp: TwoPhotonAmplitude, k: NullMomentum, kp: NullMomentum, s: int, sp: int
 ) -> complex:
@@ -482,11 +519,6 @@ def condition_residuals(
     return np.abs(phase * a + cond.branch * np.conj(phase) * b)
 
 
-def _slot_scale(a: PairTable, b: PairTable, u1: np.ndarray, u2: np.ndarray) -> float:
-    """u1 @ (|a|^2 + |b|^2) @ u2."""
-    return sum(t.conj().contract(t, u1, u2).real for t in (a, b))
-
-
 def condition_residual_rel(
     condition: int,
     tables: Mapping[tuple[int, int], PairTable],
@@ -507,7 +539,7 @@ def condition_residual_rel(
     clamped at 0 and the result has an absolute floor of about 1e-8
     (sqrt of the double-precision epsilon)."""
     cond, a, b = _condition_slots(condition, tables)
-    scale = _slot_scale(a, b, u1, u2)
+    scale = modulus_sum((a, b), u1, u2)
     # e^{2i x_ij} = e^{2i theta1_i} e^{2i coupling theta2_j} folds into the weights
     cross = a.contract(
         b.conj(), u1 * np.exp(2.0j * theta1), u2 * np.exp(2.0j * cond.coupling * theta2)
@@ -630,7 +662,7 @@ def norm_sum(
     for a, (fa, da, ua) in enumerate(arms):
         for b, (fb, db, ub) in enumerate(arms):
             tabs = pair_factors(amp, fa, da, fb, db)
-            blocks[a, b] = sum(t.conj().contract(t, ua, ub).real for t in tabs.values())
+            blocks[a, b] = modulus_sum(tabs.values(), ua, ub)
             if a == b and first_fac != 0.0:
                 for t in tabs.values():
                     diag_total += float(np.sum(np.abs(t.diagonal()) ** 2 * ua))
@@ -717,7 +749,7 @@ def fit_theta(
         # a slot the amplitude lacks is a scalar 0, and with it the cross term
         if isinstance(a, PairTable) and isinstance(b, PairTable):
             cross = a.contract(b.conj(), wa, wb)
-            scale = _slot_scale(a, b, wa, wb)
+            scale = modulus_sum((a, b), wa, wb)
         else:
             cross, scale = 0.0, 0.0
         # a cross term at roundoff level has no angle (e.g. equal-helicity

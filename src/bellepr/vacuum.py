@@ -107,16 +107,11 @@ def _validate_params(family: str, params: dict[str, float]) -> None:
         )
 
 
-def normalize(
-    family: str,
-    params: dict[str, float],
-    spec: QuadratureSpec | None = None,
-) -> VacuumDensity:
+def normalize(family: str, params: dict[str, float]) -> VacuumDensity:
     """Construct a density with norm_const fixed so integral(dGamma Z) = 1.
 
     The normalization integral is evaluated with the semi-infinite radial
-    rule; ``spec`` controls node counts (its mode and radial_scale are
-    overridden by the product rule and a family-appropriate decay scale).
+    product rule of ``_NORM_SPEC`` at a family-appropriate decay scale.
     """
     _validate_params(family, params)
     no_norm = InputError(f"family {family!r} with params {params} has no finite positive norm")
@@ -124,7 +119,7 @@ def normalize(
         radial_scale = _default_radial_scale(family, params)
     except OverflowError as exc:  # the mass sits beyond the double range
         raise no_norm from exc
-    quad = dataclasses.replace(spec or _NORM_SPEC, mode="product", radial_scale=radial_scale)
+    quad = dataclasses.replace(_NORM_SPEC, radial_scale=radial_scale)
     # a profile that overflows at some node makes the total non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         nodes = invariant_node_set(full_sphere_region(), quad)

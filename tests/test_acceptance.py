@@ -124,7 +124,7 @@ def fitted_sum(fit):
 
 @pytest.fixture(scope="module")
 def z_mid():
-    return normalize("power-exponential", {"exponent": 2.0, "scale": 1.0}, spec=SPEC)
+    return normalize("power-exponential", {"exponent": 2.0, "scale": 1.0})
 
 
 @pytest.fixture(scope="module")

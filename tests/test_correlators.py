@@ -48,7 +48,7 @@ AMP12 = TwoPhotonAmplitude(kind="bell12")
 
 @pytest.fixture(scope="module")
 def z_mid():
-    return normalize("power-exponential", {"exponent": 2.0, "scale": 1.0}, spec=SPEC)
+    return normalize("power-exponential", {"exponent": 2.0, "scale": 1.0})
 
 
 @pytest.fixture(scope="module")
@@ -562,7 +562,7 @@ class TestSingleArmTransform:
         diffs, variations = [], []
         for width in (1.0, 2.0, 4.0, 8.0):
             z = normalize(
-                "log-normal-isotropic", {"scale": 0.75, "width": width}, spec=SPEC
+                "log-normal-isotropic", {"scale": 0.75, "width": width}
             )
             zv = evaluate_batch(z, probe_f, probe_d)
             variations.append(float(np.max(zv) / np.min(zv) - 1.0))
