@@ -73,7 +73,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import (
     ChartError,

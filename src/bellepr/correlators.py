@@ -262,25 +262,6 @@ def _transported_numerator(
     return four_term(transported, bob.u, alice.u, scn.bob.angle, scn.alice.angle, scn.n_osc)
 
 
-def _denominator(
-    amp: TwoPhotonAmplitude, bob: _Arm, alice: _Arm, n_osc
-) -> tuple[float, float, dict[tuple[int, int], PairTable]]:
-    """Support-restricted squared norm over the two cones.
-
-    Same-momentum term (2/N) over each cone plus all four ordered cone-pair
-    blocks (2(N-1)/N), each with every active helicity slot.  Also returns
-    the relative mismatch of the two cross-cone blocks, which the symmetry
-    of |psi|^2 Z Z' makes equal up to quadrature: the identity behind
-    folding both orderings into twice one block; and the Bob x Alice slot
-    tables of the sum, from which the numerator and diagnostics read.
-    """
-    total, blocks, tables = norm_sum(
-        amp, [(arm.freqs, arm.dirs, arm.u) for arm in (bob, alice)], n_osc
-    )
-    scale = max(abs(blocks[0, 1]), abs(blocks[1, 0]), 1e-300)
-    return total, abs(blocks[0, 1] - blocks[1, 0]) / scale, tables
-
-
 # --------------------------------------------------------------------------
 # diagnostics
 
@@ -351,8 +332,11 @@ def _route_arms(scn: Scenario, spec: QuadratureSpec) -> tuple[_Arm, _Arm]:
 
 
 class _Evaluation(NamedTuple):
-    """One evaluation of a scenario at one quadrature spec.  ``vacuum_num``
-    is the vacuum-side numerator, set for the joint case only."""
+    """One evaluation of a scenario at one quadrature spec: ``den`` and
+    ``tables`` are norm_sum's total and Bob x Alice slot tables,
+    ``swap_residual`` the relative mismatch of its two cross-cone blocks (equal
+    up to quadrature by the symmetry of |psi|^2 Z Z'), ``vacuum_num`` the
+    vacuum-side numerator, set for the joint case only."""
 
     num: float
     den: float
@@ -367,12 +351,16 @@ def _evaluate(scn: Scenario, spec: QuadratureSpec) -> _Evaluation:
     bob, alice = _route_arms(scn, spec)
     # an amplitude that overflows leaves a non-finite denominator, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        den, swap_res, tables = _denominator(scn.amplitude, bob, alice, scn.n_osc)
+        den, blocks, tables = norm_sum(
+            scn.amplitude, [(arm.freqs, arm.dirs, arm.u) for arm in (bob, alice)], scn.n_osc
+        )
     if not 0.0 < den < math.inf:
         raise PreconditionError(
             "denominator is not a positive finite number: it underflowed or "
             "overflowed, or the state has no weight on the detector cones"
         )
+    b01, b10 = blocks[0, 1], blocks[1, 0]
+    swap_res = abs(b01 - b10) / max(abs(b01), abs(b10), 1e-300)
     num = four_term(tables, bob.u, alice.u, bob.angles, alice.angles, scn.n_osc)
     vacuum_num = None
     if scn.transform.kind == "joint":

@@ -17,11 +17,11 @@ count and the center resolution sum w_i times the 1/w_i operators, so they
 test that cancellation.
 
 The closed forms are the engine's sums from ``states``: ``norm_reference``
-and ``four_term_reference`` run ``modulus_sum``, ``four_term``,
-``PairTable.diagonal`` and ``oscillator_factors`` on the grid tables.  Only
+runs ``norm_sum`` on the grid, as one arm paired with itself, and
+``four_term_reference`` runs ``four_term`` on the grid tables.  Only
 ``coincident_term``, which the engine's disjoint cones never meet, is
-written here.  A detector cell subset must be nonempty, without
-duplicates and on the grid (``_cells``).
+written here, with the engine's ``oscillator_factors``.  A detector cell
+subset must be nonempty, without duplicates and on the grid (``_cells``).
 
 Conventions
 -----------
@@ -46,7 +46,7 @@ import scipy.sparse as sp
 
 from .errors import InputError, PreconditionError
 from .spinor_tetrad import NullMomentum
-from .states import PairTable, four_term, modulus_sum, oscillator_factors
+from .states import PairTable, TwoPhotonAmplitude, four_term, norm_sum, oscillator_factors
 
 __all__ = [
     "CheckResult",
@@ -506,13 +506,13 @@ def norm_reference(
     tables: Mapping[tuple[int, int], np.ndarray],
     z_values: Sequence[float],
 ) -> float:
-    """Closed-form squared norm of the pair state: (2/N) weighted diagonal
-    sum plus (2(N-1)/N) ``states.modulus_sum``, over all stored slots."""
-    tables = {slot: PairTable(tab) for slot, tab in _check_tables(space, tables).items()}
+    """Closed-form squared norm of the pair state: ``states.norm_sum`` over the
+    grid as one arm, with the stored slot tables as a general amplitude."""
+    slots = _check_tables(space, tables).items()
+    amp = TwoPhotonAmplitude(kind="general", table={s: lambda *_, t=t: t for s, t in slots})
     u = space.grid.weights * _z_values(space, z_values)
-    first_fac, cross_fac, _ = oscillator_factors(space.n_osc)
-    diag = sum(float(np.sum(np.abs(t.diagonal()) ** 2 * u)) for t in tables.values())
-    return first_fac * diag + cross_fac * modulus_sum(tables.values(), u, u)
+    dirs = np.array([k.dir for k, _ in space.grid.cells])
+    return norm_sum(amp, [(space.grid.freqs, dirs, u)], space.n_osc)[0]
 
 
 def four_term_reference(
@@ -550,7 +550,7 @@ def coincident_term(
     tables = _check_tables(space, tables)
     z = _z_values(space, z_values)
     w = space.grid.weights
-    n = space.n_osc
+    same, cross, _ = oscillator_factors(space.n_osc)
     shared = sorted(set(_cells(space, subset_b)) & set(_cells(space, subset_a)))
     total = 0.0 + 0.0j
     for i in shared:
@@ -560,24 +560,15 @@ def coincident_term(
             if partner is None:
                 continue
             phase = np.exp(-2.0j * (s * beta + spp * alpha))
-            total += (
-                4.0
-                * w[i]
-                * phase
-                * np.conj(tab[i, i])
-                * partner[i, i]
-                * (1.0 / n)
-                * z[i]
-            )
+            total += 2.0 * same * w[i] * phase * np.conj(tab[i, i]) * partner[i, i] * z[i]
         # explicitly coincident term: inner momentum sum over the whole grid
         for (s, spp), tab in tables.items():
             phase = np.exp(-2.0j * s * (beta - alpha))
             row = tab[i, :]
             inner = np.conj(row) * row * w * (
-                (1.0 / n) * (np.arange(space.grid.size) == i) / w * z[i]
-                + ((n - 1) / n) * z * z[i]
+                same * (np.arange(space.grid.size) == i) / w * z[i] + cross * z * z[i]
             )
-            total += 4.0 * w[i] * phase * np.sum(inner)
+            total += 2.0 * w[i] * phase * np.sum(inner)
     return complex(total)
 
 

@@ -30,9 +30,10 @@ contracts without building the table, and the condition, symmetry and
 covariance residuals are (n1, n2) tables; their single-pair forms read
 entry [0, 0].
 
-The weighted slot sums modulus_sum (u1 @ sum |psi|^2 @ u2) and four_term (the
-correlation numerator) are written once, for factored and dense tables; the
-correlators and the matrix oracle's closed forms both call them.
+Every weighted slot sum is the inner product PairTable.contract,
+u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), four_term (the
+correlation numerator), a Bell condition's sums (_condition_sums) and norm_sum,
+which the correlators and the matrix oracle's closed forms both call.
 
 Equal-helicity bell amplitudes transform exactly under
 psi(L^-1 k, L^-1 k') = e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi(k, k');
@@ -132,13 +133,10 @@ BELL_CONDITIONS = {
 BELL_KINDS = {f"bell{number}": number for number in BELL_CONDITIONS}
 
 
-def _condition_slots(condition: int, tables: Mapping) -> tuple:
-    """(BELL_CONDITIONS[condition], plus-slot table, minus-slot table); a slot
-    outside the amplitude's support is 0."""
+def _condition(condition: int) -> BellCondition:
     if condition not in BELL_CONDITIONS:
         raise InputError(f"condition must be one of 11, 12, 21, 22; got {condition}")
-    cond = BELL_CONDITIONS[condition]
-    return (cond, *(tables.get(slot, 0.0) for slot in cond.slots))
+    return BELL_CONDITIONS[condition]
 
 
 # --------------------------------------------------------------------------
@@ -238,18 +236,14 @@ def theta_wigner_residuals(
     """Violation of the Wigner-shift rule theta'(k) = theta(L^-1 k) + 2 Theta(L,k)
     at a batch of momenta (frequency + unit-direction arrays).
 
-    For a plain field this measures its own failure to be invariant:
-    |wrap(theta(L^-1 k) - theta(k) + 2 Theta(L, k))|.  For a field carrying a
-    composed map it compares the field against the Wigner-shifted base field,
-    which is exactly zero when the attached map equals the queried one.
+    It compares the field against the Wigner-shifted transform of its base
+    field (the field without its map): for a plain field this measures its
+    own failure to be invariant, |wrap(theta(L^-1 k) + 2 Theta(L, k) -
+    theta(k))|, and it is exactly zero for a field whose attached map equals
+    the queried one.
     """
-    pre_f, pre_d, shift = wigner_pullback(lorentz_map, freqs, dirs)
-    if field.lorentz_map is None:
-        diff = field_values(field, pre_f, pre_d) - field_values(field, freqs, dirs) + shift
-    else:
-        base = dataclasses.replace(field, lorentz_map=None)
-        diff = field_values(base, pre_f, pre_d) + shift - field_values(field, freqs, dirs)
-    return np.abs(wrap_angle(diff))
+    shifted = with_transform_field(dataclasses.replace(field, lorentz_map=None), lorentz_map)
+    return np.abs(wrap_angle(field_values(shifted, freqs, dirs) - field_values(field, freqs, dirs)))
 
 
 def theta_wigner_residual(
@@ -349,16 +343,17 @@ class PairTable:
 
     Held as per-node factors, table = a @ b.T with ``a`` (n1, r) and ``b``
     (n2, r), or dense, ``a`` (n1, n2) with ``b`` None, for amplitudes that do
-    not factor.  Conjugates, per-node phases and weighted sums of elementwise
-    products act on the factors, so a factored table costs O((n1 + n2) r)
-    and is never built at n1 x n2.  Both operands of a product must be held
-    the same way.
+    not factor.  Conjugates, per-node phases and weighted inner products act
+    on the factors, so a factored table costs O((n1 + n2) r) and is never
+    built at n1 x n2.  Both operands of an inner product must be held the
+    same way.
     """
 
     a: np.ndarray
     b: np.ndarray | None = None
 
     def conj(self) -> PairTable:
+        """The conjugate table (a Bell kind's conjugate slot)."""
         return PairTable(np.conj(self.a), None if self.b is None else np.conj(self.b))
 
     def scaled(self, rows: np.ndarray, cols: np.ndarray) -> PairTable:
@@ -374,16 +369,17 @@ class PairTable:
         return np.sum(self.a * self.b, axis=1)
 
     def contract(self, other: PairTable, u: np.ndarray, v: np.ndarray) -> complex:
-        """u @ (table * other) @ v, the weighted sum of the elementwise product.
+        """u @ (conj(table) * other) @ v, the weighted inner product of the
+        two tables; ``self`` is the conjugated operand.
 
         The product's factors are the row-wise Kronecker products of the two
-        tables' factors, and its sum sum_r (u.a_r)(v.b_r) regroups into the
-        entrywise product of the r x r' matrices a^T diag(u) a' and
-        b^T diag(v) b', so the product is not formed either."""
+        tables' factors, and its sum regroups into the entrywise product of
+        the r x r' matrices a^H diag(u) a' and b^H diag(v) b', so neither the
+        product nor a conjugated copy of a table is formed."""
         if self.b is None:
-            return complex(u @ (self.a * other.a) @ v)
-        rows = (self.a * u[:, None]).T @ other.a
-        cols = (self.b * v[:, None]).T @ other.b
+            return complex(u @ (np.conj(self.a) * other.a) @ v)
+        rows = (np.conj(self.a) * u[:, None]).T @ other.a
+        cols = (np.conj(self.b) * v[:, None]).T @ other.b
         return complex(np.sum(rows * cols))
 
 
@@ -440,7 +436,7 @@ _SLOT_COUPLINGS = {cond.slots: cond.coupling for cond in BELL_CONDITIONS.values(
 def modulus_sum(tables: Iterable[PairTable], u1: np.ndarray, u2: np.ndarray) -> float:
     """u1 @ (sum over ``tables`` of |psi|^2) @ u2, the weighted two-momentum
     sum of the slots' squared moduli."""
-    return sum(t.conj().contract(t, u1, u2).real for t in tables)
+    return sum(t.contract(t, u1, u2).real for t in tables)
 
 
 def four_term(
@@ -458,7 +454,7 @@ def four_term(
     for (plus, minus), coupling in _SLOT_COUPLINGS.items():
         if plus in tables and minus in tables:
             ua = u2 * np.exp(-2.0j * coupling * alpha)
-            total += tables[plus].conj().contract(tables[minus], ub, ua)
+            total += tables[plus].contract(tables[minus], ub, ua)
     return oscillator_factors(n_osc)[2] * total.real
 
 
@@ -514,9 +510,29 @@ def condition_residuals(
     ``tables`` the amplitude_pair_tables of the two batches and
     ``theta1``/``theta2`` the polarization angles at them (or single angles,
     shape (1,), that hold on every row or column)."""
-    cond, a, b = _condition_slots(condition, tables)
+    cond = _condition(condition)
+    a, b = (tables.get(slot, 0.0) for slot in cond.slots)
     phase = np.exp(1j * theta1)[:, None] * np.exp(1j * cond.coupling * theta2)[None, :]
     return np.abs(phase * a + cond.branch * np.conj(phase) * b)
+
+
+def _condition_sums(condition: int, tables: Mapping, u1, u2, theta1=0.0, theta2=0.0) -> tuple:
+    """(BELL_CONDITIONS[condition], S, C) over the pair_factors ``tables``:
+
+        S = u1 @ (|psi_plus|^2 + |psi_minus|^2) @ u2,
+        C = sum_ij u1_i u2_j e^{2i x_ij} psi_plus conj(psi_minus),
+
+    x_ij = theta1_i + coupling theta2_j.  A slot the amplitude lacks adds 0
+    to S and makes C = 0."""
+    cond = _condition(condition)
+    present = [tables[slot] for slot in cond.slots if slot in tables]
+    scale = modulus_sum(present, u1, u2)
+    if len(present) < 2:
+        return cond, scale, 0j
+    plus, minus = present
+    # e^{2i x_ij} = e^{2i theta1_i} e^{2i coupling theta2_j} folds into the weights
+    phased = (u1 * np.exp(2.0j * theta1), u2 * np.exp(2.0j * cond.coupling * theta2))
+    return cond, scale, minus.contract(plus, *phased)
 
 
 def condition_residual_rel(
@@ -533,17 +549,13 @@ def condition_residual_rel(
 
         sqrt(u1 @ res^2 @ u2 / S),   S = u1 @ (|psi_plus|^2 + |psi_minus|^2) @ u2,
 
-    0 when S vanishes.  The squared residual is summed in the expanded form
+    0 when S vanishes and 1 when S does not and a slot is missing.  The
+    squared residual is summed in the expanded form
     |a + b|^2 = |a|^2 + |b|^2 + 2 Re(a conj(b)), which factors, so no pair table
     is built; the expansion cancels where the residual is small, so the sum is
     clamped at 0 and the result has an absolute floor of about 1e-8
     (sqrt of the double-precision epsilon)."""
-    cond, a, b = _condition_slots(condition, tables)
-    scale = modulus_sum((a, b), u1, u2)
-    # e^{2i x_ij} = e^{2i theta1_i} e^{2i coupling theta2_j} folds into the weights
-    cross = a.contract(
-        b.conj(), u1 * np.exp(2.0j * theta1), u2 * np.exp(2.0j * cond.coupling * theta2)
-    )
+    cond, scale, cross = _condition_sums(condition, tables, u1, u2, theta1, theta2)
     squared = scale + 2.0 * cond.branch * cross.real
     return math.sqrt(max(squared, 0.0) / scale) if scale > 0.0 else 0.0
 
@@ -745,13 +757,7 @@ def fit_theta(
     # an amplitude that overflows fits NaN; the correlators refuse its denominator
     with np.errstate(over="ignore", invalid="ignore"):
         tables = pair_factors(amp, na.freqs, na.dirs, nb.freqs, nb.dirs)
-        cond, a, b = _condition_slots(condition, tables)
-        # a slot the amplitude lacks is a scalar 0, and with it the cross term
-        if isinstance(a, PairTable) and isinstance(b, PairTable):
-            cross = a.contract(b.conj(), wa, wb)
-            scale = modulus_sum((a, b), wa, wb)
-        else:
-            cross, scale = 0.0, 0.0
+        cond, scale, cross = _condition_sums(condition, tables, wa, wb)
         # a cross term at roundoff level has no angle (e.g. equal-helicity
         # slots on two identical cones); NaN passes to the correlators
         if abs(cross) <= _FIT_ROUNDOFF * 0.5 * scale:

@@ -294,6 +294,46 @@ def test_fit_on_a_condition_the_amplitude_lacks_is_degenerate(kind):
         fit_theta(TwoPhotonAmplitude(kind=kind), other, BOB, ALICE, spec=SPEC)
 
 
+def test_condition_sums_on_slots_the_amplitude_lacks():
+    # a missing slot adds 0 to the slot sum S and makes the cross term 0
+    nb, na = invariant_node_set(BOB, SPEC), invariant_node_set(ALICE, SPEC)
+    th_b, th_a = np.full(len(nb), 0.3), np.full(len(na), -0.2)
+
+    def residual(amp):
+        tables = states.pair_factors(amp, nb.freqs, nb.dirs, na.freqs, na.dirs)
+        return condition_residual_rel(21, tables, th_b, th_a, nb.weights, na.weights)
+
+    # bell11 has neither equal-helicity slot: S = 0
+    assert residual(TwoPhotonAmplitude(kind="bell11")) == 0.0
+    one_slot = TwoPhotonAmplitude(
+        kind="general", table={(1, 1): lambda f1, d1, f2, d2: (1.0 + 0.5j) * f1 * f2}
+    )
+    assert residual(one_slot) == 1.0
+    with pytest.raises(bp.InputError, match="degenerate"):
+        fit_theta(one_slot, 21, BOB, ALICE, spec=SPEC)
+
+
+@pytest.mark.parametrize("held", ["factored", "dense"])
+def test_contract_is_the_weighted_inner_product(held):
+    rng = np.random.default_rng(17)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    n1, n2 = 7, 5
+    if held == "factored":
+        # ranks 3 and 4, as a Bell kind's r x r' products meet them
+        t1 = states.PairTable(cplx(n1, 3), cplx(n2, 3))
+        t2 = states.PairTable(cplx(n1, 4), cplx(n2, 4))
+        dense1, dense2 = t1.a @ t1.b.T, t2.a @ t2.b.T
+    else:
+        t1, t2 = states.PairTable(cplx(n1, n2)), states.PairTable(cplx(n1, n2))
+        dense1, dense2 = t1.a, t2.a
+    u, v = cplx(n1), cplx(n2)
+    expected = u @ (np.conj(dense1) * dense2) @ v
+    assert abs(t1.contract(t2, u, v) - expected) <= RTOL * abs(expected)
+
+
 @pytest.mark.parametrize("envelope", [False, True], ids=["plain", "envelope"])
 @pytest.mark.parametrize("kind", sorted(BELL_KINDS))
 def test_pair_factors_on_a_batch_whose_directions_sum_to_zero(kind, envelope):

@@ -1,13 +1,18 @@
-"""The four demo sweeps against their recorded CSVs in tests/golden/.
+"""The four demo sweeps and their diagnose reports against the recorded files
+in tests/golden/.
 
 A change that is meant to leave the numbers alone must reproduce these
-files: the header lines byte for byte (except the version line), the
-sweep values exactly, numerator, denominator, epr_value and
+files.  For the CSVs: the header lines byte for byte (except the version
+line), the sweep values exactly, numerator, denominator, epr_value and
 bell_residual_max to 1e-12 relative, and err_estimate to its own roundoff
 floor 64 eps (1 + |E|) absolute (it is a difference of two sums of order
-1e-9, so a relative bound fails on the last bits of those sums).  The
-tolerances keep the check stable across BLAS builds.  A deliberate change
-to the numbers records new files here and says so in CHANGES.md.
+1e-9, so a relative bound fails on the last bits of those sums).  For the
+diagnose reports: every line except the version line as printed, except
+the roundoff-level values, which only have to stay at roundoff level: a
+CHECK residual at or below its threshold, an INFO value of at most 1e-12
+at or below 1e-12.  The tolerances keep the check stable across BLAS
+builds.  A deliberate change to the numbers records new files here and
+says so in CHANGES.md.
 """
 
 from pathlib import Path
@@ -57,3 +62,35 @@ def test_demo_csv_matches_golden(demo, tmp_path):
     i = names.index("err_estimate")
     gap = np.abs(column(rows, i) - column(gold_rows, i))
     assert np.all(gap <= ERR_FLOOR * (1.0 + np.abs(value))), gap
+
+
+#: An INFO value at or below this is roundoff and compared as such.
+INFO_ROUNDOFF = 1e-12
+
+
+def report_fields(line: str) -> list[str]:
+    """A diagnose line as its whitespace-separated fields (CHECK: kind, name,
+    status, residual, "(<=", threshold; INFO: kind, name, value)."""
+    return line.replace(")", "").split()
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_diagnose_matches_golden(demo, tmp_path):
+    out = tmp_path / f"{demo}.diagnose.txt"
+    assert main(["diagnose", str(ROOT / "demos" / f"{demo}.yaml"), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text(encoding="utf-8").splitlines()
+    golden = ROOT / "tests" / "golden" / f"{demo}.diagnose.txt"
+    gold_lines = golden.read_text(encoding="utf-8").splitlines()
+
+    assert lines[0].startswith("# bellepr diagnose ")
+    assert len(lines) == len(gold_lines)
+    for line, gold in zip(lines[1:], gold_lines[1:]):
+        fields, gold_fields = report_fields(line), report_fields(gold)
+        if gold_fields[0] == "CHECK":
+            # the residual is roundoff; PASS keeps it at or below the threshold
+            assert fields[:3] + fields[5:] == gold_fields[:3] + gold_fields[5:], line
+        elif gold_fields[0] == "INFO" and float(gold_fields[2]) <= INFO_ROUNDOFF:
+            assert fields[:2] == gold_fields[:2], line
+            assert float(fields[2]) <= INFO_ROUNDOFF, line
+        else:
+            assert line == gold

@@ -1,11 +1,13 @@
 """The matrix oracle against the engine: the factored Bell tables of
 ``states.pair_factors`` summed by ``states.modulus_sum`` and
 ``states.four_term`` reproduce the brute-force pair vector; the oracle's
-cell-subset rule; and the verification suite's pinned check list."""
+cell-subset rule; the verification suite's pinned check list; and a fault
+in the engine's norm sum failing the suite's norm check."""
 
 import numpy as np
 import pytest
 
+from bellepr import states
 from bellepr.errors import InputError
 from bellepr.fock_oracle import (
     DiscreteGrid,
@@ -146,3 +148,19 @@ def test_fault_scale_fails_only_the_ladder_pair_check():
     assert [check.name for check in suite if not check.passed] == [
         "ladder-pair-commutator-central"
     ]
+
+
+@pytest.mark.parametrize("n_osc", [1, 2, 3])
+def test_a_fault_in_the_engine_norm_fails_only_the_norm_check(n_osc, monkeypatch):
+    # the closed-form norm is states.norm_sum, so a wrong same-momentum
+    # factor there reaches the pair-norm check
+    true_factors = states.oscillator_factors
+
+    def doubled_same(n):
+        same, cross, numerator = true_factors(n)
+        return 2.0 * same, cross, numerator
+
+    monkeypatch.setattr(states, "oscillator_factors", doubled_same)
+    suite = verify_suite(mk_grid3(), n_osc=n_osc)
+    assert [check.name for check in suite] == SUITE_CHECKS
+    assert [check.name for check in suite if not check.passed] == ["pair-norm-closed-form"]
