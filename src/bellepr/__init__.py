@@ -29,7 +29,6 @@ from .measure import (
 
 from .vacuum import (
     VacuumDensity,
-    evaluate,
     evaluate_batch,
     normalize,
     with_transform,
@@ -39,17 +38,11 @@ from .states import (
     FitResult,
     PolarizationAngleField,
     TwoPhotonAmplitude,
-    amplitude_eval,
     amplitude_pair_tables,
     azimuthal_field,
-    bell_amplitude,
-    bell_condition_residual,
     constant_field,
-    covariance_residual,
-    field_value,
     field_values,
     fit_theta,
-    symmetry_residual,
     tabulated_field,
     theta_wigner_residual,
     two_photon_norm,
@@ -73,7 +66,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     ChartError,
@@ -85,9 +78,6 @@ from .spinor_tetrad import (
     LorentzMap,
     NullMomentum,
     NullTetrad,
-    SpinFrame,
-    Spinor,
-    apply,
     boost,
     compose,
     identity_map,
@@ -95,8 +85,6 @@ from .spinor_tetrad import (
     minkowski_dot,
     null_tetrad,
     rotation,
-    spin_frame,
-    standard_spinor,
     tetrad_covariance_residual,
     tetrad_gauge_defect,
     wigner_phase,
@@ -116,7 +104,6 @@ __all__ = [
     "regions_disjoint",
     # vacuum
     "VacuumDensity",
-    "evaluate",
     "evaluate_batch",
     "normalize",
     "with_transform",
@@ -124,17 +111,11 @@ __all__ = [
     "FitResult",
     "PolarizationAngleField",
     "TwoPhotonAmplitude",
-    "amplitude_eval",
     "amplitude_pair_tables",
     "azimuthal_field",
-    "bell_amplitude",
-    "bell_condition_residual",
     "constant_field",
-    "covariance_residual",
-    "field_value",
     "field_values",
     "fit_theta",
-    "symmetry_residual",
     "tabulated_field",
     "theta_wigner_residual",
     "two_photon_norm",
@@ -163,9 +144,6 @@ __all__ = [
     "LorentzMap",
     "NullMomentum",
     "NullTetrad",
-    "SpinFrame",
-    "Spinor",
-    "apply",
     "boost",
     "compose",
     "identity_map",
@@ -173,8 +151,6 @@ __all__ = [
     "minkowski_dot",
     "null_tetrad",
     "rotation",
-    "spin_frame",
-    "standard_spinor",
     "tetrad_covariance_residual",
     "tetrad_gauge_defect",
     "wigner_phase",

@@ -34,8 +34,6 @@ from .errors import ChartError, ConsistencyError, InputError
 __all__ = [
     "NullMomentum",
     "LorentzMap",
-    "Spinor",
-    "SpinFrame",
     "NullTetrad",
     "minkowski_dot",
     "identity_map",
@@ -43,10 +41,7 @@ __all__ = [
     "rotation",
     "compose",
     "inverse",
-    "apply",
     "map_momenta",
-    "standard_spinor",
-    "spin_frame",
     "null_tetrad",
     "wigner_phase",
     "batch_spinors",
@@ -154,7 +149,10 @@ def boost(rapidity: float, axis) -> LorentzMap:
     if not math.isfinite(eta):
         raise InputError(f"rapidity must be finite, got {rapidity!r}")
     n = _unit3(axis)
-    ch, sh = math.cosh(eta), math.sinh(eta)
+    try:
+        ch, sh = math.cosh(eta), math.sinh(eta)
+    except OverflowError as exc:
+        raise InputError(f"rapidity {eta!r} puts cosh and sinh beyond double range") from exc
     mat = np.eye(4)
     mat[0, 0] = ch
     mat[0, 1:] = sh * n
@@ -211,32 +209,6 @@ def map_momenta(
     img = four @ a.matrix.T
     img_freqs = np.linalg.norm(img[..., 1:], axis=-1)
     return img_freqs, img[..., 1:] / img_freqs[..., None]
-
-
-def apply(a: LorentzMap, k: NullMomentum) -> NullMomentum:
-    """Image momentum L k (single-momentum form of map_momenta)."""
-    freqs, dirs = map_momenta(a, *k.as_batch)
-    return NullMomentum(float(freqs[0]), dirs[0])
-
-
-@dataclass(frozen=True)
-class Spinor:
-    """Two-component complex spinor."""
-
-    c0: complex
-    c1: complex
-
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class SpinFrame:
-    """Spinor pair (pi, omic) with unit symplectic pairing."""
-
-    pi: Spinor
-    omic: Spinor
 
 
 @dataclass(frozen=True)
@@ -297,20 +269,6 @@ def batch_spin_frames(
     o0 = -(dx - 1.0j * dy) / (2.0 * np.sqrt(freqs * opz))
     o1 = (np.sqrt(opz / freqs) / 2.0).astype(np.complex128)
     return p0, p1, o0, o1
-
-
-def standard_spinor(k: NullMomentum) -> Spinor:
-    """Flagpole spinor of k in the half-angle chart: pi pi^dag = K(k) exactly."""
-    p0, p1 = batch_spinors(*k.as_batch)
-    return Spinor(complex(p0[0]), complex(p1[0]))
-
-
-def spin_frame(k: NullMomentum) -> SpinFrame:
-    """Spin-frame (pi, omic) at k with pairing pi0*omic1 - pi1*omic0 = 1."""
-    p0, p1, o0, o1 = batch_spin_frames(*k.as_batch)
-    return SpinFrame(
-        Spinor(complex(p0[0]), complex(p1[0])), Spinor(complex(o0[0]), complex(o1[0]))
-    )
 
 
 def _vector_of_matrix(m00, m01, m10, m11, c) -> np.ndarray:

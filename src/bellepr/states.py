@@ -27,8 +27,7 @@ Every function of two momentum batches works on their (n1, n2) pair grid: a
 slot is a pair table, dense from amplitude_pair_tables or as per-node
 factors from pair_factors (Bell kinds factor exactly), which PairTable
 contracts without building the table, and the condition, symmetry and
-covariance residuals are (n1, n2) tables; their single-pair forms read
-entry [0, 0].
+covariance residuals are (n1, n2) tables.  One pair is a 1 x 1 grid.
 
 Every weighted slot sum is the inner product PairTable.contract,
 u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), four_term (the
@@ -82,23 +81,17 @@ __all__ = [
     "azimuthal_field",
     "tabulated_field",
     "with_transform_field",
-    "field_value",
     "field_values",
-    "bell_amplitude",
-    "amplitude_eval",
     "amplitude_pair_tables",
     "PairTable",
     "pair_factors",
     "modulus_sum",
     "four_term",
-    "symmetry_residual",
     "symmetry_residuals",
-    "bell_condition_residual",
     "condition_residuals",
     "condition_residual_rel",
     "theta_wigner_residual",
     "theta_wigner_residuals",
-    "covariance_residual",
     "covariance_residuals",
     "oscillator_factors",
     "norm_sum",
@@ -224,10 +217,6 @@ def field_values(
     # tabulated: value of the nearest axis
     idx = np.argmax(dirs @ field.axes.T, axis=1)
     return field.values[idx]
-
-
-def field_value(field: PolarizationAngleField, k: NullMomentum) -> float:
-    return float(field_values(field, *k.as_batch)[0])
 
 
 def theta_wigner_residuals(
@@ -458,28 +447,6 @@ def four_term(
     return oscillator_factors(n_osc)[2] * total.real
 
 
-def amplitude_eval(
-    amp: TwoPhotonAmplitude, k: NullMomentum, kp: NullMomentum, s: int, sp: int
-) -> complex:
-    """psi_ss'(k, k') for a single pair; slots outside the kind's support are 0."""
-    tables = amplitude_pair_tables(amp, *k.as_batch, *kp.as_batch)
-    if (s, sp) not in tables:
-        return 0.0 + 0.0j
-    return complex(tables[(s, sp)][0, 0])
-
-
-def bell_amplitude(
-    kind: str,
-    k: NullMomentum,
-    kp: NullMomentum,
-    s: int,
-    sp: int,
-    envelope: Callable | None = None,
-) -> complex:
-    """Tetrad Bell amplitude psi_ss'(k, k') times the envelope."""
-    return amplitude_eval(TwoPhotonAmplitude(kind=kind, envelope=envelope), k, kp, s, sp)
-
-
 def symmetry_residuals(
     amp: TwoPhotonAmplitude, f1: np.ndarray, d1: np.ndarray, f2: np.ndarray, d2: np.ndarray
 ) -> np.ndarray:
@@ -492,11 +459,6 @@ def symmetry_residuals(
         back = np.transpose(bwd.get((sp, s), 0.0))  # the backward grid is (n2, n1)
         worst = np.maximum(worst, np.abs(fwd.get((s, sp), 0.0) - back))
     return worst
-
-
-def symmetry_residual(amp: TwoPhotonAmplitude, k: NullMomentum, kp: NullMomentum) -> float:
-    """Single-pair form of symmetry_residuals."""
-    return float(symmetry_residuals(amp, *k.as_batch, *kp.as_batch)[0, 0])
 
 
 def condition_residuals(
@@ -560,27 +522,6 @@ def condition_residual_rel(
     return math.sqrt(max(squared, 0.0) / scale) if scale > 0.0 else 0.0
 
 
-def bell_condition_residual(
-    condition: int,
-    amp: TwoPhotonAmplitude,
-    theta: PolarizationAngleField,
-    k: NullMomentum,
-    kp: NullMomentum,
-) -> float:
-    """Modulus of the maximal-correlation condition defect at one pair
-    (a 1 x 1 condition_residuals table):
-
-    11: |e^{+i(t-t')} psi_+- + e^{-i(t-t')} psi_-+|
-    12: |e^{+i(t-t')} psi_+- - e^{-i(t-t')} psi_-+|
-    21: |e^{+i(t+t')} psi_++ + e^{-i(t+t')} psi_--|
-    22: |e^{+i(t+t')} psi_++ - e^{-i(t+t')} psi_--|
-    with t = theta(k), t' = theta(k').
-    """
-    tables = amplitude_pair_tables(amp, *k.as_batch, *kp.as_batch)
-    thetas = (field_values(theta, *q.as_batch) for q in (k, kp))
-    return float(condition_residuals(condition, tables, *thetas)[0, 0])
-
-
 def covariance_residuals(
     amp: TwoPhotonAmplitude,
     lorentz_map: LorentzMap,
@@ -602,13 +543,6 @@ def covariance_residuals(
         phase = np.exp(1.0j * s * two_th1)[:, None] * np.exp(1.0j * sp * two_th2)[None, :]
         worst = np.maximum(worst, np.abs(lhs[(s, sp)] - phase * vals))
     return worst
-
-
-def covariance_residual(
-    amp: TwoPhotonAmplitude, lorentz_map: LorentzMap, k: NullMomentum, kp: NullMomentum
-) -> float:
-    """Single-pair form of covariance_residuals."""
-    return float(covariance_residuals(amp, lorentz_map, *k.as_batch, *kp.as_batch)[0, 0])
 
 
 # --------------------------------------------------------------------------

@@ -30,12 +30,11 @@ import numpy as np
 
 from .errors import InputError
 from .measure import QuadratureSpec, full_sphere_region, invariant_node_set
-from .spinor_tetrad import LorentzMap, NullMomentum, compose, inverse, map_momenta
+from .spinor_tetrad import LorentzMap, compose, inverse, map_momenta
 
 __all__ = [
     "VacuumDensity",
     "normalize",
-    "evaluate",
     "evaluate_batch",
     "with_transform",
 ]
@@ -144,12 +143,6 @@ def evaluate_batch(z: VacuumDensity, freqs: np.ndarray, dirs: np.ndarray) -> np.
         freqs, _ = map_momenta(inverse(z.lorentz_map), freqs, dirs)
     params = dict(z.params)
     return z.norm_const * _radial_profile(z.family, params, freqs)
-
-
-def evaluate(z: VacuumDensity, k: NullMomentum) -> float:
-    """Z at a single momentum (Z(Lambda^-1 k) when a map is attached)."""
-    val = evaluate_batch(z, *k.as_batch)
-    return float(val[0])
 
 
 def with_transform(z: VacuumDensity, lorentz_map: LorentzMap) -> VacuumDensity:

@@ -38,6 +38,7 @@ from bellepr.fock_oracle import (
     verify_suite,
 )
 from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
+from bellepr.spinor_tetrad import wigner_pullback
 from bellepr.states import TwoPhotonAmplitude, amplitude_pair_tables, fit_theta
 from bellepr.vacuum import evaluate_batch, normalize
 
@@ -280,9 +281,8 @@ def test_criterion_04_tetrad_and_wigner_geometry():
         k = rand_momentum(rng)
         try:
             lhs = bp.wigner_phase(bp.compose(a, b), k)
-            rhs = bp.wigner_phase(a, k) + bp.wigner_phase(
-                b, bp.apply(bp.inverse(a), k)
-            )
+            pre_f, pre_d, phase_a = wigner_pullback(a, *k.as_batch)
+            rhs = phase_a[0] + wigner_pullback(b, pre_f, pre_d)[2][0]
             base = bp.wigner_phase(a, k)
             for lam in (0.5, 3.0):
                 shifted = bp.wigner_phase(a, bp.NullMomentum(lam * k.freq, k.dir))

@@ -1,12 +1,16 @@
-"""Batch forms against their single-momentum wrappers.
+"""Batch forms against their values at one momentum or one pair.
 
 The pull-back pair, the Bell-condition residual, the theta-transport
 residual, the covariance residual and the symmetry residual are each
-computed once, over momentum batches; the scalar functions wrap them.  The
-two-batch residuals are tables over the 50 x 50 pair grid of two random
-momentum batches.  With 5 random boost-after-rotation maps, for the four
-Bell kinds and one momentum-dependent general amplitude, both forms agree per
-momentum or pair within 1e-13 * max(1, |value|).
+computed once, over momentum batches.  The two-batch residuals are tables
+over the 50 x 50 pair grid of two random momentum batches; each sampled
+entry equals the 1 x 1 table of its own pair, so the grid's orientation is
+fixed and no entry depends on the other momenta in its batch.  The
+single-momentum forms that remain (wigner_phase, theta_wigner_residual) are
+compared with their batch forms the same way.  With 5 random
+boost-after-rotation maps, for the four Bell kinds and one
+momentum-dependent general amplitude, both agree per momentum or pair within
+1e-13 * max(1, |value|).
 """
 
 import math
@@ -18,10 +22,10 @@ from bellepr.correlators import DetectorSetting, Scenario, _theta_shift_diag, jo
 from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from bellepr.spinor_tetrad import (
     NullMomentum,
-    apply,
     boost,
     compose,
     inverse,
+    map_momenta,
     rotation,
     wigner_phase,
     wigner_pullback,
@@ -32,13 +36,10 @@ from bellepr.states import (
     TwoPhotonAmplitude,
     amplitude_pair_tables,
     azimuthal_field,
-    bell_condition_residual,
     condition_residuals,
     constant_field,
-    covariance_residual,
     covariance_residuals,
     field_values,
-    symmetry_residual,
     symmetry_residuals,
     tabulated_field,
     theta_wigner_residual,
@@ -111,14 +112,19 @@ def grid_pairs():
         yield from ((i, i), (i, (7 * i + 3) % N_PAIRS))
 
 
+def one_pair(i, j):
+    """The pair (k_i, k'_j) as two batches of one: (f1, d1, f2, d2)."""
+    return F1[i : i + 1], D1[i : i + 1], F2[j : j + 1], D2[j : j + 1]
+
+
 def test_pullback_pair_matches_scalar_forms():
     for lam in MAPS:
         pre_f, pre_d, two_theta = wigner_pullback(lam, F1, D1)
         for i, k in enumerate(K1):
-            kpre = apply(inverse(lam), k)
-            assert_close(pre_f[i], kpre.freq)
+            img_f, img_d = map_momenta(inverse(lam), *k.as_batch)
+            assert_close(pre_f[i], img_f[0])
             for c in range(3):
-                assert_close(pre_d[i, c], kpre.dir[c])
+                assert_close(pre_d[i, c], img_d[0, c])
             assert_close(float(wrap_angle(two_theta[i] - wigner_phase(lam, k))), 0.0)
 
 
@@ -131,8 +137,12 @@ def test_condition_residual_table_matches_scalar_form(amp):
         res = condition_residuals(condition, tables, th1, th2)
         assert res.shape == (N_PAIRS, N_PAIRS)
         for i, j in grid_pairs():
-            scalar = bell_condition_residual(condition, amp, field, K1[i], K2[j])
-            assert_close(res[i, j], scalar)
+            f1, d1, f2, d2 = one_pair(i, j)
+            pair_tables = amplitude_pair_tables(amp, f1, d1, f2, d2)
+            single = condition_residuals(
+                condition, pair_tables, field_values(field, f1, d1), field_values(field, f2, d2)
+            )
+            assert_close(res[i, j], single[0, 0])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["constant", "azimuthal", "tabulated", "mapped"])
@@ -150,7 +160,7 @@ def test_covariance_residuals_match_scalar_form(amp):
         res = covariance_residuals(amp, lam, F1, D1, F2, D2)
         assert res.shape == (N_PAIRS, N_PAIRS)
         for i, j in grid_pairs():
-            assert_close(res[i, j], covariance_residual(amp, lam, K1[i], K2[j]))
+            assert_close(res[i, j], covariance_residuals(amp, lam, *one_pair(i, j))[0, 0])
 
 
 @pytest.mark.parametrize("amp", AMPLITUDES, ids=AMP_IDS)
@@ -158,7 +168,7 @@ def test_symmetry_residuals_match_scalar_form(amp):
     res = symmetry_residuals(amp, F1, D1, F2, D2)
     assert res.shape == (N_PAIRS, N_PAIRS)
     for i, j in grid_pairs():
-        assert_close(res[i, j], symmetry_residual(amp, K1[i], K2[j]))
+        assert_close(res[i, j], symmetry_residuals(amp, *one_pair(i, j))[0, 0])
     if amp is GENERAL:
         assert res.max() > 0.1  # the asymmetry is seen, not only roundoff
 

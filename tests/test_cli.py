@@ -134,6 +134,25 @@ class TestConfigValidation:
         )
         assert main(["correlate", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["correlate", "diagnose"])
+    def test_overflowing_rapidity_is_a_config_error(self, command, tmp_path, capsys):
+        # cosh(1000) is beyond double range
+        transform = "case: joint\n    map: {kind: boost, rapidity: 1000, axis: [0.0, 1.0, 0.0]}"
+        text = BASE_SCENARIO.format(beta="0.0", transform=transform) + SWEEP_BETA
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out.txt"
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, "config error:")
+        assert not out.exists()
+
+    def test_rapidity_sweep_beyond_double_range_is_a_config_error(self, tmp_path, capsys):
+        text = demo_text("case1_joint_boost").replace("stop: 1.0", "stop: 800")
+        assert "stop: 800" in text
+        out = tmp_path / "sweep.csv"
+        assert main(["correlate", write_config(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, "config error:")
+        assert not out.exists()
+
     def test_overlapping_cones_precondition(self, tmp_path, capsys):
         text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
             "axis: [1.0, 0.0, 0.0]", "axis: [0.0, 0.0, 1.0]"

@@ -9,18 +9,15 @@ import bellepr as bp
 from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from bellepr.states import (
     TwoPhotonAmplitude,
-    amplitude_eval,
     amplitude_pair_tables,
     azimuthal_field,
-    bell_amplitude,
-    bell_condition_residual,
+    condition_residuals,
     constant_field,
-    covariance_residual,
-    field_value,
+    covariance_residuals,
     field_values,
     fit_theta,
     oscillator_factors,
-    symmetry_residual,
+    symmetry_residuals,
     tabulated_field,
     theta_wigner_residual,
     two_photon_norm,
@@ -63,30 +60,23 @@ class TestBellAmplitudeValues:
     def test_opposite_helicity_diagonal_is_minus_one(self):
         rng = np.random.default_rng(31)
         f, d = rand_momenta(rng, 20)
-        for i in range(20):
-            k = bp.NullMomentum(f[i], d[i])
-            assert bell_amplitude("bell11", k, k, 1, -1) == pytest.approx(
-                -1.0, abs=1e-12
-            )
-            assert bell_amplitude("bell11", k, k, -1, 1) == pytest.approx(
-                -1.0, abs=1e-12
-            )
+        diag = paired_tables(TwoPhotonAmplitude(kind="bell11"), f, d, f, d)
+        assert diag[(1, -1)] == pytest.approx(-1.0, abs=1e-12)
+        assert diag[(-1, 1)] == pytest.approx(-1.0, abs=1e-12)
 
     def test_equal_helicity_diagonal_vanishes(self):
         k = bp.NullMomentum(1.4, np.array([0.6, 0.0, 0.8]))
-        assert bell_amplitude("bell21", k, k, 1, 1) == 0.0
-        assert bell_amplitude("bell21", k, k, -1, -1) == 0.0
+        tables = amplitude_pair_tables(TwoPhotonAmplitude(kind="bell21"), *k.as_batch, *k.as_batch)
+        assert tables[(1, 1)][0, 0] == 0.0
+        assert tables[(-1, -1)][0, 0] == 0.0
 
     def test_frozen_z_x_values(self):
         # hand-derived from the chart closed forms at omega = omega' = 1
-        kz = bp.NullMomentum(1.0, Z_HAT)
-        kx = bp.NullMomentum(1.0, X_HAT)
-        assert bell_amplitude("bell11", kz, kx, 1, -1) == pytest.approx(
-            -0.5, abs=1e-14
-        )
-        assert bell_amplitude("bell21", kz, kx, 1, 1) == pytest.approx(
-            2.0, abs=1e-13
-        )
+        zx = (*bp.NullMomentum(1.0, Z_HAT).as_batch, *bp.NullMomentum(1.0, X_HAT).as_batch)
+        t11 = amplitude_pair_tables(TwoPhotonAmplitude(kind="bell11"), *zx)
+        t21 = amplitude_pair_tables(TwoPhotonAmplitude(kind="bell21"), *zx)
+        assert t11[(1, -1)][0, 0] == pytest.approx(-0.5, abs=1e-14)
+        assert t21[(1, 1)][0, 0] == pytest.approx(2.0, abs=1e-13)
 
     def test_magnitude_laws(self):
         rng = np.random.default_rng(32)
@@ -100,34 +90,42 @@ class TestBellAmplitudeValues:
         assert np.max(np.abs(np.abs(t21[(1, 1)]) - two_kk)) < 1e-11
 
     def test_inactive_slots_exactly_zero(self):
-        k = bp.NullMomentum(1.0, Z_HAT)
-        kp = bp.NullMomentum(1.0, X_HAT)
-        assert bell_amplitude("bell11", k, kp, 1, 1) == 0.0
-        assert bell_amplitude("bell11", k, kp, -1, -1) == 0.0
-        assert bell_amplitude("bell21", k, kp, 1, -1) == 0.0
-        assert bell_amplitude("bell21", k, kp, -1, 1) == 0.0
+        # a slot outside the kind's support is absent from the tables, which
+        # every consumer reads as an exact zero
+        zx = (*bp.NullMomentum(1.0, Z_HAT).as_batch, *bp.NullMomentum(1.0, X_HAT).as_batch)
+        assert set(amplitude_pair_tables(TwoPhotonAmplitude(kind="bell11"), *zx)) == {
+            (1, -1),
+            (-1, 1),
+        }
+        assert set(amplitude_pair_tables(TwoPhotonAmplitude(kind="bell21"), *zx)) == {
+            (1, 1),
+            (-1, -1),
+        }
 
     def test_envelope_multiplies_product_form(self):
         env = lambda freqs, dirs: freqs**2
-        k = bp.NullMomentum(1.3, Z_HAT)
-        kp = bp.NullMomentum(0.7, X_HAT)
-        bare = bell_amplitude("bell11", k, kp, 1, -1)
-        dressed = bell_amplitude("bell11", k, kp, 1, -1, envelope=env)
+        pair = (*bp.NullMomentum(1.3, Z_HAT).as_batch, *bp.NullMomentum(0.7, X_HAT).as_batch)
+        bare = amplitude_pair_tables(TwoPhotonAmplitude(kind="bell11"), *pair)[(1, -1)][0, 0]
+        dressed = amplitude_pair_tables(
+            TwoPhotonAmplitude(kind="bell11", envelope=env), *pair
+        )[(1, -1)][0, 0]
         assert dressed == pytest.approx(bare * (1.3**2) * (0.7**2), rel=1e-13)
 
     def test_condition_variants_share_tables(self):
         # Each kind pair carries one table; the variants differ only in which
         # phase condition their angle field satisfies, not in the amplitudes.
-        k = bp.NullMomentum(1.1, np.array([0.0, 0.6, 0.8]))
-        kp = bp.NullMomentum(0.9, np.array([0.8, 0.0, 0.6]))
+        pair = (
+            *bp.NullMomentum(1.1, np.array([0.0, 0.6, 0.8])).as_batch,
+            *bp.NullMomentum(0.9, np.array([0.8, 0.0, 0.6])).as_batch,
+        )
+        tables = {
+            kind: amplitude_pair_tables(TwoPhotonAmplitude(kind=kind), *pair)
+            for kind in ("bell11", "bell12", "bell21", "bell22")
+        }
         for s, sp in ((1, -1), (-1, 1)):
-            assert bell_amplitude("bell12", k, kp, s, sp) == bell_amplitude(
-                "bell11", k, kp, s, sp
-            )
+            assert tables["bell12"][(s, sp)][0, 0] == tables["bell11"][(s, sp)][0, 0]
         for s, sp in ((1, 1), (-1, -1)):
-            assert bell_amplitude("bell22", k, kp, s, sp) == bell_amplitude(
-                "bell21", k, kp, s, sp
-            )
+            assert tables["bell22"][(s, sp)][0, 0] == tables["bell21"][(s, sp)][0, 0]
 
     def test_conjugate_slot_structure(self):
         rng = np.random.default_rng(33)
@@ -157,10 +155,11 @@ class TestGeneralBatchEvaluators:
         for (s, sp), table in outer.items():
             assert table.shape == (6, 6)
             for i in range(6):
-                ki = bp.NullMomentum(f1[i], d1[i])
                 for j in range(6):
-                    kj = bp.NullMomentum(f2[j], d2[j])
-                    assert table[i, j] == amplitude_eval(amp, ki, kj, s, sp)
+                    single = amplitude_pair_tables(
+                        amp, f1[i : i + 1], d1[i : i + 1], f2[j : j + 1], d2[j : j + 1]
+                    )
+                    assert table[i, j] == single[(s, sp)][0, 0]
 
 
 class TestSymmetry:
@@ -180,9 +179,9 @@ class TestSymmetry:
     def test_scalar_symmetry_residual_small(self):
         rng = np.random.default_rng(35)
         f, d = rand_momenta(rng, 2)
-        k, kp = bp.NullMomentum(f[0], d[0]), bp.NullMomentum(f[1], d[1])
         for kind in ("bell11", "bell21"):
-            assert symmetry_residual(TwoPhotonAmplitude(kind=kind), k, kp) < 1e-10
+            amp = TwoPhotonAmplitude(kind=kind)
+            assert symmetry_residuals(amp, f[:1], d[:1], f[1:], d[1:])[0, 0] < 1e-10
 
     def test_injected_asymmetry_reported(self):
         eps = 0.37
@@ -196,23 +195,22 @@ class TestSymmetry:
         amp = TwoPhotonAmplitude(
             kind="general", table={(1, -1): psi_pm, (-1, 1): psi_mp}
         )
-        k = bp.NullMomentum(1.0, Z_HAT)
-        kp = bp.NullMomentum(2.0, X_HAT)
-        assert symmetry_residual(amp, k, kp) == pytest.approx(eps, rel=1e-12)
+        pair = (*bp.NullMomentum(1.0, Z_HAT).as_batch, *bp.NullMomentum(2.0, X_HAT).as_batch)
+        assert symmetry_residuals(amp, *pair)[0, 0] == pytest.approx(eps, rel=1e-12)
 
     def test_diagonal_pair_symmetric(self):
         k = bp.NullMomentum(1.2, np.array([0.6, 0.0, 0.8]))
         for kind in ("bell11", "bell21"):
-            assert symmetry_residual(TwoPhotonAmplitude(kind=kind), k, k) < 1e-12
+            res = symmetry_residuals(TwoPhotonAmplitude(kind=kind), *k.as_batch, *k.as_batch)
+            assert res[0, 0] < 1e-12
 
 
 class TestCovariance:
     def test_identity_map_zero(self):
-        k = bp.NullMomentum(1.0, Z_HAT)
-        kp = bp.NullMomentum(1.5, X_HAT)
+        pair = (*bp.NullMomentum(1.0, Z_HAT).as_batch, *bp.NullMomentum(1.5, X_HAT).as_batch)
         for kind in ("bell11", "bell12", "bell21", "bell22"):
             amp = TwoPhotonAmplitude(kind=kind)
-            assert covariance_residual(amp, bp.identity_map(), k, kp) < 1e-12
+            assert covariance_residuals(amp, bp.identity_map(), *pair)[0, 0] < 1e-12
 
     @pytest.mark.parametrize("kind", ["bell11", "bell12", "bell21", "bell22"])
     def test_rotations_all_kinds(self, kind):
@@ -225,12 +223,10 @@ class TestCovariance:
             r = bp.rotation(rng.uniform(-math.pi, math.pi), ax)
             f, d = rand_momenta(rng, 2)
             try:
-                res = covariance_residual(
-                    amp, r, bp.NullMomentum(f[0], d[0]), bp.NullMomentum(f[1], d[1])
-                )
+                res = covariance_residuals(amp, r, f[:1], d[:1], f[1:], d[1:])
             except bp.ChartError:
                 continue
-            assert res < 1e-8
+            assert res[0, 0] < 1e-8
             done += 1
 
     @pytest.mark.parametrize("kind", ["bell21", "bell22"])
@@ -242,20 +238,20 @@ class TestCovariance:
             a = rand_map(rng, rap=1.0)
             f, d = rand_momenta(rng, 2)
             try:
-                res = covariance_residual(
-                    amp, a, bp.NullMomentum(f[0], d[0]), bp.NullMomentum(f[1], d[1])
-                )
+                res = covariance_residuals(amp, a, f[:1], d[:1], f[1:], d[1:])
             except bp.ChartError:
                 continue
-            assert res < 1e-8
+            assert res[0, 0] < 1e-8
             done += 1
 
     def test_boost_rapidity_half_equal_helicity(self):
         amp = TwoPhotonAmplitude(kind="bell21")
         b = bp.boost(0.5, np.array([0.0, 0.6, 0.8]))
-        k = bp.NullMomentum(1.2, X_HAT)
-        kp = bp.NullMomentum(0.8, np.array([0.0, 1.0, 0.0]))
-        assert covariance_residual(amp, b, k, kp) < 1e-8
+        pair = (
+            *bp.NullMomentum(1.2, X_HAT).as_batch,
+            *bp.NullMomentum(0.8, np.array([0.0, 1.0, 0.0])).as_batch,
+        )
+        assert covariance_residuals(amp, b, *pair)[0, 0] < 1e-8
 
     def test_opposite_helicity_boost_defect_documented(self):
         # the chart's m leg carries a k-collinear gauge defect under boosts,
@@ -263,9 +259,11 @@ class TestCovariance:
         # rotations; a generic boost leaves a finite residual
         amp = TwoPhotonAmplitude(kind="bell11")
         b = bp.boost(0.7, Z_HAT)
-        k = bp.NullMomentum(1.0, X_HAT)
-        kp = bp.NullMomentum(1.0, np.array([0.0, 1.0, 0.0]))
-        assert covariance_residual(amp, b, k, kp) > 1e-3
+        pair = (
+            *bp.NullMomentum(1.0, X_HAT).as_batch,
+            *bp.NullMomentum(1.0, np.array([0.0, 1.0, 0.0])).as_batch,
+        )
+        assert covariance_residuals(amp, b, *pair)[0, 0] > 1e-3
 
 
 class TestBellConditions:
@@ -330,32 +328,25 @@ class TestBellConditions:
         th12 = tabulated_field(
             axes, np.array([0.3 - math.pi / 4, -0.2 + math.pi / 4])
         )
-        for _ in range(20):
-            pol_a, az_a = rng.uniform(0, 0.3), rng.uniform(0, 2 * math.pi)
-            pol_b, az_b = rng.uniform(0, 0.3), rng.uniform(0, 2 * math.pi)
-            k = bp.NullMomentum(
-                rng.uniform(0.5, 2.0),
-                np.array(
-                    [
-                        math.sin(pol_a) * math.cos(az_a),
-                        math.sin(pol_a) * math.sin(az_a),
-                        math.cos(pol_a),
-                    ]
-                ),
+        pol_a, az_a = rng.uniform(0, 0.3, 20), rng.uniform(0, 2 * math.pi, 20)
+        pol_b, az_b = rng.uniform(0, 0.3, 20), rng.uniform(0, 2 * math.pi, 20)
+        f, f2 = rng.uniform(0.5, 2.0, 20), rng.uniform(0.5, 2.0, 20)
+        d = np.stack(
+            [np.sin(pol_a) * np.cos(az_a), np.sin(pol_a) * np.sin(az_a), np.cos(pol_a)], axis=1
+        )
+        d2 = np.stack(
+            [np.cos(pol_b), np.sin(pol_b) * np.cos(az_b), np.sin(pol_b) * np.sin(az_b)], axis=1
+        )
+        r11, r12 = (
+            condition_residuals(
+                condition,
+                amplitude_pair_tables(amp, f, d, f2, d2),
+                field_values(theta, f, d),
+                field_values(theta, f2, d2),
             )
-            kp = bp.NullMomentum(
-                rng.uniform(0.5, 2.0),
-                np.array(
-                    [
-                        math.cos(pol_b),
-                        math.sin(pol_b) * math.cos(az_b),
-                        math.sin(pol_b) * math.sin(az_b),
-                    ]
-                ),
-            )
-            r11 = bell_condition_residual(11, amp11, th11, k, kp)
-            r12 = bell_condition_residual(12, amp12, th12, k, kp)
-            assert r12 == pytest.approx(r11, abs=1e-12)
+            for condition, amp, theta in ((11, amp11, th11), (12, amp12, th12))
+        )
+        assert r12 == pytest.approx(r11, abs=1e-12)
 
     def test_condition_22_from_21_quarter_turn_identity(self):
         # sum-coupled analogue: a global shift of -pi/4 moves the angle sum by
@@ -367,30 +358,35 @@ class TestBellConditions:
         th22 = constant_field(0.45 - math.pi / 4)
         f, d = rand_momenta(rng, 20)
         f2, d2 = rand_momenta(rng, 20)
-        for i in range(20):
-            k = bp.NullMomentum(f[i], d[i])
-            kp = bp.NullMomentum(f2[i], d2[i])
-            r21 = bell_condition_residual(21, amp21, th21, k, kp)
-            r22 = bell_condition_residual(22, amp22, th22, k, kp)
-            assert r22 == pytest.approx(r21, abs=1e-12)
+        r21, r22 = (
+            condition_residuals(
+                condition,
+                amplitude_pair_tables(amp, f, d, f2, d2),
+                field_values(theta, f, d),
+                field_values(theta, f2, d2),
+            )
+            for condition, amp, theta in ((21, amp21, th21), (22, amp22, th22))
+        )
+        assert r22 == pytest.approx(r21, abs=1e-12)
 
     def test_mismatched_theta_order_psi(self):
         k = bp.NullMomentum(1.0, np.array([math.sin(0.05), 0.0, math.cos(0.05)]))
         kp = bp.NullMomentum(1.0, np.array([-math.sin(0.05), 0.0, math.cos(0.05)]))
         amp = TwoPhotonAmplitude(kind="bell11")
+        tables = amplitude_pair_tables(amp, *k.as_batch, *kp.as_batch)
         # theta difference 0 leaves the two terms adding in phase: defect ~ 2|psi|
-        bad = constant_field(0.0)
-        psi = abs(bell_amplitude("bell11", k, kp, 1, -1))
-        assert bell_condition_residual(11, amp, bad, k, kp) > 1.9 * psi
+        bad = np.zeros(1)
+        psi = abs(tables[(1, -1)][0, 0])
+        assert condition_residuals(11, tables, bad, bad)[0, 0] > 1.9 * psi
 
     def test_diagonal_inconsistency_of_condition_11(self):
         # at k = k' both slots equal -1, so no angle assignment can cancel
         # them: the defect is exactly 2 whenever theta is a single field value
         k = bp.NullMomentum(1.0, np.array([0.6, 0.0, 0.8]))
         amp = TwoPhotonAmplitude(kind="bell11")
-        assert bell_condition_residual(11, amp, constant_field(0.7), k, k) == (
-            pytest.approx(2.0, abs=1e-12)
-        )
+        tables = amplitude_pair_tables(amp, *k.as_batch, *k.as_batch)
+        theta = field_values(constant_field(0.7), *k.as_batch)
+        assert condition_residuals(11, tables, theta, theta)[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_fitted_equal_helicity_perpendicular_cones(self):
         # the equal-helicity pair phase drifts linearly with cone width, so a
@@ -582,19 +578,19 @@ class TestTwoPhotonNorm:
 class TestFieldKinds:
     def test_constant(self):
         th = constant_field(0.8)
-        assert field_value(th, bp.NullMomentum(2.0, X_HAT)) == 0.8
+        assert field_values(th, *bp.NullMomentum(2.0, X_HAT).as_batch)[0] == 0.8
 
     def test_azimuthal(self):
         th = azimuthal_field(0.1, 2.0)
         k = bp.NullMomentum(1.0, np.array([0.0, 1.0, 0.0]))  # phi = pi/2
-        assert field_value(th, k) == pytest.approx(0.1 + 2.0 * math.pi / 2, rel=1e-14)
+        assert field_values(th, *k.as_batch)[0] == pytest.approx(
+            0.1 + 2.0 * math.pi / 2, rel=1e-14
+        )
 
     def test_tabulated_nearest_axis(self):
         th = tabulated_field(np.stack([Z_HAT, X_HAT]), np.array([0.5, -0.5]))
-        near_z = bp.NullMomentum(1.0, np.array([0.1, 0.0, math.sqrt(0.99)]))
-        near_x = bp.NullMomentum(1.0, np.array([math.sqrt(0.99), 0.0, 0.1]))
-        assert field_value(th, near_z) == 0.5
-        assert field_value(th, near_x) == -0.5
+        near_z_x = np.array([[0.1, 0.0, math.sqrt(0.99)], [math.sqrt(0.99), 0.0, 0.1]])
+        assert field_values(th, np.ones(2), near_z_x).tolist() == [0.5, -0.5]
 
     def test_bad_kind_rejected(self):
         with pytest.raises(bp.InputError):

@@ -8,13 +8,18 @@ import pytest
 import bellepr as bp
 from bellepr.measure import QuadratureSpec, full_sphere_region, invariant_node_set
 from bellepr.vacuum import (
-    evaluate,
     evaluate_batch,
     normalize,
     with_transform,
 )
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
+
+
+def on_z_axis(freqs) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of momenta along +z: frequencies (n,) and directions (n, 3)."""
+    freqs = np.atleast_1d(np.asarray(freqs, dtype=np.float64))
+    return freqs, np.tile(Z_HAT, (freqs.size, 1))
 
 
 def closed_form_norm_power_exp(p: float, scale: float) -> float:
@@ -77,8 +82,7 @@ class TestNormalization:
 class TestEvaluate:
     def test_family_formula_value(self):
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
-        k = bp.NullMomentum(1.3, Z_HAT)
-        assert evaluate(z, k) == pytest.approx(
+        assert evaluate_batch(z, *on_z_axis(1.3))[0] == pytest.approx(
             z.norm_const * 1.3 * math.exp(-1.3), rel=1e-12
         )
 
@@ -96,9 +100,8 @@ class TestEvaluate:
 
     def test_isotropy(self):
         z = normalize("log-normal-isotropic", {"scale": 1.0, "width": 0.5})
-        k1 = bp.NullMomentum(0.9, Z_HAT)
-        k2 = bp.NullMomentum(0.9, np.array([1.0, 0.0, 0.0]))
-        assert evaluate(z, k1) == pytest.approx(evaluate(z, k2), rel=1e-14)
+        v = evaluate_batch(z, np.full(2, 0.9), np.array([Z_HAT, [1.0, 0.0, 0.0]]))
+        assert v[0] == pytest.approx(v[1], rel=1e-14)
 
     def test_zero_limit_p2(self):
         # with exponent >= 2 the origin suppression beats 1e-6 of the peak
@@ -107,14 +110,13 @@ class TestEvaluate:
         z = normalize("power-exponential", {"exponent": 2.0, "scale": scale})
         zmax = z.norm_const * (2.0 * scale) ** 2 * math.exp(-2.0)
         eps = scale * 1e-4
-        assert evaluate(z, bp.NullMomentum(eps, Z_HAT)) < 1e-6 * zmax
+        assert evaluate_batch(z, *on_z_axis(eps))[0] < 1e-6 * zmax
 
     def test_zero_limit_p1_qualitative(self):
         # exponent 1 still vanishes linearly at the origin (ratio ~ e*eps)
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
         zmax = z.norm_const * math.exp(-1.0)
-        v4 = evaluate(z, bp.NullMomentum(1e-4, Z_HAT))
-        v5 = evaluate(z, bp.NullMomentum(1e-5, Z_HAT))
+        v4, v5 = evaluate_batch(z, *on_z_axis([1e-4, 1e-5]))
         assert v4 < 1e-3 * zmax
         assert v5 == pytest.approx(v4 / 10.0, rel=1e-3)
 
@@ -124,10 +126,8 @@ class TestEvaluate:
             ("log-normal-isotropic", {"scale": 1.0, "width": 0.4}),
         ]:
             z = normalize(fam, params)
-            peak = max(
-                evaluate(z, bp.NullMomentum(w, Z_HAT)) for w in np.linspace(0.1, 5, 50)
-            )
-            assert evaluate(z, bp.NullMomentum(60.0, Z_HAT)) < 1e-10 * peak
+            peak = evaluate_batch(z, *on_z_axis(np.linspace(0.1, 5, 50))).max()
+            assert evaluate_batch(z, *on_z_axis(60.0))[0] < 1e-10 * peak
 
 
 class TestWithTransform:
@@ -135,17 +135,17 @@ class TestWithTransform:
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
         zt = with_transform(z, bp.identity_map())
         k = bp.NullMomentum(0.7, np.array([0.6, 0.0, 0.8]))
-        assert evaluate(zt, k) == pytest.approx(evaluate(z, k), rel=1e-14)
+        assert evaluate_batch(zt, *k.as_batch)[0] == pytest.approx(
+            evaluate_batch(z, *k.as_batch)[0], rel=1e-14
+        )
 
     def test_boost_along_axis_doppler(self):
         eta = 0.6
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
         zt = with_transform(z, bp.boost(eta, Z_HAT))
         w = 1.1
-        expected = evaluate(z, bp.NullMomentum(math.exp(-eta) * w, Z_HAT))
-        assert evaluate(zt, bp.NullMomentum(w, Z_HAT)) == pytest.approx(
-            expected, rel=1e-12
-        )
+        expected = evaluate_batch(z, *on_z_axis(math.exp(-eta) * w))[0]
+        assert evaluate_batch(zt, *on_z_axis(w))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_inverse_composition_restores(self):
         z = normalize("log-normal-isotropic", {"scale": 1.0, "width": 0.5})
@@ -163,7 +163,9 @@ class TestWithTransform:
         z = normalize("power-exponential", {"exponent": 2.0, "scale": 0.7})
         zt = with_transform(z, bp.rotation(1.3, [1, 1, 1] / np.sqrt(3)))
         k = bp.NullMomentum(0.9, np.array([0.0, 0.8, 0.6]))
-        assert evaluate(zt, k) == pytest.approx(evaluate(z, k), rel=1e-12)
+        assert evaluate_batch(zt, *k.as_batch)[0] == pytest.approx(
+            evaluate_batch(z, *k.as_batch)[0], rel=1e-12
+        )
 
     def test_transformed_norm_still_unity(self):
         # the slowest decay direction has Doppler-stretched scale e^eta, so
