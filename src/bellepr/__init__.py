@@ -66,7 +66,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (
     ChartError,

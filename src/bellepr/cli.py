@@ -13,7 +13,8 @@ Commands
     Print max residuals of the structural identities (tetrad contractions,
     phase cocycle, amplitude exchange symmetry) with pass thresholds, plus
     informational model-quality residuals (Bell condition fit, polarization
-    transport, amplitude covariance).
+    transport, amplitude covariance and, for a joint transform, the gap to
+    the state realized at the laboratory momenta).
 
 Exit codes: 0 success; 1 failed checks or violated output bounds;
 2 configuration/schema errors; 3 violated mathematical preconditions.
@@ -81,7 +82,7 @@ from .states import (
     tabulated_field,
     theta_wigner_residuals,
 )
-from .vacuum import normalize
+from .vacuum import normalize, with_transform
 
 __all__ = ["CONFIG_SCHEMA", "main"]
 
@@ -160,19 +161,17 @@ def _build_amplitude(state: dict) -> TwoPhotonAmplitude:
             "state kind 'general' needs a 'coefficients' block with per-slot [re, im]"
         )
     table = {}
-    values = {}
     for key, slot in _SLOT_KEYS.items():
         if key in coeffs:
             re, im = coeffs[key]
-            values[slot] = complex(re, im)
-    for slot, c in values.items():
-        mirror = values.get((slot[1], slot[0]))
+            table[slot] = complex(re, im)
+    for slot, c in table.items():
+        mirror = table.get((slot[1], slot[0]))
         if mirror is None or abs(c - mirror) > 1e-12 * max(1.0, abs(c)):
             raise InputError(
                 "general coefficients must be exchange-symmetric: "
                 f"slot {slot} needs a matching transposed entry"
             )
-        table[slot] = (lambda f1, d1, f2, d2, c=c: c)
     return TwoPhotonAmplitude(kind="general", envelope=envelope, table=table)
 
 
@@ -571,6 +570,14 @@ def cmd_diagnose(args) -> int:
             info("theta-wigner-shift", float(shift.max()))
         cov = covariance_residuals(scn.amplitude, lmap, fb, db, fa, da)
         info("amplitude-covariance-defect", float(cov.max()))
+    if scn.transform.kind == "joint":
+        # the gap to the rest value of the state read at laboratory momenta,
+        # vacuum composed with the map: the amplitude's phase transport defect
+        realized = dataclasses.replace(
+            scn, transform=TransformCase(kind="rest"), vacuum=with_transform(scn.vacuum, lmap)
+        )
+        gap = abs(_evaluate_scenario(scn).value - _evaluate_scenario(realized).value)
+        info("realized-transport-gap", gap)
 
     ok = failures == 0
     lines.append(f"RESULT {'PASS' if ok else 'FAIL'} ({failures} failed checks)")

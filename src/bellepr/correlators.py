@@ -25,10 +25,12 @@ joint-transform case; to one arm, the single-moving-detector case.
 
 For the joint case the module also evaluates the equivalent vacuum-side
 bookkeeping — plain angles over the laboratory cones with the transported
-state and the composed vacuum density — plus a "realized" variant that
-rebuilds the state's tables at the laboratory momenta instead of
-transporting them.  The gap of the realized variant measures how well the
-constructed amplitude family satisfies the phase transport rule.
+state and the composed vacuum density — from the same evaluation's tables.
+
+A correlation point evaluates its scenario at two rules, the full one and
+the halved one, and nothing else.  Checks that need another scenario (the
+state rebuilt at laboratory momenta, the angle field's transport rule) are
+``diagnose``'s, not every row's.
 """
 
 from __future__ import annotations
@@ -62,9 +64,8 @@ from .states import (
     four_term,
     norm_sum,
     oscillator_factors,
-    theta_wigner_residuals,
 )
-from .vacuum import VacuumDensity, evaluate_batch, with_transform
+from .vacuum import VacuumDensity, evaluate_batch
 
 __all__ = [
     "DEFAULT_QUADRATURE",
@@ -302,19 +303,6 @@ def _bell_diagnostics(scn: Scenario, full: _Evaluation, value: float) -> dict[st
     }
 
 
-def _theta_shift_diag(scn: Scenario) -> dict[str, float]:
-    """Worst violation of the angle-field transport rule over a few sampled
-    acceptance directions (zero for fields carrying a matching map)."""
-    field = scn.theta_field
-    m = scn.transform.lorentz_map
-    if field is None or m is None:
-        return {}
-    spec = QuadratureSpec(n_freq=2, n_polar=2, n_azimuth=2)
-    nodes = [invariant_node_set(r, spec) for r in (scn.bob.region, scn.alice.region)]
-    worst = max(float(theta_wigner_residuals(field, m, n.freqs, n.dirs).max()) for n in nodes)
-    return {"theta_shift_residual": worst}
-
-
 # --------------------------------------------------------------------------
 # evaluation routes
 
@@ -368,22 +356,6 @@ def _evaluate(scn: Scenario, spec: QuadratureSpec) -> _Evaluation:
     return _Evaluation(num, den, bob, alice, tables, swap_res, vacuum_num)
 
 
-def _realized_rest_value(scn: Scenario, spec: QuadratureSpec) -> float:
-    """Rest-form evaluation with the vacuum density composed with the
-    inverse map and the slot tables rebuilt at the laboratory momenta.
-    Differs from the joint-transform value exactly by the amplitude
-    family's failure to satisfy the phase transport rule."""
-    m = scn.transform.lorentz_map
-    assert m is not None
-    rest = dataclasses.replace(
-        scn,
-        transform=TransformCase(kind="rest"),
-        vacuum=with_transform(scn.vacuum, m),
-    )
-    ev = _evaluate(rest, spec)
-    return ev.num / ev.den
-
-
 _ERR_FLOOR = 64.0 * np.finfo(np.float64).eps
 
 
@@ -399,7 +371,6 @@ def _finish(scn: Scenario) -> CorrelationResult:
     value = full.num / full.den
     diagnostics: dict[str, float] = {"den_swap_block_residual": full.swap_residual}
     diagnostics.update(_bell_diagnostics(scn, full, value))
-    diagnostics.update(_theta_shift_diag(scn))
     if full.vacuum_num is not None:
         vac = full.vacuum_num / full.den
         diagnostics["vacuum_picture_value"] = vac
@@ -454,16 +425,13 @@ def epr_case1(scenario: Scenario) -> CorrelationResult:
     The value uses the detector-side form (pulled-back momenta,
     Wigner-shifted per-node angles).  Diagnostics add the vacuum-side form
     (``vacuum_picture_value`` with its own error estimate and the gap to the
-    detector-side value) and the realized-amplitude variant
-    (``realized_value``/``realized_gap``) whose gap measures the transport
-    defect of the constructed amplitude family.
+    detector-side value), read off the same two evaluations.  The transport
+    defect of the constructed amplitude family (this value against the rest
+    value of the state at laboratory momenta with the vacuum composed with
+    the map) is ``bellepr diagnose``'s ``realized-transport-gap``.
     """
     _require_case(scenario, "joint", "epr_case1")
-    result = _finish(scenario)
-    realized = _realized_rest_value(scenario, scenario.quadrature)
-    result.diagnostics["realized_value"] = realized
-    result.diagnostics["realized_gap"] = abs(result.value - realized)
-    return result
+    return _finish(scenario)
 
 
 def epr_case2(scenario: Scenario) -> CorrelationResult:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartError, ConsistencyError, InputError
+from .errors import ChartError, ConsistencyError, InputError, PreconditionError
 
 __all__ = [
     "NullMomentum",
@@ -312,24 +312,38 @@ def wigner_pullback(
     Wigner phases 2*Theta(L, k_i) in (-pi, pi] for frequencies (...,) and unit
     directions (..., 3): returns (pre freqs, pre dirs, phases).  The phase is
     read off s = A pi(L^-1 k) = e^{-i Theta} pi(k).  Raises ChartError when k
-    or L^-1 k lies on the chart cut (see wigner_defined)."""
+    or L^-1 k lies on the chart cut (see wigner_defined).  When s misses
+    pi(k) by 1e-8 relative or more (or by NaN), raises PreconditionError where
+    the check's own rounding reaches 1e-8, ConsistencyError elsewhere."""
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    pre_freqs, pre_dirs = map_momenta(inverse(a), freqs, dirs)
-    q0, q1 = batch_spinors(pre_freqs, pre_dirs)
-    s0 = a.sl2c[0, 0] * q0 + a.sl2c[0, 1] * q1
-    s1 = a.sl2c[1, 0] * q0 + a.sl2c[1, 1] * q1
-    p0, p1 = batch_spinors(freqs, dirs)
-    use0 = np.abs(p0) >= np.abs(p1)
-    ratio = np.where(use0, s0 / np.where(use0, p0, 1.0), s1 / np.where(use0, 1.0, p1))
-    scale = np.maximum(np.abs(p0), np.abs(p1))
-    resid = np.maximum(np.abs(s0 - ratio * p0), np.abs(s1 - ratio * p1)) / scale
-    worst = float(np.max(resid)) if resid.size else 0.0
-    if worst >= 1e-8:
-        raise ConsistencyError(
-            f"A pi(L^-1 k) is not proportional to pi(k): relative residual {worst:.3e}"
+    with np.errstate(all="ignore"):  # a map beyond double range overflows to NaN
+        pre_freqs, pre_dirs = map_momenta(inverse(a), freqs, dirs)
+        q0, q1 = batch_spinors(pre_freqs, pre_dirs)
+        s0 = a.sl2c[0, 0] * q0 + a.sl2c[0, 1] * q1
+        s1 = a.sl2c[1, 0] * q0 + a.sl2c[1, 1] * q1
+        p0, p1 = batch_spinors(freqs, dirs)
+        use0 = np.abs(p0) >= np.abs(p1)
+        ratio = np.where(use0, s0 / np.where(use0, p0, 1.0), s1 / np.where(use0, 1.0, p1))
+        scale = np.maximum(np.abs(p0), np.abs(p1))
+        resid = np.maximum(np.abs(s0 - ratio * p0), np.abs(s1 - ratio * p1)) / scale
+        # 64 x the check's rounding per node: eps |A|_F^2 (2 cosh(rapidity) for
+        # a boost) and eps / (1 + dz) of the chart's spinor near its cut
+        bound = np.sum(np.abs(a.sl2c) ** 2) + 1.0 / (1.0 + pre_dirs[..., 2])
+        failed = ~(resid < 1e-8)
+        resolved = failed & (64.0 * np.finfo(np.float64).eps * bound < 1e-8)
+        phases = wrap_angle(-2.0 * np.angle(ratio))
+    if np.any(failed):
+        worst = float(np.max(resid[failed]))
+        if np.any(resolved):
+            raise ConsistencyError(
+                f"A pi(L^-1 k) is not proportional to pi(k): relative residual {worst:.3e}"
+            )
+        raise PreconditionError(
+            f"the Wigner phase is beyond double precision: relative residual {worst:.3e}, "
+            "within the rounding of a map this large or of the chart next to its cut at -z"
         )
-    return pre_freqs, pre_dirs, wrap_angle(-2.0 * np.angle(ratio))
+    return pre_freqs, pre_dirs, phases
 
 
 #: Old private name of wigner_pullback; nothing in bellepr calls it, and its

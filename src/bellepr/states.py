@@ -9,11 +9,11 @@ Helicity amplitudes psi_ss'(k, k') are built from the spin-frame chart:
 * ``bell21`` / ``bell22``: psi_++(k,k') = conj(D(pi(k), pi(k')))^2 with D the
   symplectic spinor pairing, psi_-- its conjugate; |psi_++| = 2 k.k' (Lorentz
   invariant) and the diagonal vanishes.  Equal-helicity pairs only.
-* ``general``: an explicit table of batch evaluators for any of the four
-  slots.  Each evaluator is called as ``fn(f1, d1, f2, d2)`` on the
-  broadcast shapes (n1, 1), (n1, 1, 3), (1, n2), (1, n2, 3) of two
-  frequency and unit-direction batches and returns an array broadcastable
-  to the (n1, n2) pair grid.  A constant evaluator may return a scalar.
+* ``general``: an explicit table for any of the four slots, each a number
+  (a constant slot) or a batch evaluator.  An evaluator is called as
+  ``fn(f1, d1, f2, d2)`` on the broadcast shapes (n1, 1), (n1, 1, 3),
+  (1, n2), (1, n2, 3) of two frequency and unit-direction batches and
+  returns an array broadcastable to the (n1, n2) pair grid.
 
 The two kinds in each pair share one amplitude table; they differ in which
 phase condition (difference- or sum-coupled, plus or minus branch) their
@@ -25,9 +25,10 @@ pi/4 overall for a sum-coupled one (condition 21 <-> 22).
 Each slot is multiplied by a product envelope g(k) g(k') when one is given.
 Every function of two momentum batches works on their (n1, n2) pair grid: a
 slot is a pair table, dense from amplitude_pair_tables or as per-node
-factors from pair_factors (Bell kinds factor exactly), which PairTable
-contracts without building the table, and the condition, symmetry and
-covariance residuals are (n1, n2) tables.  One pair is a 1 x 1 grid.
+factors from pair_factors (Bell kinds and constant general slots factor
+exactly), which PairTable contracts without building the table, and the
+condition, symmetry and covariance residuals are (n1, n2) tables.  One pair
+is a 1 x 1 grid.
 
 Every weighted slot sum is the inner product PairTable.contract,
 u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), four_term (the
@@ -251,16 +252,16 @@ class TwoPhotonAmplitude:
     """Two-photon helicity amplitude psi_ss'(k, k').
 
     ``kind`` selects one of the four Bell constructions (tetrad-built) or
-    "general" (explicit ``table`` mapping (s, s') to batch evaluators
-    ``fn(f1, d1, f2, d2)``; see the module docstring for the shapes they
-    receive and must return).  ``envelope`` is an optional per-momentum
-    factor applied as g(k) g(k'); it takes batch arrays (freqs, dirs) and
-    returns an array.
+    "general" (explicit ``table`` mapping (s, s') to a number or a batch
+    evaluator ``fn(f1, d1, f2, d2)``; see the module docstring for the
+    shapes an evaluator receives and must return).  ``envelope`` is an
+    optional per-momentum factor applied as g(k) g(k'); it takes batch
+    arrays (freqs, dirs) and returns an array.
     """
 
     kind: str
     envelope: Callable | None = None
-    table: Mapping[tuple[int, int], Callable] | None = None
+    table: Mapping[tuple[int, int], Callable | complex] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in BELL_KINDS and self.kind != "general":
@@ -307,7 +308,7 @@ def amplitude_pair_tables(
         return out
     shape = (f1.size, f2.size)
     for slot, fn in amp.table.items():
-        vals = np.asarray(fn(*k1, *k2), dtype=np.complex128)
+        vals = np.asarray(fn(*k1, *k2) if callable(fn) else fn, dtype=np.complex128)
         out[slot] = np.broadcast_to(vals, shape) * env
     return out
 
@@ -382,12 +383,19 @@ def pair_factors(
     p0 q1' - p1 q0' has rank 3 (21/22), the tetrad contraction
     sum_mu eta_mu m_mu conj(m'_mu), a product of two pairings, rank 4
     (11/12); the envelope g(k) g(k') folds into the rows.  A general
-    amplitude's evaluators do not factor, so its slots are the dense
-    amplitude_pair_tables.
+    amplitude whose slots are all numbers c factors at rank 1, c g(k) g(k')
+    (g = 1 without an envelope); with an evaluator among them every slot is
+    the dense amplitude_pair_tables, as contract needs both operands alike.
     """
     if amp.kind not in BELL_KINDS:
-        tables = amplitude_pair_tables(amp, f1, d1, f2, d2)
-        return {slot: PairTable(t) for slot, t in tables.items()}
+        if any(callable(value) for value in amp.table.values()):
+            tables = amplitude_pair_tables(amp, f1, d1, f2, d2)
+            return {slot: PairTable(t) for slot, t in tables.items()}
+        g1, g2 = (
+            np.ones(np.size(f)) if amp.envelope is None else np.asarray(amp.envelope(f, d))
+            for f, d in ((f1, d1), (f2, d2))
+        )
+        return {slot: PairTable((c * g1)[:, None], g2[:, None]) for slot, c in amp.table.items()}
     cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
     # Both kinds are products of spinor pairings D(x, y) = x0 y1 - x1 y0 of
     # the spin frames (p, o), and D(U x, U y) = D(x, y) for U in SL(2, C).

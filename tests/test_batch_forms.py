@@ -18,7 +18,6 @@ import math
 import numpy as np
 import pytest
 
-from bellepr.correlators import DetectorSetting, Scenario, _theta_shift_diag, joint_case
 from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from bellepr.spinor_tetrad import (
     NullMomentum,
@@ -46,7 +45,6 @@ from bellepr.states import (
     theta_wigner_residuals,
     with_transform_field,
 )
-from bellepr.vacuum import normalize
 
 N_PAIRS = 50
 
@@ -174,23 +172,20 @@ def test_symmetry_residuals_match_scalar_form(amp):
 
 
 def test_theta_shift_diagnostic_is_the_scalar_maximum():
-    vac = normalize("power-exponential", {"exponent": 2.0, "scale": 1.0})
+    # diagnose's theta-wigner-shift line is the batch residual's maximum over
+    # the cones' node sets
     bob = DetectorRegion(np.array([0.0, 0.0, 1.0]), 0.2, 0.5, 2.0)
     alice = DetectorRegion(np.array([1.0, 0.0, 0.0]), 0.2, 0.5, 2.0)
     field = azimuthal_field(0.1, 1.0)
+    nodes = [
+        invariant_node_set(region, QuadratureSpec(n_freq=2, n_polar=2, n_azimuth=2))
+        for region in (bob, alice)
+    ]
     for lam in MAPS:
-        scn = Scenario(
-            amplitude=TwoPhotonAmplitude(kind="bell21"),
-            vacuum=vac,
-            bob=DetectorSetting(bob, 0.0),
-            alice=DetectorSetting(alice, 0.3),
-            theta_field=field,
-            transform=joint_case(lam),
-        )
         worst = 0.0
-        for region in (bob, alice):
-            nodes = invariant_node_set(region, QuadratureSpec(n_freq=2, n_polar=2, n_azimuth=2))
-            assert len(nodes) == 8
-            for f, d in zip(nodes.freqs, nodes.dirs):
+        for n in nodes:
+            assert len(n) == 8
+            for f, d in zip(n.freqs, n.dirs):
                 worst = max(worst, theta_wigner_residual(field, lam, NullMomentum(float(f), d)))
-        assert_close(_theta_shift_diag(scn)["theta_shift_residual"], worst)
+        batch = max(theta_wigner_residuals(field, lam, n.freqs, n.dirs).max() for n in nodes)
+        assert_close(batch, worst)

@@ -180,6 +180,21 @@ class TestConfigValidation:
         assert lines[0].startswith("precondition violated")
         assert "underflow" in lines[0]
 
+    @pytest.mark.parametrize("rapidity", [18, 40, 300, 700])
+    @pytest.mark.parametrize("command", ["correlate", "diagnose"])
+    def test_rapidity_beyond_double_precision_is_a_precondition(
+        self, command, rapidity, tmp_path, capsys
+    ):
+        # the Wigner phase check cannot hold its 1e-8 tolerance through a map
+        # this large (from rapidity 18), and at 700 the pre-images overflow
+        text = demo_text("case1_joint_boost").replace("rapidity: 0.5", f"rapidity: {rapidity}")
+        text = text.replace("variable: rapidity", "variable: beta")
+        assert f"rapidity: {rapidity}" in text and "variable: beta" in text
+        cfg, out = write_config(tmp_path, text), tmp_path / "out.txt"
+        assert main([command, cfg, "--out", str(out)]) == EXIT_PRECONDITION
+        assert_one_error_line(capsys.readouterr().err, "precondition violated: ")
+        assert not out.exists()
+
     def test_chart_cut_cone_is_a_precondition(self, tmp_path, capsys):
         # Bob's cone collapses onto -z, the cut of the spinor chart
         text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
@@ -767,6 +782,28 @@ class TestDiagnose:
         shift = [l for l in out.splitlines() if "theta-wigner-shift" in l]
         assert shift and float(shift[0].split()[-1]) > 1e-3
         assert "RESULT PASS" in out
+
+
+    @pytest.mark.parametrize("transform", ["joint", "alice_only", "rest"])
+    def test_realized_transport_gap_is_reported_for_joint_only(self, transform, tmp_path, capsys):
+        block = f"case: {transform}"
+        if transform != "rest":
+            block += "\n    map: {kind: identity}"
+        cfg = write_config(
+            tmp_path,
+            BASE_SCENARIO.format(beta="0.0", transform=block)
+            + "diagnose:\n  momentum_samples: 40\n  map_samples: 6\n  pair_samples: 6\n",
+        )
+        assert main(["diagnose", cfg]) == EXIT_OK
+        info = [l.split() for l in capsys.readouterr().out.splitlines() if l.startswith("INFO")]
+        names = [fields[1] for fields in info]
+        if transform != "joint":
+            assert "realized-transport-gap" not in names
+            return
+        # the last INFO line, after amplitude-covariance-defect; an identity
+        # map realizes the rest state exactly
+        assert names[-2:] == ["amplitude-covariance-defect", "realized-transport-gap"]
+        assert float(info[-1][2]) <= 1e-12
 
 
 class TestEntryPoint:

@@ -21,16 +21,17 @@ from bellepr.correlators import (
     swap_roles,
 )
 from bellepr.errors import ChartError, InputError, PreconditionError
-from bellepr.measure import DetectorRegion, QuadratureSpec
+from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from bellepr.spinor_tetrad import map_momenta
 from bellepr.states import (
     TwoPhotonAmplitude,
     constant_field,
     fit_theta,
     tabulated_field,
+    theta_wigner_residuals,
     with_transform_field,
 )
-from bellepr.vacuum import evaluate_batch, normalize
+from bellepr.vacuum import evaluate_batch, normalize, with_transform
 
 DEG = math.pi / 180.0
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -395,22 +396,31 @@ class TestRestInvariance:
 # both detectors transformed (case 1)
 
 
+def realized_gap(scn) -> float:
+    """|E - E'| for a joint scenario: E its value, E' the rest value of the
+    same state read at the laboratory momenta with the vacuum composed with
+    the map (the amplitude family's transport defect)."""
+    rest = dataclasses.replace(
+        scn, transform=rest_case(), vacuum=with_transform(scn.vacuum, scn.transform.lorentz_map)
+    )
+    return abs(epr_case1(scn).value - epr_bell_rest(rest).value)
+
+
 class TestJointTransform:
     def test_identity_map_matches_rest_row_for_row(self, z_mid, fit21):
         rest = epr_bell_rest(make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field))
-        ident = epr_case1(
-            make_scn(
-                AMP21,
-                z_mid,
-                0.7,
-                0.2,
-                field=fit21.field,
-                transform=joint_case(bp.boost(0.0, Z_HAT)),
-            )
+        scn = make_scn(
+            AMP21,
+            z_mid,
+            0.7,
+            0.2,
+            field=fit21.field,
+            transform=joint_case(bp.boost(0.0, Z_HAT)),
         )
+        ident = epr_case1(scn)
         assert abs(ident.value - rest.value) <= 4.0 * np.finfo(float).eps
         assert ident.diagnostics["picture_gap"] <= 1e-12
-        assert ident.diagnostics["realized_gap"] <= 1e-12
+        assert realized_gap(scn) <= 1e-12
 
     @pytest.mark.parametrize("rapidity", [0.25, 1.0])
     def test_detector_and_vacuum_pictures_agree(self, z_mid, fit21, fit11, rapidity):
@@ -425,19 +435,15 @@ class TestJointTransform:
 
     def test_invariant_pairing_kind_realizes_the_vacuum_form_exactly(self, z_mid, fit21):
         m = bp.boost(1.0, Y_HAT)
-        r = epr_case1(
-            make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=joint_case(m))
-        )
-        assert r.diagnostics["realized_gap"] <= 1e-12
+        scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=joint_case(m))
+        assert realized_gap(scn) <= 1e-12
 
     def test_chart_built_kind_reports_its_transport_defect(self, z_mid, fit11):
         m = bp.boost(1.0, Y_HAT)
-        r = epr_case1(
-            make_scn(
-                AMP11, z_mid, 0.7, 0.2, field=fit11.field, n_osc=5, transform=joint_case(m)
-            )
+        scn = make_scn(
+            AMP11, z_mid, 0.7, 0.2, field=fit11.field, n_osc=5, transform=joint_case(m)
         )
-        assert r.diagnostics["realized_gap"] > 10.0 * r.err_estimate
+        assert realized_gap(scn) > 10.0 * epr_case1(scn).err_estimate
 
     def test_rotation_onto_the_chart_cut_keeps_the_rest_value(self, z_mid, fit21):
         # the half-turn about x pulls Bob's +z cone back onto -z; the per-node
@@ -504,23 +510,15 @@ class TestJointTransform:
         tol = rest.err_estimate + moved.err_estimate + 1e-7
         assert abs(moved.value - rest.value) <= tol
 
-    def test_comoving_angle_field_satisfies_the_transport_rule(self, z_mid, fit21):
+    def test_comoving_angle_field_satisfies_the_transport_rule(self, fit21):
         m = bp.boost(0.5, Y_HAT)
-        static = epr_case1(
-            make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=joint_case(m))
-        )
-        comoving = epr_case1(
-            make_scn(
-                AMP21,
-                z_mid,
-                0.7,
-                0.2,
-                field=with_transform_field(fit21.field, m),
-                transform=joint_case(m),
-            )
-        )
-        assert comoving.diagnostics["theta_shift_residual"] <= 1e-8
-        assert static.diagnostics["theta_shift_residual"] > 1e-3
+        nodes = [invariant_node_set(region, SPEC) for region in (REGION_B, REGION_A)]
+
+        def worst(field):
+            return max(theta_wigner_residuals(field, m, n.freqs, n.dirs).max() for n in nodes)
+
+        assert worst(with_transform_field(fit21.field, m)) <= 1e-8
+        assert worst(fit21.field) > 1e-3
 
 
 # --------------------------------------------------------------------------
@@ -654,3 +652,33 @@ class TestTableReuse:
         result = epr_bell_rest(scn)
         assert sum(bob_alice) == 1
         assert result.value == epr_bell_rest(scn).value
+
+
+class TestPointCost:
+    @pytest.mark.parametrize("case", ["rest", "joint", "alice_only"])
+    def test_point_builds_four_node_sets_and_evaluates_two_rules(
+        self, z_mid, fit21, monkeypatch, case
+    ):
+        # at the default rule a point evaluates its full and halved rules,
+        # each on one node set per cone, and nothing else
+        from bellepr import correlators
+
+        m = bp.boost(0.5, Y_HAT)
+        transform = {"rest": rest_case(), "joint": joint_case(m), "alice_only": alice_only_case(m)}
+        entry = {"rest": epr_bell_rest, "joint": epr_case1, "alice_only": epr_case2}[case]
+        scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=transform[case])
+        assert scn.quadrature == correlators.DEFAULT_QUADRATURE
+        node_sets, rules = [], []
+
+        def spy(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        node_set, evaluate = correlators.invariant_node_set, correlators._evaluate
+        monkeypatch.setattr(correlators, "invariant_node_set", spy(node_sets, node_set))
+        monkeypatch.setattr(correlators, "_evaluate", spy(rules, evaluate))
+        entry(scn)
+        assert (len(node_sets), len(rules)) == (4, 2)

@@ -5,7 +5,9 @@ Every Bell-kind sum of a correlation point runs on per-node factors
 from scratch on the dense outer ``amplitude_pair_tables`` tables over the same
 arms, for the four kinds x the three transform cases x N in {2, 3, inf},
 with and without an envelope, at 192 nodes per cone, and for joint points
-at 1536.
+at 1536.  A general amplitude with constant slots (as a config builds it)
+factors at rank 1 and is checked against the same slots as evaluators,
+which take the dense route.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import bellepr as bp
-from bellepr import correlators, states
+from bellepr import cli, correlators, states
 from bellepr.correlators import (
     DetectorSetting,
     Scenario,
@@ -26,6 +28,7 @@ from bellepr.correlators import (
     epr_bell_rest,
     epr_case1,
     epr_case2,
+    epr_general_rest,
     joint_case,
     rest_case,
 )
@@ -265,6 +268,56 @@ def test_general_joint_point_matches_dense_tables(vacuum):
     vac = dense_numerator(scn, transported, ub, ua, scn.bob.angle, scn.alice.angle)
     factored_vac = result.diagnostics["vacuum_picture_value"] * result.denominator
     assert factored_vac == pytest.approx(vac, rel=RTOL, abs=0.0)
+
+
+#: A config's general state: constant slots with a Gaussian envelope.
+GENERAL_STATE = {
+    "kind": "general",
+    "envelope": {"kind": "frequency-gaussian", "center": 1.0, "width": 0.5},
+    "coefficients": {"++": [1.0, 0.0], "--": [0.5, 0.2], "+-": [0.3, -0.1], "-+": [0.3, -0.1]},
+}
+GENERAL_ENTRY = {"rest": epr_general_rest, "joint": epr_case1, "alice_only": epr_case2}
+
+
+def general_scenario(vacuum, amp, case, spec) -> Scenario:
+    return Scenario(
+        amplitude=amp,
+        vacuum=vacuum,
+        bob=DetectorSetting(BOB, 0.4),
+        alice=DetectorSetting(ALICE, -0.3),
+        n_osc=3,
+        transform=CASES[case][0],
+        quadrature=spec,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GENERAL_ENTRY))
+def test_constant_general_slots_match_the_same_slots_as_evaluators(vacuum, case):
+    amp = cli._build_amplitude(GENERAL_STATE)
+    assert not any(callable(value) for value in amp.table.values())
+    evaluators = dataclasses.replace(
+        amp, table={slot: (lambda f1, d1, f2, d2, c=c: c) for slot, c in amp.table.items()}
+    )
+    entry = GENERAL_ENTRY[case]
+    factored = entry(general_scenario(vacuum, amp, case, SPEC))
+    dense = entry(general_scenario(vacuum, evaluators, case, SPEC))
+    for name in ("numerator", "denominator", "value"):
+        assert getattr(factored, name) == pytest.approx(getattr(dense, name), rel=RTOL, abs=0.0)
+    if case == "joint":  # the vacuum-side route scales the factors by the transport phases
+        vac = dense.diagnostics["vacuum_picture_value"]
+        assert factored.diagnostics["vacuum_picture_value"] == pytest.approx(vac, rel=RTOL, abs=0.0)
+
+
+def test_config_general_point_at_1536_nodes_stays_small(vacuum):
+    scn = general_scenario(vacuum, cli._build_amplitude(GENERAL_STATE), "rest", SPEC_1536)
+    tracemalloc.start()
+    try:
+        epr_general_rest(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense 1536 x 1536 complex table alone is 37.7 MB
+    assert peak <= 32e6
 
 
 @pytest.mark.parametrize("half_angle", [2.0 * DEG, 0.6], ids=["narrow", "wide"])

@@ -246,6 +246,30 @@ class TestWignerPhase:
             assert abs(float(bp.wrap_angle(lhs - rhs)[0])) < 1e-8
             done += 1
 
+    def test_inconsistent_map_is_a_failed_identity(self):
+        # the 4x4 matrix boosts along y, the SL(2,C) representative along x
+        y_hat, x_hat = np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        bad = bp.LorentzMap(bp.boost(0.5, y_hat).matrix, bp.boost(0.5, x_hat).sl2c)
+        k = bp.NullMomentum(1.0, [0.6, 0.0, 0.8])
+        with pytest.raises(bp.ConsistencyError, match="not proportional"):
+            wigner_pullback(bad, *k.as_batch)
+
+    @pytest.mark.parametrize(
+        "rapidity, axis",
+        [
+            (18.0, [0.0, 1.0, 0.0]),  # the map's entries round at 1.5e-8
+            (700.0, [0.0, 1.0, 0.0]),  # the pre-images overflow to NaN
+            (10.0, [0.0, 0.0, 1.0]),  # pre-images within 4e-9 of 1 + dz = 0
+        ],
+    )
+    def test_phase_beyond_double_precision_is_a_precondition(self, rapidity, axis):
+        # a demo cone around x: below rapidity 18 along y every node passes
+        cone = bp.DetectorRegion(np.array([1.0, 0.0, 0.0]), 0.0349, 0.5, 2.0)
+        nodes = bp.invariant_node_set(cone, bp.QuadratureSpec(n_freq=6, n_polar=4, n_azimuth=8))
+        wigner_pullback(bp.boost(17.0, np.array([0.0, 1.0, 0.0])), nodes.freqs, nodes.dirs)
+        with pytest.raises(bp.PreconditionError, match="beyond double precision"):
+            wigner_pullback(bp.boost(rapidity, np.array(axis)), nodes.freqs, nodes.dirs)
+
 
 class TestTetradCovariance:
     def test_identity_zero(self):
