@@ -18,7 +18,7 @@ from bellepr.correlators import (
     DetectorSetting,
     Scenario,
     alice_only_case,
-    epr_case2,
+    correlate,
     swap_roles,
 )
 from bellepr.measure import DetectorRegion, QuadratureSpec
@@ -36,7 +36,7 @@ ALICE = DetectorRegion(
 
 
 def both_sides(amp, vac, beta, alpha, lorentz_map):
-    """case2 with the map on Alice vs the inverse map on Bob's side."""
+    """The single-arm case with the map on Alice vs the inverse map on Bob's side."""
     base = Scenario(
         amplitude=amp,
         vacuum=vac,
@@ -47,7 +47,7 @@ def both_sides(amp, vac, beta, alpha, lorentz_map):
         transform=alice_only_case(lorentz_map),
         quadrature=QUAD,
     )
-    side_a = epr_case2(base)
+    side_a = correlate(base)
     swapped = swap_roles(
         Scenario(
             amplitude=amp,
@@ -60,7 +60,7 @@ def both_sides(amp, vac, beta, alpha, lorentz_map):
             quadrature=QUAD,
         )
     )
-    side_b = epr_case2(swapped)
+    side_b = correlate(swapped)
     return side_a, side_b
 
 

@@ -57,16 +57,13 @@ from .correlators import (
     TransformCase,
     alice_only_case,
     bound_check,
-    epr_bell_rest,
-    epr_case1,
-    epr_case2,
-    epr_general_rest,
+    correlate,
     joint_case,
     rest_case,
     swap_roles,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (
     ChartError,
@@ -128,10 +125,7 @@ __all__ = [
     "TransformCase",
     "alice_only_case",
     "bound_check",
-    "epr_bell_rest",
-    "epr_case1",
-    "epr_case2",
-    "epr_general_rest",
+    "correlate",
     "joint_case",
     "rest_case",
     "swap_roles",

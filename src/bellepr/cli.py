@@ -46,10 +46,7 @@ from .correlators import (
     TransformCase,
     bound_check,
     check_regions,
-    epr_bell_rest,
-    epr_case1,
-    epr_case2,
-    epr_general_rest,
+    correlate,
 )
 from .errors import ConsistencyError, InputError, PreconditionError
 from .fock_oracle import DiscreteGrid, OscillatorTruncation, verify_suite
@@ -266,9 +263,13 @@ def _build_scenario(doc: dict, quad: QuadratureSpec) -> Scenario:
 
 
 def _sweep_values(sweep: dict) -> list[float]:
-    values = np.linspace(
-        float(sweep["start"]), float(sweep["stop"]), int(sweep["count"])
-    )
+    start, stop = float(sweep["start"]), float(sweep["stop"])
+    for name, bound in (("start", start), ("stop", stop)):
+        if not math.isfinite(bound):
+            raise InputError(f"sweep {name} must be finite, got {bound!r}")
+    if not math.isfinite(stop - start):
+        raise InputError(f"sweep span from {start!r} to {stop!r} is beyond double range")
+    values = np.linspace(start, stop, int(sweep["count"]))
     if sweep["variable"] == "n_osc":
         return [int(round(v)) for v in values]
     return [float(v) for v in values]
@@ -295,16 +296,6 @@ def _scenario_at(base: Scenario, doc: dict, variable: str, value) -> Scenario:
     return dataclasses.replace(base, transform=_build_transform(swept))
 
 
-def _evaluate_scenario(scn: Scenario):
-    if scn.transform.kind == "joint":
-        return epr_case1(scn)
-    if scn.transform.kind == "alice_only":
-        return epr_case2(scn)
-    if scn.amplitude.kind == "general":
-        return epr_general_rest(scn)
-    return epr_bell_rest(scn)
-
-
 def _format_float(x: float) -> str:
     return format(float(x), ".17e")
 
@@ -322,7 +313,7 @@ def cmd_correlate(args) -> int:
     scenarios = [_scenario_at(base, doc, sweep["variable"], v) for v in values]
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(_evaluate_scenario, scenarios))
+        results = list(pool.map(correlate, scenarios))
 
     lines = [
         f"# bellepr correlate {__version__}",
@@ -497,6 +488,20 @@ def _frequency_defect(a: LorentzMap, freq: float, direction: np.ndarray) -> floa
     return float(np.abs(wrap_angle(phases[1:] - phases[0])).max(initial=0.0))
 
 
+def _finite_sample(fn, *args):
+    """``fn(*args)``, a grid (or dict of grids) of amplitude values or
+    residuals on sampled momenta; an amplitude that overflows there leaves a
+    non-finite entry, refused here rather than reported as a residual."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fn(*args)
+    grids = out.values() if isinstance(out, dict) else [out]
+    if not all(np.isfinite(grid).all() for grid in grids):
+        raise PreconditionError(
+            "the amplitude is not finite on diagnose's sampled momenta: it overflows there"
+        )
+    return out
+
+
 def cmd_diagnose(args) -> int:
     doc, digest = _load_config(args.config)
     block = doc.get("diagnose", {})
@@ -545,7 +550,9 @@ def cmd_diagnose(args) -> int:
 
     # amplitude exchange symmetry over the pair grid of two sampled batches
     pool_f, pool_d = _random_momenta(rng, 2 * n_pairs)
-    sym = symmetry_residuals(scn.amplitude, pool_f[::2], pool_d[::2], pool_f[1::2], pool_d[1::2])
+    sym = _finite_sample(
+        symmetry_residuals, scn.amplitude, pool_f[::2], pool_d[::2], pool_f[1::2], pool_d[1::2]
+    )
     check("amplitude-exchange-symmetry", float(sym.max()), 1e-10)
 
     # model-quality diagnostics (reported, non-fatal), over the Bob x Alice
@@ -556,9 +563,9 @@ def cmd_diagnose(args) -> int:
     fa, da = (x[:: max(1, len(nodes_a) // 8)] for x in (nodes_a.freqs, nodes_a.dirs))
     condition = BELL_KINDS.get(scn.amplitude.kind)
     if condition is not None and scn.theta_field is not None:
-        tables = amplitude_pair_tables(scn.amplitude, fb, db, fa, da)
+        tables = _finite_sample(amplitude_pair_tables, scn.amplitude, fb, db, fa, da)
         thetas = (field_values(scn.theta_field, f, d) for f, d in ((fb, db), (fa, da)))
-        worst_bell = float(condition_residuals(condition, tables, *thetas).max())
+        worst_bell = float(_finite_sample(condition_residuals, condition, tables, *thetas).max())
         scale = max(float(np.abs(vals).max()) for vals in tables.values())
         info("bell-condition-defect-relative", worst_bell / max(scale, 1e-300))
     lmap = scn.transform.lorentz_map
@@ -568,7 +575,7 @@ def cmd_diagnose(args) -> int:
                 scn.theta_field, lmap, np.concatenate([fb, fa]), np.concatenate([db, da])
             )
             info("theta-wigner-shift", float(shift.max()))
-        cov = covariance_residuals(scn.amplitude, lmap, fb, db, fa, da)
+        cov = _finite_sample(covariance_residuals, scn.amplitude, lmap, fb, db, fa, da)
         info("amplitude-covariance-defect", float(cov.max()))
     if scn.transform.kind == "joint":
         # the gap to the rest value of the state read at laboratory momenta,
@@ -576,7 +583,7 @@ def cmd_diagnose(args) -> int:
         realized = dataclasses.replace(
             scn, transform=TransformCase(kind="rest"), vacuum=with_transform(scn.vacuum, lmap)
         )
-        gap = abs(_evaluate_scenario(scn).value - _evaluate_scenario(realized).value)
+        gap = abs(correlate(scn).value - correlate(realized).value)
         info("realized-transport-gap", gap)
 
     ok = failures == 0

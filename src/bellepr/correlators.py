@@ -77,10 +77,7 @@ __all__ = [
     "Scenario",
     "CorrelationResult",
     "swap_roles",
-    "epr_general_rest",
-    "epr_bell_rest",
-    "epr_case1",
-    "epr_case2",
+    "correlate",
     "bound_check",
     "check_regions",
 ]
@@ -155,8 +152,11 @@ class DetectorSetting:
     angle: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise InputError(f"analyzer angle must be finite, got {self.angle!r}")
+        # the correlation reads e^{2i angle}
+        if not math.isfinite(2.0 * self.angle):
+            raise InputError(
+                f"analyzer angle must be finite, and twice it too, got {self.angle!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -364,13 +364,40 @@ def _halving_err(full: float, half: float) -> float:
     return abs(full - half) + _ERR_FLOOR * (1.0 + abs(full))
 
 
-def _finish(scn: Scenario) -> CorrelationResult:
-    spec = scn.quadrature
-    full = _evaluate(scn, spec)
-    half = _evaluate(scn, spec.halved())
+# --------------------------------------------------------------------------
+# the correlation
+
+
+def correlate(scenario: Scenario) -> CorrelationResult:
+    """Normalized correlation of the two analyzer outcomes, for any
+    amplitude and transform case.
+
+    The value uses the detector-side form (pulled-back momenta,
+    Wigner-shifted per-node angles on each transformed arm).  For a
+    Bell-kind amplitude with an angle field, the diagnostics carry the
+    reduced single-cosine value implied by the polarization-angle condition
+    and the condition residual over the sampled nodes.  For the joint case
+    they add the vacuum-side form (``vacuum_picture_value`` with its own
+    error estimate and the gap to the detector-side value), read off the
+    same two evaluations; the transport defect of the constructed amplitude
+    family is ``bellepr diagnose``'s ``realized-transport-gap``.  The
+    ``alice_only`` case requires Bob's cone to stay directionally disjoint
+    from the pulled-back Alice cone.
+    """
+    if scenario.transform.kind == "alice_only":
+        m = scenario.transform.lorentz_map
+        pulled = mapped_bounding_region(scenario.alice.region, inverse(m))
+        if not regions_disjoint(scenario.bob.region, pulled):
+            raise PreconditionError(
+                "Bob's cone overlaps the pulled-back image of Alice's cone; "
+                "the same-momentum coincidence term is out of scope here"
+            )
+    spec = scenario.quadrature
+    full = _evaluate(scenario, spec)
+    half = _evaluate(scenario, spec.halved())
     value = full.num / full.den
     diagnostics: dict[str, float] = {"den_swap_block_residual": full.swap_residual}
-    diagnostics.update(_bell_diagnostics(scn, full, value))
+    diagnostics.update(_bell_diagnostics(scenario, full, value))
     if full.vacuum_num is not None:
         vac = full.vacuum_num / full.den
         diagnostics["vacuum_picture_value"] = vac
@@ -385,73 +412,10 @@ def _finish(scn: Scenario) -> CorrelationResult:
     )
 
 
-# --------------------------------------------------------------------------
-# public operations
-
-
-def _require_case(scn: Scenario, kind: str, op: str) -> None:
-    if scn.transform.kind != kind:
-        raise InputError(
-            f"{op} requires a scenario with the {kind!r} transform case, "
-            f"got {scn.transform.kind!r}"
-        )
-
-
-def epr_general_rest(scenario: Scenario) -> CorrelationResult:
-    """Normalized correlation of the two analyzer outcomes, both detectors
-    at rest, for an arbitrary two-photon amplitude."""
-    _require_case(scenario, "rest", "epr_general_rest")
-    return _finish(scenario)
-
-
-def epr_bell_rest(scenario: Scenario) -> CorrelationResult:
-    """Rest-frame correlation for a Bell-kind amplitude.
-
-    The value comes from the four-term formula; the diagnostics carry the
-    reduced single-cosine value implied by the polarization-angle condition
-    together with the condition residual over the sampled nodes.
-    """
-    _require_case(scenario, "rest", "epr_bell_rest")
-    if scenario.amplitude.kind not in BELL_KINDS:
-        raise InputError(
-            f"epr_bell_rest requires a Bell-kind amplitude, got {scenario.amplitude.kind!r}"
-        )
-    return _finish(scenario)
-
-
-def epr_case1(scenario: Scenario) -> CorrelationResult:
-    """Correlation with both detectors transformed by the same map.
-
-    The value uses the detector-side form (pulled-back momenta,
-    Wigner-shifted per-node angles).  Diagnostics add the vacuum-side form
-    (``vacuum_picture_value`` with its own error estimate and the gap to the
-    detector-side value), read off the same two evaluations.  The transport
-    defect of the constructed amplitude family (this value against the rest
-    value of the state at laboratory momenta with the vacuum composed with
-    the map) is ``bellepr diagnose``'s ``realized-transport-gap``.
-    """
-    _require_case(scenario, "joint", "epr_case1")
-    return _finish(scenario)
-
-
-def epr_case2(scenario: Scenario) -> CorrelationResult:
-    """Correlation with only Alice's detector transformed.
-
-    Alice's acceptance cone is meshed in the laboratory, each node pulled
-    back through the map, and her analyzer angle shifted per node by minus
-    twice the map's Wigner phase; Bob's arm is untouched.  Requires Bob's
-    cone to stay directionally disjoint from the pulled-back Alice cone.
-    """
-    _require_case(scenario, "alice_only", "epr_case2")
-    m = scenario.transform.lorentz_map
-    assert m is not None
-    pulled = mapped_bounding_region(scenario.alice.region, inverse(m))
-    if not regions_disjoint(scenario.bob.region, pulled):
-        raise PreconditionError(
-            "Bob's cone overlaps the pulled-back image of Alice's cone; "
-            "the same-momentum coincidence term is out of scope here"
-        )
-    return _finish(scenario)
+#: Old names of correlate; nothing in bellepr calls them, and their only
+#: reader is the benchmark tracer (perfbench/tracing.py), which looks them up
+#: by name.
+epr_general_rest = epr_bell_rest = epr_case1 = epr_case2 = correlate
 
 
 #: Largest accepted gap between the two ordered cross-cone denominator blocks.

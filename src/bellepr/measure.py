@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +47,9 @@ __all__ = [
 
 #: 1 / (2*(2*pi)^3): the constant prefactor of the invariant measure.
 _MEASURE_CONST = 1.0 / (2.0 * (2.0 * math.pi) ** 3)
+
+#: Largest finite freq_hi: the node rules square the window's ends.
+_FREQ_MAX = math.sqrt(sys.float_info.max)
 
 #: Number of dyadic Gauss-Legendre panels for semi-infinite radial rules.
 #: Panel j covers u in [2^-(j+1), 2^-j]; the final panel covers the stub
@@ -87,6 +91,10 @@ class DetectorRegion:
             if not (0.0 <= self.freq_lo < self.freq_hi):
                 raise InputError(
                     f"need 0 <= freq_lo < freq_hi, got [{self.freq_lo}, {self.freq_hi}]"
+                )
+            if self.freq_hi > _FREQ_MAX:
+                raise InputError(
+                    f"freq_hi {self.freq_hi!r} is beyond double range: its square overflows"
                 )
 
     @property
@@ -324,11 +332,15 @@ def mapped_bounding_region(
     by 1e-9 relative to cover rounding (floor 1e-9).  Only the directions of
     the returned region are meaningful (its frequency window is a
     placeholder)."""
-    v = lorentz_map.matrix @ np.concatenate(([math.cos(region.half_angle)], region.axis))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = lorentz_map.matrix @ np.concatenate(([math.cos(region.half_angle)], region.axis))
+    if not np.isfinite(v).all():
+        raise PreconditionError("the map takes a cone's bounding vector beyond double range")
     half = math.atan2(math.sin(region.half_angle), float(v[0])) * (1.0 + 1e-9)
     half = min(max(half, 1e-9), math.pi)
+    # hypot, unlike a sum of squares, does not overflow for a finite vector
     return DetectorRegion(
-        axis=v[1:] / np.linalg.norm(v[1:]), half_angle=half, freq_lo=0.5, freq_hi=2.0
+        axis=v[1:] / math.hypot(*v[1:]), half_angle=half, freq_lo=0.5, freq_hi=2.0
     )
 
 

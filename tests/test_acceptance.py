@@ -20,9 +20,7 @@ from bellepr.correlators import (
     Scenario,
     alice_only_case,
     bound_check,
-    epr_bell_rest,
-    epr_case1,
-    epr_case2,
+    correlate,
     joint_case,
     swap_roles,
 )
@@ -310,7 +308,7 @@ def test_criterion_05_rest_frame_correlator_structure(z_mid, fit21):
     # matched analyzer sum reaches maximal anticorrelation
     sigma = fitted_sum(fit21)
     alpha = 0.3
-    matched = epr_bell_rest(
+    matched = correlate(
         make_scn(AMP21, z_mid, sigma - alpha, alpha, field=fit21.field)
     )
     results.append(matched)
@@ -321,7 +319,7 @@ def test_criterion_05_rest_frame_correlator_structure(z_mid, fit21):
     betas = np.linspace(0.0, math.pi, 13, endpoint=False)
     vals = []
     for beta in betas:
-        r = epr_bell_rest(make_scn(AMP21, z_mid, beta, alpha, field=fit21.field))
+        r = correlate(make_scn(AMP21, z_mid, beta, alpha, field=fit21.field))
         results.append(r)
         vals.append(r.value)
     vals = np.asarray(vals)
@@ -339,10 +337,10 @@ def test_criterion_05_rest_frame_correlator_structure(z_mid, fit21):
     # the opposite-helicity pair depends on the settings only through the
     # analyzer-angle difference
     for n_osc in (5, math.inf):
-        base = epr_bell_rest(make_scn(AMP11, z_mid, 0.8, 0.25, n_osc=n_osc))
+        base = correlate(make_scn(AMP11, z_mid, 0.8, 0.25, n_osc=n_osc))
         results.append(base)
         for delta in (0.4, 1.13):
-            moved = epr_bell_rest(
+            moved = correlate(
                 make_scn(AMP11, z_mid, 0.8 + delta, 0.25 + delta, n_osc=n_osc)
             )
             results.append(moved)
@@ -363,9 +361,9 @@ def test_criterion_06_oscillator_number_dependence(z_mid):
     # equal-helicity pairs: the (N-1)/N weights cancel between numerator
     # and denominator, so the value is independent of the oscillator count
     for amp in (AMP21, AMP22):
-        ref = epr_bell_rest(make_scn(amp, z_mid, beta, alpha)).value
+        ref = correlate(make_scn(amp, z_mid, beta, alpha)).value
         for n_osc in (2, 5, 50):
-            v = epr_bell_rest(make_scn(amp, z_mid, beta, alpha, n_osc=n_osc)).value
+            v = correlate(make_scn(amp, z_mid, beta, alpha, n_osc=n_osc)).value
             assert abs(v - ref) <= 1e-12
 
     # opposite-helicity pair: recompute the three building-block integrals
@@ -398,14 +396,14 @@ def test_criterion_06_oscillator_number_dependence(z_mid):
     a_coef, b_coef, c_coef = -4.0 * t_int, d_int, c_int
     for n_osc in (2, 3, 5, 10, 50):
         model = -(n_osc - 1) * a_coef / (b_coef + (n_osc - 1) * c_coef)
-        engine = epr_bell_rest(
+        engine = correlate(
             make_scn(AMP11, z_mid, beta, alpha, n_osc=n_osc)
         ).value
         assert abs(model - engine) <= 1e-8 * max(1.0, abs(engine))
 
     # and the N -> infinity limit drops the same-momentum integral entirely
     limit = -a_coef / c_coef
-    engine_inf = epr_bell_rest(make_scn(AMP11, z_mid, beta, alpha)).value
+    engine_inf = correlate(make_scn(AMP11, z_mid, beta, alpha)).value
     assert abs(limit - engine_inf) <= 1e-8 * max(1.0, abs(engine_inf))
 
 
@@ -416,8 +414,8 @@ def test_criterion_06_oscillator_number_dependence(z_mid):
 def test_criterion_07_joint_motion_two_pictures(z_mid):
     # identity map reproduces the rest rows exactly
     for beta in (0.2, 0.9, 2.0):
-        rest = epr_bell_rest(make_scn(AMP21, z_mid, beta, 0.3))
-        moved = epr_case1(
+        rest = correlate(make_scn(AMP21, z_mid, beta, 0.3))
+        moved = correlate(
             make_scn(AMP21, z_mid, beta, 0.3, transform=joint_case(bp.identity_map()))
         )
         assert abs(moved.value - rest.value) <= 1e-12
@@ -433,7 +431,7 @@ def test_criterion_07_joint_motion_two_pictures(z_mid):
     for rapidity in (0.25, 1.0):
         mv = joint_case(bp.boost(rapidity, Y_HAT))
         for amp, n_osc in ((AMP21, math.inf), (AMP11, 5)):
-            r = epr_case1(make_scn(amp, z_mid, 0.9, 0.3, n_osc=n_osc, transform=mv))
+            r = correlate(make_scn(amp, z_mid, 0.9, 0.3, n_osc=n_osc, transform=mv))
             combined = r.err_estimate + r.diagnostics["vacuum_picture_err"]
             assert r.diagnostics["picture_gap"] <= combined
             assert bound_check(r)
@@ -445,18 +443,18 @@ def test_criterion_07_joint_motion_two_pictures(z_mid):
 
 def test_criterion_08_single_arm_motion_asymmetry(z_mid, fit11):
     # identity map reproduces the rest value
-    rest = epr_bell_rest(make_scn(AMP21, z_mid, 0.9, 0.3))
-    ident = epr_case2(
+    rest = correlate(make_scn(AMP21, z_mid, 0.9, 0.3))
+    ident = correlate(
         make_scn(AMP21, z_mid, 0.9, 0.3, transform=alice_only_case(bp.identity_map()))
     )
     assert abs(ident.value - rest.value) <= 1e-12
 
     def both_sides(amp, vac, beta, alpha, lorentz_map):
         """The map on Alice's arm vs its inverse moved onto Bob's arm."""
-        side_a = epr_case2(
+        side_a = correlate(
             make_scn(amp, vac, beta, alpha, transform=alice_only_case(lorentz_map))
         )
-        side_b = epr_case2(
+        side_b = correlate(
             swap_roles(
                 make_scn(
                     amp,

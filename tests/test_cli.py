@@ -1,14 +1,21 @@
 """Command-line runner: config validation, sweep output, determinism,
 oracle report, and diagnosis report."""
 
+import contextlib
+import io
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bellepr import cli
+from bellepr import cli, correlators
 from bellepr.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -153,6 +160,41 @@ class TestConfigValidation:
         assert_one_error_line(capsys.readouterr().err, "config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["product", "mc"])
+    @pytest.mark.parametrize("command", ["correlate", "diagnose"])
+    def test_window_whose_square_overflows_is_a_config_error(self, command, mode, tmp_path, capsys):
+        text = demo_with(
+            ("    freq_hi: 2.0\n    angle: 0.0\n", "    freq_hi: 1.0e+200\n    angle: 0.0\n"),
+            ("  n_azimuth: 8\n", f"  n_azimuth: 8\n  mode: {mode}\n"),
+        )
+        out = tmp_path / "out.txt"
+        assert main([command, write_config(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, "config error: freq_hi 1e+200 is beyond")
+        assert not out.exists()
+
+    def test_single_arm_overlap_is_refused_by_correlate_only(self, tmp_path, capsys, monkeypatch):
+        # a quarter turn about y pulls Alice's cone (+x) back onto Bob's (+z):
+        # diagnose reports on the config, correlate refuses it before evaluating
+        text = demo_text("case2_single_arm_boost").replace(
+            "      kind: boost\n      rapidity: 1.0\n      axis: [1.0, 0.0, 0.0]\n",
+            "      kind: rotation\n      angle: 1.5707963267948966\n      axis: [0.0, 1.0, 0.0]\n",
+        ).replace("variable: rapidity", "variable: beta")
+        assert "kind: rotation" in text and "variable: beta" in text
+        cfg, out = write_config(tmp_path, text), tmp_path / "out.csv"
+        assert main(["diagnose", cfg]) == EXIT_OK
+        capsys.readouterr()
+
+        def fail(scn, spec):
+            raise AssertionError("evaluated a point of an overlapping single-arm scenario")
+
+        monkeypatch.setattr(correlators, "_evaluate", fail)
+        assert main(["correlate", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+        assert_one_error_line(
+            capsys.readouterr().err,
+            "precondition violated: Bob's cone overlaps the pulled-back image of Alice's cone",
+        )
+        assert not out.exists()
+
     def test_overlapping_cones_precondition(self, tmp_path, capsys):
         text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
             "axis: [1.0, 0.0, 0.0]", "axis: [0.0, 0.0, 1.0]"
@@ -258,7 +300,7 @@ class TestConfigValidation:
         def fail(scn):
             raise AssertionError("evaluated a sweep point before checking --out")
 
-        monkeypatch.setattr(cli, "_evaluate_scenario", fail)
+        monkeypatch.setattr(cli, "correlate", fail)
         cfg = write_config(
             tmp_path, BASE_SCENARIO.format(beta="0.0", transform=REST) + SWEEP_BETA
         )
@@ -400,6 +442,24 @@ CONFIG_ERRORS = {
         [], "rapidity sweep needs a boost map",
     ),
     "threads-0": (demo_text("bell21_rest_sweep"), ["--threads", "0"], "--threads must be >= 1"),
+    "beta-sweep-to-inf": (
+        demo_with((DEMO_SWEEP, DEMO_SWEEP.replace("3.141592653589793", ".inf"))),
+        [], "sweep stop must be finite, got inf",
+    ),
+    "n_osc-sweep-to-inf": (
+        demo_text("bell11_n_sweep").replace("stop: 50", "stop: .inf"), [],
+        "sweep stop must be finite, got inf",
+    ),
+    "rapidity-sweep-from-minus-inf": (
+        demo_text("case1_joint_boost").replace("start: 0.0", "start: -.inf"), [],
+        "sweep start must be finite, got -inf",
+    ),
+    "sweep-span-beyond-double-range": (
+        demo_with(
+            (DEMO_SWEEP, "  variable: beta\n  start: -1.0e+308\n  stop: 1.0e+308\n  count: 3\n")
+        ),
+        [], "sweep span from -1e+308 to 1e+308 is beyond double range",
+    ),
 }
 
 
@@ -657,7 +717,7 @@ class TestCorrelateRoutes:
 
     @pytest.mark.parametrize("block", sorted(ENVELOPES))
     def test_envelope_matches_the_library(self, tmp_path, block):
-        from bellepr.correlators import DetectorSetting, Scenario, epr_bell_rest
+        from bellepr.correlators import DetectorSetting, Scenario, correlate
         from bellepr.measure import DetectorRegion
         from bellepr.states import TwoPhotonAmplitude
         from bellepr.vacuum import normalize
@@ -679,7 +739,7 @@ class TestCorrelateRoutes:
         alice = DetectorRegion(np.array([1.0, 0.0, 0.0]), 0.0349, 0.5, 2.0)
         for beta, value in rows[:, [0, 3]]:
             scn = Scenario(amp, vac, DetectorSetting(bob, beta), DetectorSetting(alice, 0.3))
-            assert epr_bell_rest(scn).value == pytest.approx(value, rel=1e-12, abs=1e-15)
+            assert correlate(scn).value == pytest.approx(value, rel=1e-12, abs=1e-15)
 
     def test_bound_violation_is_reported(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "bound_check", lambda result: False)
@@ -784,6 +844,18 @@ class TestDiagnose:
         assert "RESULT PASS" in out
 
 
+    def test_overflowing_amplitude_sample_is_a_precondition(self, tmp_path, capsys):
+        # frequency^-400 overflows on the sampled momenta; correlate refuses the
+        # same config for its overflowing denominator
+        envelope = "    envelope: {kind: frequency-power, power: -400}\n"
+        text = demo_with((DEMO_THETA, DEMO_THETA.replace("bell21\n", "bell21\n" + envelope)))
+        cfg, out = write_config(tmp_path, text), tmp_path / "report.txt"
+        assert main(["diagnose", cfg, "--out", str(out)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "precondition violated: the amplitude is not finite")
+        assert "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("transform", ["joint", "alice_only", "rest"])
     def test_realized_transport_gap_is_reported_for_joint_only(self, transform, tmp_path, capsys):
         block = f"case: {transform}"
@@ -804,6 +876,98 @@ class TestDiagnose:
         # map realizes the rest state exactly
         assert names[-2:] == ["amplitude-covariance-defect", "realized-transport-gap"]
         assert float(info[-1][2]) <= 1e-12
+
+
+#: Edge values a schema-valid config may carry; each strategy below draws
+#: from them.
+EDGE_BOUNDS = [0.0, 1.0, 3.0, 50.0, -2.0, 1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan]
+EDGE_FREQ_HI = [2.0, 1e100, 1e154, 1e200, 1e300, math.inf]
+EDGE_ENVELOPES = [
+    {"kind": "frequency-power", "power": -400.0},
+    {"kind": "frequency-power", "power": 400.0},
+    {"kind": "frequency-gaussian", "center": 1e300, "width": 1e-300},
+]
+EDGE_TRANSFORMS = [{"case": "rest"}] + [
+    {"case": case, "map": lorentz_map}
+    for case in ("joint", "alice_only")
+    for lorentz_map in (
+        {"kind": "identity"},
+        {"kind": "boost", "rapidity": 8.0, "axis": [0.0, 1.0, 0.0]},
+        {"kind": "boost", "rapidity": 700.0, "axis": [1.0, 0.0, 0.0]},
+        {"kind": "rotation", "angle": math.pi / 2, "axis": [0.0, 1.0, 0.0]},
+        {"kind": "rotation", "angle": 1e300, "axis": [0.0, 0.0, 1.0]},
+    )
+]
+DEMOS = ["bell11_n_sweep", "bell21_rest_sweep", "case1_joint_boost", "case2_single_arm_boost"]
+
+
+def edge_or_demo(values):
+    """One of ``values``, or None (keep the demo's own value) half the time."""
+    return st.one_of(st.none(), st.sampled_from(values))
+
+
+@st.composite
+def edge_configs(draw):
+    """(command, config document): a demo with small node counts and a short
+    sweep, carrying edge values in its sweep bounds, frequency windows,
+    envelope, quadrature mode and transform."""
+    doc = yaml.safe_load(demo_text(draw(st.sampled_from(DEMOS))))
+    scenario, sweep = doc["scenario"], doc["sweep"]
+    quad = {axis: draw(st.integers(2, 4)) for axis in ("n_freq", "n_polar", "n_azimuth")}
+    if draw(st.booleans()):
+        quad.update(mode="mc", n_samples=draw(st.integers(2, 16)))
+    doc["quadrature"] = quad
+    sweep["count"] = draw(st.integers(1, 3))
+    edges = [
+        (sweep, "variable", ["beta", "alpha", "rapidity", "n_osc"]),
+        (sweep, "start", EDGE_BOUNDS),
+        (sweep, "stop", EDGE_BOUNDS),
+        (scenario["bob"], "freq_hi", EDGE_FREQ_HI),
+        (scenario["alice"], "freq_hi", EDGE_FREQ_HI),
+        (scenario["state"], "envelope", EDGE_ENVELOPES),
+        (scenario, "transform", EDGE_TRANSFORMS),
+    ]
+    for block, key, values in edges:
+        value = draw(edge_or_demo(values))
+        if value is not None:
+            block[key] = value
+    doc["diagnose"] = {"momentum_samples": 8, "map_samples": 2, "pair_samples": 4}
+    return draw(st.sampled_from(["correlate", "diagnose"])), doc
+
+
+def edited_demo(name, sweep=None, quadrature=None, **arm_and_state):
+    """A demo document with its sweep and quadrature blocks updated, and
+    ``bob``/``alice``/``state`` keys merged into the scenario."""
+    doc = yaml.safe_load(demo_text(name))
+    doc["sweep"].update(sweep or {})
+    doc.setdefault("quadrature", {}).update(quadrature or {})
+    for key, block in arm_and_state.items():
+        doc["scenario"][key].update(block)
+    return doc
+
+
+MC, HUGE_WINDOW = {"mode": "mc"}, {"freq_hi": 1e200}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(edge_configs())
+@example(("correlate", edited_demo("bell11_n_sweep", sweep={"stop": math.inf})))
+@example(("correlate", edited_demo("bell21_rest_sweep", quadrature=MC, bob=HUGE_WINDOW)))
+@example(("diagnose", edited_demo("bell21_rest_sweep", quadrature=MC, bob=HUGE_WINDOW)))
+@example(("diagnose", edited_demo("bell21_rest_sweep", bob={"freq_hi": 1e300})))
+@example(("diagnose", edited_demo("bell21_rest_sweep", state={"envelope": EDGE_ENVELOPES[0]})))
+def test_schema_valid_edge_configs_end_in_a_documented_exit(case):
+    # a leaked numpy warning is an error under the test suite's filters
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "edge.yaml")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, cfg, "--out", os.path.join(tmp, "out.txt")])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_PRECONDITION)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
 
 class TestEntryPoint:

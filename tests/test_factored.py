@@ -25,10 +25,7 @@ from bellepr.correlators import (
     DetectorSetting,
     Scenario,
     alice_only_case,
-    epr_bell_rest,
-    epr_case1,
-    epr_case2,
-    epr_general_rest,
+    correlate,
     joint_case,
     rest_case,
 )
@@ -55,11 +52,7 @@ SPEC_1536 = QuadratureSpec(n_freq=12, n_polar=8, n_azimuth=16)
 BOB = DetectorRegion(np.array([0.0, 0.0, 1.0]), 2.0 * DEG, 0.5, 2.0)
 ALICE = DetectorRegion(np.array([1.0, 0.0, 0.0]), 2.0 * DEG, 0.5, 2.0)
 BOOST = bp.boost(0.7, np.array([0.0, 1.0, 0.0]))
-CASES = {
-    "rest": (rest_case(), epr_bell_rest),
-    "joint": (joint_case(BOOST), epr_case1),
-    "alice_only": (alice_only_case(BOOST), epr_case2),
-}
+CASES = {"rest": rest_case(), "joint": joint_case(BOOST), "alice_only": alice_only_case(BOOST)}
 RTOL = 1e-12
 
 
@@ -88,7 +81,7 @@ def scenario(vacuum, kind, case, n_osc, envelope, spec=SPEC) -> Scenario:
         alice=DetectorSetting(ALICE, -0.3),
         n_osc=n_osc,
         theta_field=_FITS[kind, envelope],
-        transform=CASES[case][0],
+        transform=CASES[case],
         quadrature=spec,
     )
 
@@ -123,7 +116,7 @@ def dense_numerator(scn, tables, ub, ua, beta, alpha) -> float:
 def check_against_dense(scn: Scenario) -> None:
     amp, n_osc = scn.amplitude, scn.n_osc
     case = scn.transform.kind
-    result = CASES[case][1](scn)
+    result = correlate(scn)
     arms = dense_arms(scn)
 
     # denominator blocks and total
@@ -209,7 +202,7 @@ def test_joint_point_builds_no_table_beyond_the_residual_sample(vacuum, kind, mo
 
     monkeypatch.setattr(states, "amplitude_pair_tables", spy)
     monkeypatch.setattr(correlators, "amplitude_pair_tables", spy)
-    epr_case1(scn)
+    correlate(scn)
     # the only table is the DEFAULT_QUADRATURE sample of bell_residual_max;
     # the norm's same-momentum term is read off its own blocks' factors
     assert sizes == [192 * 192]
@@ -220,7 +213,7 @@ def test_joint_point_at_1536_nodes_stays_small(vacuum, kind):
     scn = scenario(vacuum, kind, "joint", 3, False, spec=SPEC_1536)
     tracemalloc.start()
     try:
-        epr_case1(scn)
+        correlate(scn)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -251,10 +244,10 @@ def test_general_joint_point_matches_dense_tables(vacuum):
         bob=DetectorSetting(BOB, 0.4),
         alice=DetectorSetting(ALICE, -0.3),
         n_osc=3,
-        transform=CASES["joint"][0],
+        transform=CASES["joint"],
         quadrature=SPEC,
     )
-    result = epr_case1(scn)
+    result = correlate(scn)
     (fb, db, ub, wb), (fa, da, ua, wa) = dense_arms(scn)
     tables = amplitude_pair_tables(scn.amplitude, fb, db, fa, da)
     assert len(tables) == 4
@@ -276,7 +269,6 @@ GENERAL_STATE = {
     "envelope": {"kind": "frequency-gaussian", "center": 1.0, "width": 0.5},
     "coefficients": {"++": [1.0, 0.0], "--": [0.5, 0.2], "+-": [0.3, -0.1], "-+": [0.3, -0.1]},
 }
-GENERAL_ENTRY = {"rest": epr_general_rest, "joint": epr_case1, "alice_only": epr_case2}
 
 
 def general_scenario(vacuum, amp, case, spec) -> Scenario:
@@ -286,21 +278,20 @@ def general_scenario(vacuum, amp, case, spec) -> Scenario:
         bob=DetectorSetting(BOB, 0.4),
         alice=DetectorSetting(ALICE, -0.3),
         n_osc=3,
-        transform=CASES[case][0],
+        transform=CASES[case],
         quadrature=spec,
     )
 
 
-@pytest.mark.parametrize("case", sorted(GENERAL_ENTRY))
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_constant_general_slots_match_the_same_slots_as_evaluators(vacuum, case):
     amp = cli._build_amplitude(GENERAL_STATE)
     assert not any(callable(value) for value in amp.table.values())
     evaluators = dataclasses.replace(
         amp, table={slot: (lambda f1, d1, f2, d2, c=c: c) for slot, c in amp.table.items()}
     )
-    entry = GENERAL_ENTRY[case]
-    factored = entry(general_scenario(vacuum, amp, case, SPEC))
-    dense = entry(general_scenario(vacuum, evaluators, case, SPEC))
+    factored = correlate(general_scenario(vacuum, amp, case, SPEC))
+    dense = correlate(general_scenario(vacuum, evaluators, case, SPEC))
     for name in ("numerator", "denominator", "value"):
         assert getattr(factored, name) == pytest.approx(getattr(dense, name), rel=RTOL, abs=0.0)
     if case == "joint":  # the vacuum-side route scales the factors by the transport phases
@@ -312,7 +303,7 @@ def test_config_general_point_at_1536_nodes_stays_small(vacuum):
     scn = general_scenario(vacuum, cli._build_amplitude(GENERAL_STATE), "rest", SPEC_1536)
     tracemalloc.start()
     try:
-        epr_general_rest(scn)
+        correlate(scn)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -46,6 +46,13 @@ class TestRegionValidation:
         with pytest.raises(bp.InputError):
             DetectorRegion(Z_AXIS, 0.1, 1.0, math.inf)
 
+    def test_rejects_a_window_whose_square_overflows(self):
+        # the node rules square the window's ends
+        edge = math.sqrt(np.finfo(np.float64).max)
+        assert DetectorRegion(Z_AXIS, 0.1, 1.0, edge).freq_hi ** 2 < math.inf
+        with pytest.raises(bp.InputError, match="beyond double range"):
+            DetectorRegion(Z_AXIS, 0.1, 1.0, np.nextafter(edge, math.inf))
+
 
 class TestRegionMeasure:
     def test_full_sphere_unit_window(self):
@@ -226,6 +233,15 @@ class TestMappedBoundingRegion:
             )
             assert angles.max() <= cone.half_angle
             assert cone.half_angle <= angles.max() * (1.0 + 1e-7)
+
+    def test_map_near_double_range(self):
+        # the image's axis is normalized without squaring its components, and
+        # a bounding vector that overflows is a precondition
+        alice = DetectorRegion(np.array([1.0, 0.0, 0.0]), 0.0349, 0.5, 2.0)
+        cone = mapped_bounding_region(alice, bp.boost(700.0, [1.0, 0.0, 0.0]))
+        assert np.array_equal(cone.axis, [1.0, 0.0, 0.0]) and cone.half_angle == 1e-9
+        with pytest.raises(bp.PreconditionError, match="beyond double range"):
+            mapped_bounding_region(alice, bp.boost(710.3, [1.0, 0.0, 0.0]))
 
 
 def _unit(rng):

@@ -1,12 +1,16 @@
 """Package surface: ``bellepr.__all__`` lists exactly the names that
 ``bellepr/__init__.py`` imports, the configuration schema ships as package
 data, the package version is written once, and every function the
-benchmark tracer wraps by name exists once ``bellepr.cli`` is imported."""
+benchmark tracer wraps by name exists once ``bellepr.cli`` is imported;
+the README's Python example runs and prints what it promises."""
 
+import contextlib
 import importlib.resources
 import importlib.util
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -83,3 +87,16 @@ def test_benchmark_tracer_names_exist_after_importing_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_readme_python_example_prints_about_minus_one():
+    # the example names public functions; run it so a renamed one fails here
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_example"})
+    value = float(out.getvalue().split()[0])
+    assert value == pytest.approx(-1.0, abs=0.01)  # "about -1.0 at the matched setting"
