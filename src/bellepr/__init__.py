@@ -63,7 +63,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import (
     ChartError,

@@ -507,9 +507,10 @@ def norm_reference(
     z_values: Sequence[float],
 ) -> float:
     """Closed-form squared norm of the pair state: ``states.norm_sum`` over the
-    grid as one arm, with the stored slot tables as a general amplitude."""
+    grid as one arm, each stored slot table T as the general slot (T, I)."""
     slots = _check_tables(space, tables).items()
-    amp = TwoPhotonAmplitude(kind="general", table={s: lambda *_, t=t: t for s, t in slots})
+    table = {s: (lambda *_, t=t: t, lambda *_, t=t: np.eye(len(t))) for s, t in slots}
+    amp = TwoPhotonAmplitude(kind="general", table=table)
     u = space.grid.weights * _z_values(space, z_values)
     dirs = np.array([k.dir for k, _ in space.grid.cells])
     return norm_sum(amp, [(space.grid.freqs, dirs, u)], space.n_osc)[0]
@@ -526,9 +527,10 @@ def four_term_reference(
 ) -> float:
     """Disjoint-detector correlation numerator, discretized: ``states.four_term``
     (8(N-1)/N times the four e^{-2i(beta +- alpha)} slot products) over the
-    two cell subsets."""
+    two cell subsets, each slot table T as the factors (T[ib], I[ia])."""
     ib, ia = _cells(space, subset_b), _cells(space, subset_a)
-    pairs = {s: PairTable(tab[np.ix_(ib, ia)]) for s, tab in _check_tables(space, tables).items()}
+    eye = np.eye(space.grid.size)
+    pairs = {s: PairTable(tab[ib], eye[ia]) for s, tab in _check_tables(space, tables).items()}
     u = space.grid.weights * _z_values(space, z_values)
     return four_term(pairs, u[ib], u[ia], beta, alpha, space.n_osc)
 

@@ -12,9 +12,9 @@ cos(polar) and in omega (about the region axis) and a uniform periodic rule
 in azimuth, which is spectrally accurate for smooth integrands.  A seeded
 Monte Carlo mode provides an independent cross-check.
 
-Boosted regions are never meshed directly; instead map_nodes pushes a node
-set through the map, the change of variables l = Lambda u, which carries no
-Jacobian because the measure is invariant.
+Boosted regions are never meshed: the correlators mesh the laboratory cone
+and pull each node back with wigner_pullback (no Jacobian: the measure is
+invariant); map_nodes, pushing nodes forward, serves only the benchmark tracer.
 
 Semi-infinite frequency windows (freq_hi = inf) are supported for
 normalization integrals via the substitution u = exp(-omega/scale), i.e.

@@ -312,13 +312,16 @@ def wigner_pullback(
     Wigner phases 2*Theta(L, k_i) in (-pi, pi] for frequencies (...,) and unit
     directions (..., 3): returns (pre freqs, pre dirs, phases).  The phase is
     read off s = A pi(L^-1 k) = e^{-i Theta} pi(k).  Raises ChartError when k
-    or L^-1 k lies on the chart cut (see wigner_defined).  When s misses
-    pi(k) by 1e-8 relative or more (or by NaN), raises PreconditionError where
-    the check's own rounding reaches 1e-8, ConsistencyError elsewhere."""
+    or L^-1 k lies on the chart cut (see wigner_defined), PreconditionError
+    when L^-1 k overflows.  When s misses pi(k) by 1e-8 relative or more (or
+    by NaN), raises PreconditionError where the check's own rounding reaches
+    1e-8, ConsistencyError elsewhere."""
     freqs = np.asarray(freqs, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     with np.errstate(all="ignore"):  # a map beyond double range overflows to NaN
         pre_freqs, pre_dirs = map_momenta(inverse(a), freqs, dirs)
+        if not (np.isfinite(pre_freqs).all() and np.isfinite(pre_dirs).all()):
+            raise PreconditionError("the Wigner phase is beyond double precision: L^-1 k overflows")
         q0, q1 = batch_spinors(pre_freqs, pre_dirs)
         s0 = a.sl2c[0, 0] * q0 + a.sl2c[0, 1] * q1
         s1 = a.sl2c[1, 0] * q0 + a.sl2c[1, 1] * q1

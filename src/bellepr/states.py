@@ -10,10 +10,10 @@ Helicity amplitudes psi_ss'(k, k') are built from the spin-frame chart:
   symplectic spinor pairing, psi_-- its conjugate; |psi_++| = 2 k.k' (Lorentz
   invariant) and the diagonal vanishes.  Equal-helicity pairs only.
 * ``general``: an explicit table for any of the four slots, each a number
-  (a constant slot) or a batch evaluator.  An evaluator is called as
-  ``fn(f1, d1, f2, d2)`` on the broadcast shapes (n1, 1), (n1, 1, 3),
-  (1, n2), (1, n2, 3) of two frequency and unit-direction batches and
-  returns an array broadcastable to the (n1, n2) pair grid.
+  ``c`` (the rank-1 pair (c, 1)) or a pair ``(rows, cols)`` of batch
+  functions, called like the envelope on ``freqs`` (n,) and ``dirs`` (n, 3)
+  and returning (n, r) arrays: the slot's table is rows(k) @ cols(k')^T.  A
+  kernel that does not factor is a finite sum of products, of rank r.
 
 The two kinds in each pair share one amplitude table; they differ in which
 phase condition (difference- or sum-coupled, plus or minus branch) their
@@ -23,12 +23,10 @@ pi/4 from one arm of a difference-coupled field (condition 11 <-> 12), or
 pi/4 overall for a sum-coupled one (condition 21 <-> 22).
 
 Each slot is multiplied by a product envelope g(k) g(k') when one is given.
-Every function of two momentum batches works on their (n1, n2) pair grid: a
-slot is a pair table, dense from amplitude_pair_tables or as per-node
-factors from pair_factors (Bell kinds and constant general slots factor
-exactly), which PairTable contracts without building the table, and the
-condition, symmetry and covariance residuals are (n1, n2) tables.  One pair
-is a 1 x 1 grid.
+Every function of two momentum batches works on their (n1, n2) pair grid (one
+pair is a 1 x 1 grid): pair_factors holds a slot as per-node factors, and
+amplitude_pair_tables builds the dense reference table that the condition,
+symmetry and covariance residuals read.
 
 Every weighted slot sum is the inner product PairTable.contract,
 u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), four_term (the
@@ -52,12 +50,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .measure import DetectorRegion, QuadratureSpec, full_sphere_region, invariant_node_set
 from .spinor_tetrad import (
     LorentzMap,
@@ -145,6 +144,7 @@ class PolarizationAngleField:
     the chart azimuth), "tabulated" (value of the nearest axis).  When
     ``lorentz_map`` is set the field evaluates as the Wigner-shifted
     transform of its base parameters: theta_base(L^-1 k) + 2*Theta(L, k).
+    Every value the field takes must be finite, and twice it too.
     """
 
     kind: str
@@ -171,6 +171,11 @@ class PolarizationAngleField:
                 raise InputError("tabulated axes/values length mismatch")
             object.__setattr__(self, "axes", axes)
             object.__setattr__(self, "values", vals)
+            peak = float(np.max(np.abs(vals)))
+        else:  # |theta| peaks at |theta0| + pi |coeff|
+            peak = abs(self.theta0) + (math.pi * abs(self.coeff) if self.kind == "azimuthal" else 0)
+        if not math.isfinite(2.0 * peak):  # the correlation reads e^{2i theta}
+            raise InputError(f"polarization angle must be finite, and twice it too: |theta| {peak}")
 
 
 def constant_field(theta0: float) -> PolarizationAngleField:
@@ -252,22 +257,21 @@ class TwoPhotonAmplitude:
     """Two-photon helicity amplitude psi_ss'(k, k').
 
     ``kind`` selects one of the four Bell constructions (tetrad-built) or
-    "general" (explicit ``table`` mapping (s, s') to a number or a batch
-    evaluator ``fn(f1, d1, f2, d2)``; see the module docstring for the
-    shapes an evaluator receives and must return).  ``envelope`` is an
-    optional per-momentum factor applied as g(k) g(k'); it takes batch
-    arrays (freqs, dirs) and returns an array.
+    "general" (explicit ``table`` mapping (s, s') to a number or a pair
+    ``(rows, cols)`` of batch factor functions, as in the module docstring).
+    ``envelope`` is an optional per-momentum factor applied as g(k) g(k'); it
+    takes batch arrays (freqs, dirs) and returns an array.
     """
 
     kind: str
     envelope: Callable | None = None
-    table: Mapping[tuple[int, int], Callable | complex] | None = None
+    table: Mapping[tuple[int, int], tuple[Callable, Callable] | complex] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in BELL_KINDS and self.kind != "general":
             raise InputError(f"unknown amplitude kind {self.kind!r}")
         if self.kind == "general" and self.table is None:
-            raise InputError("general amplitude needs a table of evaluators")
+            raise InputError("general amplitude needs a table of slots")
 
 
 def amplitude_pair_tables(
@@ -277,40 +281,27 @@ def amplitude_pair_tables(
     two momentum batches.
 
     Slots outside the kind's support are omitted (exactly zero).  A general
-    amplitude's evaluators receive the (n1, 1) / (1, n2) broadcast shapes.
+    slot's table is the product of its factors.
     """
-    f1 = np.asarray(f1, dtype=np.float64)
-    d1 = np.asarray(d1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    d2 = np.asarray(d2, dtype=np.float64)
+    f1, d1, f2, d2 = (np.asarray(x, dtype=np.float64) for x in (f1, d1, f2, d2))
+    if amp.kind not in BELL_KINDS:
+        return {slot: t.a @ t.b.T for slot, t in pair_factors(amp, f1, d1, f2, d2).items()}
     env = 1.0
     if amp.envelope is not None:
         e1, e2 = (np.asarray(amp.envelope(f, d)) for f, d in ((f1, d1), (f2, d2)))
         env = e1[:, None] * e2[None, :]
-    # shapes (n1, 1) and (1, n2) broadcast to the pair table
-    k1, k2 = (f1[:, None], d1[:, None]), (f2[None, :], d2[None, :])
-    out: dict[tuple[int, int], np.ndarray] = {}
-    if amp.kind in BELL_KINDS:
-        cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
-        plus, minus = cond.slots
-        if cond.coupling > 0:  # equal helicity: squared spinor pairing
-            p0, p1 = batch_spinors(*k1)
-            q0, q1 = batch_spinors(*k2)
-            pairing = p0 * q1 - p1 * q0
-            out[plus] = np.conj(pairing) ** 2 * env
-            out[minus] = pairing**2 * env
-        else:  # opposite helicity: tetrad contraction m(k).mbar(k')
-            m1 = batch_m_vectors(f1, d1) * _MINK_SIGNS
-            m2c = np.conj(batch_m_vectors(f2, d2))
-            core = m1 @ m2c.T
-            out[plus] = core * env
-            out[minus] = np.conj(core) * env
-        return out
-    shape = (f1.size, f2.size)
-    for slot, fn in amp.table.items():
-        vals = np.asarray(fn(*k1, *k2) if callable(fn) else fn, dtype=np.complex128)
-        out[slot] = np.broadcast_to(vals, shape) * env
-    return out
+    cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
+    plus, minus = cond.slots
+    if cond.coupling > 0:  # equal helicity: squared spinor pairing over the broadcast pair grid
+        p0, p1 = batch_spinors(f1[:, None], d1[:, None])
+        q0, q1 = batch_spinors(f2[None, :], d2[None, :])
+        pairing = p0 * q1 - p1 * q0
+        return {plus: np.conj(pairing) ** 2 * env, minus: pairing**2 * env}
+    # opposite helicity: tetrad contraction m(k).mbar(k')
+    m1 = batch_m_vectors(f1, d1) * _MINK_SIGNS
+    m2c = np.conj(batch_m_vectors(f2, d2))
+    core = m1 @ m2c.T
+    return {plus: core * env, minus: np.conj(core) * env}
 
 
 def _pole_turn(dirs: np.ndarray) -> np.ndarray:
@@ -329,33 +320,24 @@ def _pole_turn(dirs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PairTable:
-    """An n1 x n2 complex table over the pairs of two node batches.
-
-    Held as per-node factors, table = a @ b.T with ``a`` (n1, r) and ``b``
-    (n2, r), or dense, ``a`` (n1, n2) with ``b`` None, for amplitudes that do
-    not factor.  Conjugates, per-node phases and weighted inner products act
-    on the factors, so a factored table costs O((n1 + n2) r) and is never
-    built at n1 x n2.  Both operands of an inner product must be held the
-    same way.
-    """
+    """An n1 x n2 complex table over the pairs of two node batches, held as
+    per-node factors, table = a @ b.T with ``a`` (n1, r) and ``b`` (n2, r):
+    conjugates, per-node phases and weighted inner products act on the
+    factors, so a table costs O((n1 + n2) r) and is never built at n1 x n2."""
 
     a: np.ndarray
-    b: np.ndarray | None = None
+    b: np.ndarray
 
     def conj(self) -> PairTable:
         """The conjugate table (a Bell kind's conjugate slot)."""
-        return PairTable(np.conj(self.a), None if self.b is None else np.conj(self.b))
+        return PairTable(np.conj(self.a), np.conj(self.b))
 
     def scaled(self, rows: np.ndarray, cols: np.ndarray) -> PairTable:
         """diag(rows) @ table @ diag(cols), for per-node factors rows (n1,) and cols (n2,)."""
-        if self.b is None:
-            return PairTable(rows[:, None] * cols[None, :] * self.a)
         return PairTable(rows[:, None] * self.a, cols[:, None] * self.b)
 
     def diagonal(self) -> np.ndarray:
         """The table's diagonal, for a table over one batch paired with itself."""
-        if self.b is None:
-            return np.diagonal(self.a)
         return np.sum(self.a * self.b, axis=1)
 
     def contract(self, other: PairTable, u: np.ndarray, v: np.ndarray) -> complex:
@@ -366,11 +348,28 @@ class PairTable:
         tables' factors, and its sum regroups into the entrywise product of
         the r x r' matrices a^H diag(u) a' and b^H diag(v) b', so neither the
         product nor a conjugated copy of a table is formed."""
-        if self.b is None:
-            return complex(u @ (np.conj(self.a) * other.a) @ v)
         rows = (np.conj(self.a) * u[:, None]).T @ other.a
         cols = (np.conj(self.b) * v[:, None]).T @ other.b
         return complex(np.sum(rows * cols))
+
+
+def _slot_table(value, f1, d1, f2, d2) -> PairTable:
+    """A general slot as its factors (n1, r) and (n2, r)."""
+    n = (np.size(f1), np.size(f2))
+    if isinstance(value, numbers.Number):
+        return PairTable(np.full((n[0], 1), complex(value)), np.ones((n[1], 1)))
+    if not (isinstance(value, tuple) and len(value) == 2 and all(map(callable, value))):
+        raise InputError(
+            f"a general slot is a number or a pair (rows, cols) of batch functions, not {value!r}"
+        )
+    rows, cols = (np.asarray(fn(f, d)) for fn, f, d in zip(value, (f1, f2), (d1, d2)))
+    one_width = rows.ndim == cols.ndim == 2 and rows.shape[1] == cols.shape[1]
+    if not one_width or (len(rows), len(cols)) != n:
+        raise InputError(
+            f"a general slot's factors must be (n, r) arrays of one width r for n = {n}, "
+            f"got {rows.shape} and {cols.shape}"
+        )
+    return PairTable(rows, cols)
 
 
 def pair_factors(
@@ -380,49 +379,41 @@ def pair_factors(
     PairTables.
 
     A Bell kind factors exactly: the square of the spinor pairing
-    p0 q1' - p1 q0' has rank 3 (21/22), the tetrad contraction
+    p0 q1' - p1 q0' has rank 3 (21/22), and the tetrad contraction
     sum_mu eta_mu m_mu conj(m'_mu), a product of two pairings, rank 4
-    (11/12); the envelope g(k) g(k') folds into the rows.  A general
-    amplitude whose slots are all numbers c factors at rank 1, c g(k) g(k')
-    (g = 1 without an envelope); with an evaluator among them every slot is
-    the dense amplitude_pair_tables, as contract needs both operands alike.
+    (11/12); a general slot is its own factors.  An envelope scales them.
     """
     if amp.kind not in BELL_KINDS:
-        if any(callable(value) for value in amp.table.values()):
-            tables = amplitude_pair_tables(amp, f1, d1, f2, d2)
-            return {slot: PairTable(t) for slot, t in tables.items()}
-        g1, g2 = (
-            np.ones(np.size(f)) if amp.envelope is None else np.asarray(amp.envelope(f, d))
-            for f, d in ((f1, d1), (f2, d2))
-        )
-        return {slot: PairTable((c * g1)[:, None], g2[:, None]) for slot, c in amp.table.items()}
-    cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
-    # Both kinds are products of spinor pairings D(x, y) = x0 y1 - x1 y0 of
-    # the spin frames (p, o), and D(U x, U y) = D(x, y) for U in SL(2, C).
-    # Turned so that the first batch sits at a pole, each term of a pairing
-    # between nearby momenta is as small as the pairing itself, so the
-    # expanded sums of a narrow cone with itself do not cancel.
-    turn = _pole_turn(d1)
-    p0, p1, o0, o1 = (turn @ np.reshape(batch_spin_frames(f1, d1), (2, 2, -1))).reshape(4, -1)
-    q0, q1, r0, r1 = (turn @ np.reshape(batch_spin_frames(f2, d2), (2, 2, -1))).reshape(4, -1)
-    if cond.coupling > 0:  # psi_-- = D(p, q)^2 = p0^2 q1^2 - 2 p0 p1 q0 q1 + p1^2 q0^2
-        minus = PairTable(
-            np.stack([p0 * p0, -2.0 * p0 * p1, p1 * p1], axis=1),
-            np.stack([q1 * q1, q0 * q1, q0 * q0], axis=1),
-        )
-        plus = minus.conj()
-    else:  # psi_+- = m(k).mbar(k') = D(o, q) conj(D(p, r))
-        pc0, pc1 = np.conj([p0, p1])
-        rc0, rc1 = np.conj([r0, r1])
-        plus = PairTable(
-            np.stack([o0 * pc0, -o0 * pc1, -o1 * pc0, o1 * pc1], axis=1),
-            np.stack([q1 * rc1, q1 * rc0, q0 * rc1, q0 * rc0], axis=1),
-        )
-        minus = plus.conj()
+        tables = {slot: _slot_table(value, f1, d1, f2, d2) for slot, value in amp.table.items()}
+    else:
+        cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
+        # Both kinds are products of spinor pairings D(x, y) = x0 y1 - x1 y0 of
+        # the spin frames (p, o), and D(U x, U y) = D(x, y) for U in SL(2, C).
+        # Turned so that the first batch sits at a pole, each term of a pairing
+        # between nearby momenta is as small as the pairing itself, so the
+        # expanded sums of a narrow cone with itself do not cancel.
+        turn = _pole_turn(d1)
+        p0, p1, o0, o1 = (turn @ np.reshape(batch_spin_frames(f1, d1), (2, 2, -1))).reshape(4, -1)
+        q0, q1, r0, r1 = (turn @ np.reshape(batch_spin_frames(f2, d2), (2, 2, -1))).reshape(4, -1)
+        if cond.coupling > 0:  # psi_-- = D(p, q)^2 = p0^2 q1^2 - 2 p0 p1 q0 q1 + p1^2 q0^2
+            minus = PairTable(
+                np.stack([p0 * p0, -2.0 * p0 * p1, p1 * p1], axis=1),
+                np.stack([q1 * q1, q0 * q1, q0 * q0], axis=1),
+            )
+            plus = minus.conj()
+        else:  # psi_+- = m(k).mbar(k') = D(o, q) conj(D(p, r))
+            pc0, pc1 = np.conj([p0, p1])
+            rc0, rc1 = np.conj([r0, r1])
+            plus = PairTable(
+                np.stack([o0 * pc0, -o0 * pc1, -o1 * pc0, o1 * pc1], axis=1),
+                np.stack([q1 * rc1, q1 * rc0, q0 * rc1, q0 * rc0], axis=1),
+            )
+            minus = plus.conj()
+        tables = {cond.slots[0]: plus, cond.slots[1]: minus}
     if amp.envelope is not None:
         e1, e2 = (np.asarray(amp.envelope(f, d)) for f, d in ((f1, d1), (f2, d2)))
-        plus, minus = plus.scaled(e1, e2), minus.scaled(e1, e2)
-    return {cond.slots[0]: plus, cond.slots[1]: minus}
+        tables = {slot: t.scaled(e1, e2) for slot, t in tables.items()}
+    return tables
 
 
 #: Slot pair (plus, minus) -> how the second batch's analyzer angle couples in
@@ -622,7 +613,7 @@ def norm_sum(
                     diag_total += float(np.sum(np.abs(t.diagonal()) ** 2 * ua))
             if (a, b) == (0, len(arms) - 1):
                 first_last = tabs
-            del tabs  # free a dense block before the next one is built
+            del tabs  # freed before the next block is built, which keeps the heap from churning
     return first_fac * diag_total + cross_fac * float(blocks.sum()), blocks, first_last
 
 
@@ -690,18 +681,19 @@ def fit_theta(
     tabulated two-cone field (value on region_a's axis, 0 on region_b's) and
     the relative root-mean-square residual after the fit.  Raises InputError
     when the cross term is at roundoff level, |S| or |T| <= 1e-12 *
-    sum w w' (|psi_plus|^2 + |psi_minus|^2) / 2, where its angle is noise.
+    sum w w' (|psi_plus|^2 + |psi_minus|^2) / 2, where its angle is noise,
+    and PreconditionError when the amplitude overflows the sums.
     """
     quad = spec or QuadratureSpec(n_freq=4, n_polar=4, n_azimuth=8)
     na = invariant_node_set(region_a, quad)
     nb = invariant_node_set(region_b, quad)
     wa, wb = na.weights, nb.weights
-    # an amplitude that overflows fits NaN; the correlators refuse its denominator
+    # an amplitude that overflows fits NaN, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         tables = pair_factors(amp, na.freqs, na.dirs, nb.freqs, nb.dirs)
         cond, scale, cross = _condition_sums(condition, tables, wa, wb)
         # a cross term at roundoff level has no angle (e.g. equal-helicity
-        # slots on two identical cones); NaN passes to the correlators
+        # slots on two identical cones)
         if abs(cross) <= _FIT_ROUNDOFF * 0.5 * scale:
             raise InputError("condition cross term vanishes; the fit is degenerate")
         # minimize sum w |e^{i x} a + branch e^{-i x} b|^2 over x
@@ -710,6 +702,8 @@ def fit_theta(
         # the objective is scale + 2 branch Re(e^{2ix} cross), at its minimum
         # scale - 2 |cross|; scale > 0 here unless it is NaN, which passes on
         rel = math.sqrt(max(scale - 2.0 * abs(cross), 0.0) / scale)
+    if math.isnan(fitted):
+        raise PreconditionError("the amplitude is not finite on the fit's nodes: it overflows")
 
     axis_gap = float(np.linalg.norm(region_a.axis - region_b.axis))
     if axis_gap < 1e-6:

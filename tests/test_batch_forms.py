@@ -77,14 +77,29 @@ MAPS = [
     for _ in range(5)
 ]
 
-# momentum dependent and deliberately not exchange symmetric
+def _columns(*fns):
+    """A batch factor function whose columns are the given functions of (freqs, dirs)."""
+    return lambda f, d: np.stack([np.broadcast_to(fn(f, d), f.shape) for fn in fns], axis=1)
+
+
+# momentum dependent, of rank <= 2 per slot, and deliberately not exchange symmetric:
+# f1 e^{i d2z}, (f1 + 2 f2) d1x, sqrt(f1 f2) (1 + 0.5i d2y), 0.3 - 0.2i d1z d2x
 GENERAL = TwoPhotonAmplitude(
     kind="general",
     table={
-        (1, 1): lambda f1, d1, f2, d2: f1 * np.exp(1j * d2[..., 2]),
-        (1, -1): lambda f1, d1, f2, d2: (f1 + 2.0 * f2) * d1[..., 0],
-        (-1, 1): lambda f1, d1, f2, d2: np.sqrt(f1 * f2) * (1.0 + 0.5j * d2[..., 1]),
-        (-1, -1): lambda f1, d1, f2, d2: 0.3 - 0.2j * d1[..., 2] * d2[..., 0],
+        (1, 1): (_columns(lambda f, d: f), _columns(lambda f, d: np.exp(1j * d[:, 2]))),
+        (1, -1): (
+            _columns(lambda f, d: f * d[:, 0], lambda f, d: d[:, 0]),
+            _columns(lambda f, d: 1.0, lambda f, d: 2.0 * f),
+        ),
+        (-1, 1): (
+            _columns(lambda f, d: np.sqrt(f)),
+            _columns(lambda f, d: np.sqrt(f) * (1.0 + 0.5j * d[:, 1])),
+        ),
+        (-1, -1): (
+            _columns(lambda f, d: 1.0, lambda f, d: d[:, 2]),
+            _columns(lambda f, d: 0.3, lambda f, d: -0.2j * d[:, 0]),
+        ),
     },
 )
 AMPLITUDES = [TwoPhotonAmplitude(kind=k) for k in ("bell11", "bell12", "bell21", "bell22")]

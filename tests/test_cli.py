@@ -172,6 +172,35 @@ class TestConfigValidation:
         assert_one_error_line(capsys.readouterr().err, "config error: freq_hi 1e+200 is beyond")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, case", [("correlate", "joint"), ("diagnose", "joint"), ("diagnose", "alice_only")]
+    )
+    def test_pre_image_beyond_double_range_is_a_precondition(self, command, case, tmp_path, capsys):
+        # Bob's window squares to a finite number, but a rapidity-8 boost pulls
+        # its top frequency back to about 3e157, whose square is not
+        doc = edited_demo(
+            "case2_single_arm_boost",
+            sweep=BETA_2,
+            bob={"freq_hi": 1.0e154},
+            transform={"case": case, "map": BOOST_8},
+        )
+        cfg, out = write_config(tmp_path, yaml.safe_dump(doc)), tmp_path / "out.txt"
+        assert main([command, cfg, "--out", str(out)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "precondition violated: the Wigner phase is beyond double")
+        assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "diagnose"])
+    def test_angle_field_whose_double_overflows_is_a_config_error(self, command, tmp_path, capsys):
+        doc = edited_demo("bell21_rest_sweep", state={"theta": THETA_1E308})
+        cfg, out = write_config(tmp_path, yaml.safe_dump(doc)), tmp_path / "out.txt"
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "config error: polarization angle must be finite")
+        assert "Warning" not in err
+        assert not out.exists()
+
     def test_single_arm_overlap_is_refused_by_correlate_only(self, tmp_path, capsys, monkeypatch):
         # a quarter turn about y pulls Alice's cone (+x) back onto Bob's (+z):
         # diagnose reports on the config, correlate refuses it before evaluating
@@ -899,6 +928,23 @@ EDGE_TRANSFORMS = [{"case": "rest"}] + [
     )
 ]
 DEMOS = ["bell11_n_sweep", "bell21_rest_sweep", "case1_joint_boost", "case2_single_arm_boost"]
+#: Angle-field values: every field value and twice it must be finite, which
+#: 1e308 (and the azimuthal extreme theta0 + pi*coeff of 1e300 and 1e308) breaks.
+EDGE_ANGLES = [0.0, 0.3, -2.0, 1e300, -1e300, 8.9e307, -9e307, 1e308, -1e308]
+
+
+@st.composite
+def edge_theta(draw):
+    """A constant, azimuthal or tabulated angle field with edge values."""
+    angle = st.one_of(st.sampled_from(EDGE_ANGLES), st.floats(-1e308, 1e308))
+    kind = draw(st.sampled_from(["constant", "azimuthal", "tabulated"]))
+    if kind == "tabulated":
+        axes = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        return {"kind": kind, "axes": axes, "values": [draw(angle), draw(angle)]}
+    field = {"kind": kind, "theta0": draw(angle)}
+    if kind == "azimuthal":
+        field["coeff"] = draw(angle)
+    return field
 
 
 def edge_or_demo(values):
@@ -910,7 +956,7 @@ def edge_or_demo(values):
 def edge_configs(draw):
     """(command, config document): a demo with small node counts and a short
     sweep, carrying edge values in its sweep bounds, frequency windows,
-    envelope, quadrature mode and transform."""
+    envelope, angle field, quadrature mode and transform."""
     doc = yaml.safe_load(demo_text(draw(st.sampled_from(DEMOS))))
     scenario, sweep = doc["scenario"], doc["sweep"]
     quad = {axis: draw(st.integers(2, 4)) for axis in ("n_freq", "n_polar", "n_azimuth")}
@@ -931,6 +977,8 @@ def edge_configs(draw):
         value = draw(edge_or_demo(values))
         if value is not None:
             block[key] = value
+    if draw(st.booleans()):  # else keep the demo's fitted field
+        scenario["state"]["theta"] = draw(edge_theta())
     doc["diagnose"] = {"momentum_samples": 8, "map_samples": 2, "pair_samples": 4}
     return draw(st.sampled_from(["correlate", "diagnose"])), doc
 
@@ -947,6 +995,16 @@ def edited_demo(name, sweep=None, quadrature=None, **arm_and_state):
 
 
 MC, HUGE_WINDOW = {"mode": "mc"}, {"freq_hi": 1e200}
+BETA_2 = {"variable": "beta", "start": 0.0, "stop": 1.0, "count": 2}
+BOOST_8 = {"kind": "boost", "rapidity": 8.0, "axis": [1.0, 0.0, 0.0]}
+THETA_1E308 = {"kind": "constant", "theta0": 1.0e308}
+#: A pre-image beyond double range, under a joint boost.
+PULLBACK_OVERFLOW = edited_demo(
+    "case2_single_arm_boost",
+    sweep=BETA_2,
+    bob={"freq_hi": 1.0e154},
+    transform={"case": "joint", "map": BOOST_8},
+)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -956,6 +1014,10 @@ MC, HUGE_WINDOW = {"mode": "mc"}, {"freq_hi": 1e200}
 @example(("diagnose", edited_demo("bell21_rest_sweep", quadrature=MC, bob=HUGE_WINDOW)))
 @example(("diagnose", edited_demo("bell21_rest_sweep", bob={"freq_hi": 1e300})))
 @example(("diagnose", edited_demo("bell21_rest_sweep", state={"envelope": EDGE_ENVELOPES[0]})))
+@example(("correlate", PULLBACK_OVERFLOW))
+@example(("diagnose", PULLBACK_OVERFLOW))
+@example(("correlate", edited_demo("bell21_rest_sweep", state={"theta": THETA_1E308})))
+@example(("diagnose", edited_demo("bell21_rest_sweep", state={"theta": THETA_1E308})))
 def test_schema_valid_edge_configs_end_in_a_documented_exit(case):
     # a leaked numpy warning is an error under the test suite's filters
     command, doc = case

@@ -149,10 +149,7 @@ class TestGeneralRest:
     def test_opposite_helicity_only_amplitude_depends_on_angle_difference(self, z_mid):
         gen = TwoPhotonAmplitude(
             kind="general",
-            table={
-                (1, -1): lambda f1, d1, f2, d2: 0.8 + 0.1j,
-                (-1, 1): lambda f1, d1, f2, d2: 0.8 - 0.1j,
-            },
+            table={(1, -1): 0.8 + 0.1j, (-1, 1): 0.8 - 0.1j},
         )
         base = correlate(make_scn(gen, z_mid, 0.4, 0.1)).value
         for delta in (0.3, -1.1, 2.0):
@@ -162,10 +159,7 @@ class TestGeneralRest:
     def test_equal_helicity_only_amplitude_depends_on_angle_sum(self, z_mid):
         gen = TwoPhotonAmplitude(
             kind="general",
-            table={
-                (1, 1): lambda f1, d1, f2, d2: 0.5 - 0.2j,
-                (-1, -1): lambda f1, d1, f2, d2: 0.5 + 0.2j,
-            },
+            table={(1, 1): 0.5 - 0.2j, (-1, -1): 0.5 + 0.2j},
         )
         base = correlate(make_scn(gen, z_mid, 0.4, 0.1)).value
         for delta in (0.3, -1.1, 2.0):

@@ -5,9 +5,10 @@ Every Bell-kind sum of a correlation point runs on per-node factors
 from scratch on the dense outer ``amplitude_pair_tables`` tables over the same
 arms, for the four kinds x the three transform cases x N in {2, 3, inf},
 with and without an envelope, at 192 nodes per cone, and for joint points
-at 1536.  A general amplitude with constant slots (as a config builds it)
-factors at rank 1 and is checked against the same slots as evaluators,
-which take the dense route.
+at 1536.  A general amplitude is held by its slots' own factors: a
+momentum-dependent one is checked against its dense tables, and constant
+slots (as a config builds them) against the same constants as rank-1
+factor pairs.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from bellepr.states import (
     fit_theta,
     norm_sum,
     oscillator_factors,
+    symmetry_residuals,
     tabulated_field,
 )
 from bellepr.vacuum import evaluate_batch, normalize
@@ -113,13 +115,8 @@ def dense_numerator(scn, tables, ub, ua, beta, alpha) -> float:
     return oscillator_factors(scn.n_osc)[2] * total.real
 
 
-def check_against_dense(scn: Scenario) -> None:
-    amp, n_osc = scn.amplitude, scn.n_osc
-    case = scn.transform.kind
-    result = correlate(scn)
-    arms = dense_arms(scn)
-
-    # denominator blocks and total
+def check_dense_denominator(result, amp, arms, n_osc) -> None:
+    """The norm's blocks and the point's denominator against dense tables."""
     dense_blocks = np.array(
         [
             [
@@ -140,6 +137,14 @@ def check_against_dense(scn: Scenario) -> None:
     )
     den = first_fac * diag + cross_fac * dense_blocks.sum()
     assert result.denominator == pytest.approx(den, rel=RTOL, abs=0.0)
+
+
+def check_against_dense(scn: Scenario) -> None:
+    amp, n_osc = scn.amplitude, scn.n_osc
+    case = scn.transform.kind
+    result = correlate(scn)
+    arms = dense_arms(scn)
+    check_dense_denominator(result, amp, arms, n_osc)
 
     # numerator: per-node analyzer angles shifted by minus the Wigner phase
     (fb, db, ub, wb), (fa, da, ua, wa) = arms
@@ -222,33 +227,45 @@ def test_joint_point_at_1536_nodes_stays_small(vacuum, kind):
 
 
 def general_amplitude() -> TwoPhotonAmplitude:
-    """An exchange-symmetric amplitude with all four slots that does not
-    factor: its slots are held as dense tables."""
+    """An exchange-symmetric, momentum-dependent amplitude with all four slots,
+    given by its factors:
 
-    def same(f1, d1, f2, d2):
-        return (1.0 + 0.5j) * np.exp(-0.3 * (f1 - f2) ** 2) * (1.0 + d1[..., 0] * d2[..., 2])
-
-    def mixed(f1, d1, f2, d2):
-        return (0.4 - 0.2j) * f1 * f2 / (1.0 + f1 + f2)
-
+        psi_++ = psi_-- = f1 + f2 + 0.5i f1 f2 d1x d2x       (rank 3),
+        psi_+- = psi_-+ = (0.4 - 0.2i) (f1 d1z + f2 d2z)     (rank 2).
+    """
+    same = (
+        lambda f, d: np.stack([f, np.ones_like(f), 0.5j * f * d[:, 0]], axis=1),
+        lambda f, d: np.stack([np.ones_like(f), f, f * d[:, 0]], axis=1),
+    )
+    mixed = (
+        lambda f, d: (0.4 - 0.2j) * np.stack([f * d[:, 2], np.ones_like(f)], axis=1),
+        lambda f, d: np.stack([np.ones_like(f), f * d[:, 2]], axis=1),
+    )
     return TwoPhotonAmplitude(
         kind="general",
         table={(1, 1): same, (-1, -1): same, (1, -1): mixed, (-1, 1): mixed},
     )
 
 
-def test_general_joint_point_matches_dense_tables(vacuum):
-    scn = Scenario(
+def general_joint_scenario(vacuum, spec) -> Scenario:
+    return Scenario(
         amplitude=general_amplitude(),
         vacuum=vacuum,
         bob=DetectorSetting(BOB, 0.4),
         alice=DetectorSetting(ALICE, -0.3),
         n_osc=3,
         transform=CASES["joint"],
-        quadrature=SPEC,
+        quadrature=spec,
     )
+
+
+def test_general_joint_point_matches_dense_tables(vacuum):
+    scn = general_joint_scenario(vacuum, SPEC)
     result = correlate(scn)
-    (fb, db, ub, wb), (fa, da, ua, wa) = dense_arms(scn)
+    arms = dense_arms(scn)
+    (fb, db, ub, wb), (fa, da, ua, wa) = arms
+    assert symmetry_residuals(scn.amplitude, fb, db, fa, da).max() <= 1e-12
+    check_dense_denominator(result, scn.amplitude, arms, scn.n_osc)
     tables = amplitude_pair_tables(scn.amplitude, fb, db, fa, da)
     assert len(tables) == 4
     num = dense_numerator(scn, tables, ub, ua, scn.bob.angle - wb, scn.alice.angle - wa)
@@ -261,6 +278,18 @@ def test_general_joint_point_matches_dense_tables(vacuum):
     vac = dense_numerator(scn, transported, ub, ua, scn.bob.angle, scn.alice.angle)
     factored_vac = result.diagnostics["vacuum_picture_value"] * result.denominator
     assert factored_vac == pytest.approx(vac, rel=RTOL, abs=0.0)
+
+
+def test_general_joint_point_at_12288_nodes_stays_small(vacuum):
+    scn = general_joint_scenario(vacuum, QuadratureSpec(n_freq=24, n_polar=16, n_azimuth=32))
+    tracemalloc.start()
+    try:
+        correlate(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense 12 288 x 12 288 complex table alone is 2.4 GB
+    assert peak <= 32e6
 
 
 #: A config's general state: constant slots with a Gaussian envelope.
@@ -287,14 +316,19 @@ def general_scenario(vacuum, amp, case, spec) -> Scenario:
 def test_constant_general_slots_match_the_same_slots_as_evaluators(vacuum, case):
     amp = cli._build_amplitude(GENERAL_STATE)
     assert not any(callable(value) for value in amp.table.values())
+    # each constant c as the rank-1 factor pair (c, 1)
     evaluators = dataclasses.replace(
-        amp, table={slot: (lambda f1, d1, f2, d2, c=c: c) for slot, c in amp.table.items()}
+        amp,
+        table={
+            slot: (lambda f, d, c=c: np.full((f.size, 1), c), lambda f, d: np.ones((f.size, 1)))
+            for slot, c in amp.table.items()
+        },
     )
     factored = correlate(general_scenario(vacuum, amp, case, SPEC))
     dense = correlate(general_scenario(vacuum, evaluators, case, SPEC))
     for name in ("numerator", "denominator", "value"):
         assert getattr(factored, name) == pytest.approx(getattr(dense, name), rel=RTOL, abs=0.0)
-    if case == "joint":  # the vacuum-side route scales the factors by the transport phases
+    if case == "joint":  # both routes scale the factors by the transport phases
         vac = dense.diagnostics["vacuum_picture_value"]
         assert factored.diagnostics["vacuum_picture_value"] == pytest.approx(vac, rel=RTOL, abs=0.0)
 
@@ -350,29 +384,25 @@ def test_condition_sums_on_slots_the_amplitude_lacks():
     # bell11 has neither equal-helicity slot: S = 0
     assert residual(TwoPhotonAmplitude(kind="bell11")) == 0.0
     one_slot = TwoPhotonAmplitude(
-        kind="general", table={(1, 1): lambda f1, d1, f2, d2: (1.0 + 0.5j) * f1 * f2}
+        kind="general",
+        table={(1, 1): (lambda f, d: ((1.0 + 0.5j) * f)[:, None], lambda f, d: f[:, None])},
     )
     assert residual(one_slot) == 1.0
     with pytest.raises(bp.InputError, match="degenerate"):
         fit_theta(one_slot, 21, BOB, ALICE, spec=SPEC)
 
 
-@pytest.mark.parametrize("held", ["factored", "dense"])
-def test_contract_is_the_weighted_inner_product(held):
+def test_contract_is_the_weighted_inner_product():
     rng = np.random.default_rng(17)
 
     def cplx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     n1, n2 = 7, 5
-    if held == "factored":
-        # ranks 3 and 4, as a Bell kind's r x r' products meet them
-        t1 = states.PairTable(cplx(n1, 3), cplx(n2, 3))
-        t2 = states.PairTable(cplx(n1, 4), cplx(n2, 4))
-        dense1, dense2 = t1.a @ t1.b.T, t2.a @ t2.b.T
-    else:
-        t1, t2 = states.PairTable(cplx(n1, n2)), states.PairTable(cplx(n1, n2))
-        dense1, dense2 = t1.a, t2.a
+    # ranks 3 and 4, as a Bell kind's r x r' products meet them
+    t1 = states.PairTable(cplx(n1, 3), cplx(n2, 3))
+    t2 = states.PairTable(cplx(n1, 4), cplx(n2, 4))
+    dense1, dense2 = t1.a @ t1.b.T, t2.a @ t2.b.T
     u, v = cplx(n1), cplx(n2)
     expected = u @ (np.conj(dense1) * dense2) @ v
     assert abs(t1.contract(t2, u, v) - expected) <= RTOL * abs(expected)

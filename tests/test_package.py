@@ -2,7 +2,8 @@
 ``bellepr/__init__.py`` imports, the configuration schema ships as package
 data, the package version is written once, and every function the
 benchmark tracer wraps by name exists once ``bellepr.cli`` is imported;
-the README's Python example runs and prints what it promises."""
+the README's Python example runs and prints what it promises, and its
+config sketch is a valid config that ``correlate`` runs."""
 
 import contextlib
 import importlib.resources
@@ -100,3 +101,23 @@ def test_readme_python_example_prints_about_minus_one():
         exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_example"})
     value = float(out.getvalue().split()[0])
     assert value == pytest.approx(-1.0, abs=0.01)  # "about -1.0 at the matched setting"
+
+
+def test_readme_config_sketch_is_a_valid_config_that_runs(tmp_path):
+    # the sketch shows the schema's shape; validate and run it so it cannot go stale
+    import jsonschema
+    import yaml
+
+    from bellepr.cli import CONFIG_SCHEMA, EXIT_OK, main
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    jsonschema.validate(yaml.safe_load(blocks[0]), CONFIG_SCHEMA)
+    cfg, out = tmp_path / "sketch.yaml", tmp_path / "sketch.csv"
+    cfg.write_text(blocks[0], encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["correlate", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text(encoding="utf-8").splitlines()
+    rows = [line for line in lines if not line.startswith(("#", "sweep_value"))]
+    assert len(rows) == 13

@@ -271,6 +271,13 @@ class TestWignerPhase:
             wigner_pullback(bp.boost(rapidity, np.array(axis)), nodes.freqs, nodes.dirs)
 
 
+    def test_pre_image_beyond_double_range_is_a_precondition(self):
+        # the pre-image's frequency, about 3e157, squares to inf in its norm;
+        # a NaN residual there is not a failed identity
+        with pytest.raises(bp.PreconditionError, match=r"L\^-1 k overflows"):
+            wigner_pullback(bp.boost(8.0, np.array([1.0, 0.0, 0.0])), [1e154], [[-0.6, 0.0, 0.8]])
+
+
 class TestTetradCovariance:
     def test_identity_zero(self):
         k = bp.NullMomentum(1.0, [0.1, -0.2, np.sqrt(1 - 0.05)])

@@ -142,15 +142,33 @@ class TestGeneralBatchEvaluators:
         rng = np.random.default_rng(38)
         f1, d1 = rand_momenta(rng, 6)
         f2, d2 = rand_momenta(rng, 6)
+        shapes = []
+
+        def factor(fn):
+            def call(freqs, dirs):
+                shapes.append((freqs.shape, dirs.shape))
+                return fn(freqs, dirs)
+
+            return call
+
+        # f1 f2 (1 + 0.5i) at rank 1 and d1z - 2i d2x at rank 2
         amp = TwoPhotonAmplitude(
             kind="general",
             table={
-                (1, 1): lambda f1, d1, f2, d2: f1 * f2 * (1 + 0.5j),
-                (1, -1): lambda f1, d1, f2, d2: d1[..., 2] - 2.0j * d2[..., 0],
+                (1, 1): (
+                    factor(lambda f, d: (f * (1 + 0.5j))[:, None]),
+                    factor(lambda f, d: f[:, None]),
+                ),
+                (1, -1): (
+                    factor(lambda f, d: np.stack([d[:, 2], np.ones_like(f)], axis=1)),
+                    factor(lambda f, d: np.stack([np.ones_like(f), -2.0j * d[:, 0]], axis=1)),
+                ),
             },
             envelope=lambda freqs, dirs: np.exp(-freqs) * (1.0 + dirs[:, 1]),
         )
         outer = amplitude_pair_tables(amp, f1, d1, f2, d2)
+        # each factor function is called once per batch, like the envelope
+        assert shapes == [((6,), (6, 3))] * 4
         assert set(outer) == {(1, 1), (1, -1)}
         for (s, sp), table in outer.items():
             assert table.shape == (6, 6)
@@ -186,15 +204,8 @@ class TestSymmetry:
     def test_injected_asymmetry_reported(self):
         eps = 0.37
 
-        def psi_pm(f1, d1, f2, d2):
-            return 1.0 + 0.0j
-
-        def psi_mp(f1, d1, f2, d2):
-            return 1.0 + eps  # breaks psi_mp(k,k') == psi_pm(k',k)
-
-        amp = TwoPhotonAmplitude(
-            kind="general", table={(1, -1): psi_pm, (-1, 1): psi_mp}
-        )
+        # psi_-+ = 1 + eps breaks psi_mp(k,k') == psi_pm(k',k)
+        amp = TwoPhotonAmplitude(kind="general", table={(1, -1): 1.0 + 0.0j, (-1, 1): 1.0 + eps})
         pair = (*bp.NullMomentum(1.0, Z_HAT).as_batch, *bp.NullMomentum(2.0, X_HAT).as_batch)
         assert symmetry_residuals(amp, *pair)[0, 0] == pytest.approx(eps, rel=1e-12)
 
@@ -432,19 +443,19 @@ class TestBellConditions:
         assert fit.field.kind == "constant"
         assert 0.0 <= fit.residual_rel < 1e-3
 
-    def test_overflowing_amplitude_fits_nan_not_a_perfect_fit(self):
-        # f**400 overflows the weighted slot sums: the fitted angle is NaN,
-        # and so must be the residual; f**200 stays finite and fits normally
+    def test_overflowing_amplitude_is_a_precondition_not_a_perfect_fit(self):
+        # f**400 overflows the weighted slot sums: the fitted angle would be
+        # NaN, which no angle field takes; f**200 stays finite and fits normally
         ra = DetectorRegion(Z_HAT, 0.1, 0.5, 2.0)
         rb = DetectorRegion(X_HAT, 0.1, 0.5, 2.0)
         spec = QuadratureSpec(n_freq=4, n_polar=2, n_azimuth=4)
-        fits = {
-            p: fit_theta(TwoPhotonAmplitude("bell21", lambda f, d, p=p: f**p), 21, ra, rb, spec)
-            for p in (200, 400)
-        }
-        assert fits[200].residual_rel == pytest.approx(0.157, abs=1e-3)
-        assert math.isnan(fits[400].field.values[0])
-        assert math.isnan(fits[400].residual_rel)
+
+        def fit(p):
+            return fit_theta(TwoPhotonAmplitude("bell21", lambda f, d: f**p), 21, ra, rb, spec)
+
+        assert fit(200).residual_rel == pytest.approx(0.157, abs=1e-3)
+        with pytest.raises(bp.PreconditionError, match="not finite on the fit's nodes"):
+            fit(400)
 
 
 class TestThetaWignerResidual:

@@ -17,7 +17,12 @@ from bellepr.fock_oracle import (
 )
 from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from bellepr.spinor_tetrad import NullMomentum, boost, rotation
-from bellepr.states import TwoPhotonAmplitude, condition_residuals, tabulated_field
+from bellepr.states import (
+    TwoPhotonAmplitude,
+    condition_residuals,
+    pair_factors,
+    tabulated_field,
+)
 from bellepr.vacuum import normalize
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -33,6 +38,17 @@ def _space():
 
 TABLES = {(1, -1): np.ones((3, 3)), (-1, 1): np.ones((3, 3))}
 O_VALUES = [1.0, 1.0, 1.0]
+
+
+def _general_slot(value):
+    """pair_factors of a general amplitude with one slot, on batches of 3 and 2."""
+    amp = TwoPhotonAmplitude(kind="general", table={(1, 1): value})
+    f1, f2 = np.ones(3), np.ones(2)
+    return pair_factors(amp, f1, np.tile(Z_HAT, (3, 1)), f2, np.tile(X_HAT, (2, 1)))
+
+
+def _ones(r):
+    return lambda freqs, dirs: np.ones((freqs.size, r))
 
 #: name -> (call, exception, a fragment of the message)
 VALUE_RULES = {
@@ -60,8 +76,23 @@ VALUE_RULES = {
     "amplitude-kind": (
         lambda: TwoPhotonAmplitude(kind="bell33"), InputError, "unknown amplitude kind"
     ),
+    "general-slot-pair-function": (
+        lambda: _general_slot(lambda f1, d1, f2, d2: f1 * f2),
+        InputError,
+        r"a number or a pair \(rows, cols\) of batch functions, not <function",
+    ),
+    "general-slot-factor-shape": (
+        lambda: _general_slot((lambda freqs, dirs: freqs, _ones(1))),
+        InputError,
+        r"arrays of one width r for n = \(3, 2\), got \(3,\) and \(2, 1\)",
+    ),
+    "general-slot-factor-width": (
+        lambda: _general_slot((_ones(2), _ones(3))),
+        InputError,
+        r"arrays of one width r for n = \(3, 2\), got \(3, 2\) and \(2, 3\)",
+    ),
     "general-without-table": (
-        lambda: TwoPhotonAmplitude(kind="general"), InputError, "needs a table of evaluators"
+        lambda: TwoPhotonAmplitude(kind="general"), InputError, "needs a table of slots"
     ),
     "tabulated-length-mismatch": (
         lambda: tabulated_field(np.stack([Z_HAT, X_HAT]), np.array([0.1])),
