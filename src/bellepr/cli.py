@@ -312,8 +312,8 @@ def cmd_correlate(args) -> int:
     values = _sweep_values(sweep)
     scenarios = [_scenario_at(base, doc, sweep["variable"], v) for v in values]
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(correlate, scenarios))
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:  # no thread until a submit
+        results = list((pool.map if args.threads > 1 else map)(correlate, scenarios))
 
     lines = [
         f"# bellepr correlate {__version__}",
@@ -512,6 +512,8 @@ def cmd_diagnose(args) -> int:
     rng = np.random.default_rng(seed)
     quad = _build_quadrature(doc, None)
     scn = _build_scenario(doc, quad)
+    for value in _sweep_values(doc["sweep"]) if "sweep" in doc else []:
+        _scenario_at(scn, doc, doc["sweep"]["variable"], value)  # refuse what correlate refuses
 
     lines = [
         f"# bellepr diagnose {__version__}",
@@ -619,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="worker threads for sweep evaluation (default: 1)",
+            help="threads for sweep evaluation (default: 1, the calling thread)",
         )
         p.set_defaults(func=fn)
     return parser

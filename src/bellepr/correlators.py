@@ -28,9 +28,10 @@ bookkeeping — plain angles over the laboratory cones with the transported
 state and the composed vacuum density — from the same evaluation's tables.
 
 A correlation point evaluates its scenario at two rules, the full one and
-the halved one, and nothing else.  Checks that need another scenario (the
-state rebuilt at laboratory momenta, the angle field's transport rule) are
-``diagnose``'s, not every row's.
+the halved one; at a rule other than 6x4x8, a Bell-kind point with an angle
+field also builds the 6x4x8 rule's arms for its ``bell_residual_max`` sample.
+Checks that need another scenario (the state rebuilt at laboratory momenta,
+the angle field's transport rule) are ``diagnose``'s, not every row's.
 """
 
 from __future__ import annotations
@@ -186,6 +187,15 @@ class Scenario:
                 "numerator carries an (N-1) factor and vanishes identically"
             )
         check_regions(self.bob.region, self.alice.region)
+        field, kind = self.theta_field, self.transform.kind
+        arms = () if field is None else ((self.bob, kind == "joint"), (self.alice, kind != "rest"))
+        for setting, moves in arms:  # the Bell diagnostics read e^{2i(angle - theta)}
+            shifts = moves + (field.lorentz_map is not None)  # Wigner shifts, each <= pi
+            if not math.isfinite(2.0 * (abs(setting.angle) + field.peak + math.pi * shifts)):
+                raise InputError(
+                    f"analyzer angle {setting.angle!r} and angle-field values up to |theta| "
+                    f"{field.peak!r} are too far apart: twice their difference overflows"
+                )
 
 
 @dataclass(frozen=True)

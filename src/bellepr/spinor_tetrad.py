@@ -47,7 +47,6 @@ __all__ = [
     "batch_spinors",
     "batch_spin_frames",
     "batch_m_vectors",
-    "batch_wigner_phases",
     "wigner_pullback",
     "wigner_defined",
     "wrap_angle",
@@ -349,16 +348,10 @@ def wigner_pullback(
     return pre_freqs, pre_dirs, phases
 
 
-#: Old private name of wigner_pullback; nothing in bellepr calls it, and its
-#: only reader is the benchmark tracer (perfbench/tracing.py), which looks it
-#: up by name.
-_batch_wigner = wigner_pullback
-
-
-def batch_wigner_phases(a: LorentzMap, freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """2*Theta(L, k_i) for arrays of momenta, each reduced to (-pi, pi]
-    (the phase part of wigner_pullback)."""
-    return wigner_pullback(a, freqs, dirs)[2]
+#: Old names of wigner_pullback; nothing in bellepr calls them, and their
+#: only reader is the benchmark tracer (perfbench/tracing.py), which looks
+#: them up by name.
+_batch_wigner = batch_wigner_phases = wigner_pullback
 
 
 def wigner_phase(a: LorentzMap, k: NullMomentum) -> float:

@@ -144,7 +144,7 @@ class PolarizationAngleField:
     the chart azimuth), "tabulated" (value of the nearest axis).  When
     ``lorentz_map`` is set the field evaluates as the Wigner-shifted
     transform of its base parameters: theta_base(L^-1 k) + 2*Theta(L, k).
-    Every value the field takes must be finite, and twice it too.
+    Every base value, at most ``peak`` in size, must be finite, and twice it too.
     """
 
     kind: str
@@ -153,6 +153,7 @@ class PolarizationAngleField:
     axes: np.ndarray | None = None
     values: np.ndarray | None = None
     lorentz_map: LorentzMap | None = None
+    peak: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "azimuthal", "tabulated"):
@@ -174,6 +175,7 @@ class PolarizationAngleField:
             peak = float(np.max(np.abs(vals)))
         else:  # |theta| peaks at |theta0| + pi |coeff|
             peak = abs(self.theta0) + (math.pi * abs(self.coeff) if self.kind == "azimuthal" else 0)
+        object.__setattr__(self, "peak", peak)
         if not math.isfinite(2.0 * peak):  # the correlation reads e^{2i theta}
             raise InputError(f"polarization angle must be finite, and twice it too: |theta| {peak}")
 
@@ -613,7 +615,6 @@ def norm_sum(
                     diag_total += float(np.sum(np.abs(t.diagonal()) ** 2 * ua))
             if (a, b) == (0, len(arms) - 1):
                 first_last = tabs
-            del tabs  # freed before the next block is built, which keeps the heap from churning
     return first_fac * diag_total + cross_fac * float(blocks.sum()), blocks, first_last
 
 

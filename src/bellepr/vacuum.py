@@ -156,9 +156,4 @@ def with_transform(z: VacuumDensity, lorentz_map: LorentzMap) -> VacuumDensity:
         if z.lorentz_map is None
         else compose(lorentz_map, z.lorentz_map)
     )
-    return VacuumDensity(
-        family=z.family,
-        params=z.params,
-        norm_const=z.norm_const,
-        lorentz_map=new_map,
-    )
+    return dataclasses.replace(z, lorentz_map=new_map)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -198,6 +199,17 @@ class TestConfigValidation:
         assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert_one_error_line(err, "config error: polarization angle must be finite")
+        assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "diagnose"])
+    def test_angle_far_from_the_field_is_a_config_error(self, command, tmp_path, capsys):
+        # each is twice finite, their difference is not; diagnose builds the
+        # sweep's scenarios too
+        cfg, out = write_config(tmp_path, yaml.safe_dump(ANGLE_FAR_FROM_FIELD)), tmp_path / "o.txt"
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "config error: analyzer angle 8e+307 and angle-field values")
         assert "Warning" not in err
         assert not out.exists()
 
@@ -615,6 +627,21 @@ class TestCorrelate:
             second = fh.read()
         assert first == second
 
+    def test_one_thread_sweep_runs_in_the_calling_thread(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, BASE_SCENARIO.format(beta="0.0", transform=REST) + SWEEP_BETA)
+        out, threads_before, callers = str(tmp_path / "out.csv"), set(threading.enumerate()), []
+
+        def recording(scn):
+            callers.append((threading.get_ident(), set(threading.enumerate())))
+            return correlators.correlate(scn)
+
+        monkeypatch.setattr(cli, "correlate", recording)
+        assert main(["correlate", cfg, "--out", out, "--threads", "1"]) == EXIT_OK
+        assert len(callers) == 9
+        assert all(ident == threading.get_ident() for ident, _ in callers)
+        assert all(alive == threads_before for _, alive in callers)
+        assert set(threading.enumerate()) == threads_before
+
     def test_identity_joint_matches_rest(self, tmp_path):
         rest_cfg = write_config(
             tmp_path,
@@ -909,7 +936,9 @@ class TestDiagnose:
 
 #: Edge values a schema-valid config may carry; each strategy below draws
 #: from them.
-EDGE_BOUNDS = [0.0, 1.0, 3.0, 50.0, -2.0, 1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan]
+EDGE_BOUNDS = [
+    0.0, 1.0, 3.0, 50.0, -2.0, 1e300, -1e300, 8e307, -8e307, 1.7e308, math.inf, -math.inf, math.nan
+]
 EDGE_FREQ_HI = [2.0, 1e100, 1e154, 1e200, 1e300, math.inf]
 EDGE_ENVELOPES = [
     {"kind": "frequency-power", "power": -400.0},
@@ -998,6 +1027,12 @@ MC, HUGE_WINDOW = {"mode": "mc"}, {"freq_hi": 1e200}
 BETA_2 = {"variable": "beta", "start": 0.0, "stop": 1.0, "count": 2}
 BOOST_8 = {"kind": "boost", "rapidity": 8.0, "axis": [1.0, 0.0, 0.0]}
 THETA_1E308 = {"kind": "constant", "theta0": 1.0e308}
+#: An analyzer angle and a field value, each twice finite, whose difference is not.
+ANGLE_FAR_FROM_FIELD = edited_demo(
+    "bell21_rest_sweep",
+    sweep={"start": 8.0e307, "stop": 8.0e307, "count": 1},
+    state={"theta": {"kind": "constant", "theta0": -8.0e307}},
+)
 #: A pre-image beyond double range, under a joint boost.
 PULLBACK_OVERFLOW = edited_demo(
     "case2_single_arm_boost",
@@ -1018,6 +1053,8 @@ PULLBACK_OVERFLOW = edited_demo(
 @example(("diagnose", PULLBACK_OVERFLOW))
 @example(("correlate", edited_demo("bell21_rest_sweep", state={"theta": THETA_1E308})))
 @example(("diagnose", edited_demo("bell21_rest_sweep", state={"theta": THETA_1E308})))
+@example(("correlate", ANGLE_FAR_FROM_FIELD))
+@example(("diagnose", ANGLE_FAR_FROM_FIELD))
 def test_schema_valid_edge_configs_end_in_a_documented_exit(case):
     # a leaked numpy warning is an error under the test suite's filters
     command, doc = case

@@ -125,6 +125,16 @@ class TestValidation:
         with pytest.raises(InputError):
             DetectorSetting(region=REGION_B, angle=angle)
 
+    @pytest.mark.parametrize("arm", ["bob", "alice"])
+    def test_angle_whose_difference_from_the_field_overflows_rejected(self, z_mid, arm):
+        # each is twice finite, but the Bell diagnostics read e^{2i(angle - theta)}
+        far = constant_field(-8e307)
+        angles = {"bob": (8e307, 0.2), "alice": (0.1, 8e307)}[arm]
+        with pytest.raises(InputError, match="too far apart"):
+            make_scn(AMP21, z_mid, *angles, field=far)
+        make_scn(AMP21, z_mid, 0.1, 0.2, field=far)
+        make_scn(AMP21, z_mid, *angles)
+
     def test_transform_case_construction_guards(self):
         with pytest.raises(InputError):
             bp.TransformCase(kind="joint")
@@ -639,6 +649,22 @@ class TestPointCost:
         transform = {"rest": rest_case(), "joint": joint_case(m), "alice_only": alice_only_case(m)}
         scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=transform[case])
         assert scn.quadrature == correlators.DEFAULT_QUADRATURE
+        assert self.node_sets_and_rules(scn, monkeypatch) == (4, 2)
+
+    def test_point_at_another_rule_builds_the_default_rule_arms_too(
+        self, z_mid, fit21, monkeypatch
+    ):
+        # the 192 x 192 bell_residual_max sample adds the default rule's two
+        # node sets to the full (12x8x16) and halved (6x4x8) rules' four
+        joint = joint_case(bp.boost(0.5, Y_HAT))
+        scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=joint)
+        scn = dataclasses.replace(scn, quadrature=QuadratureSpec(n_freq=12, n_polar=8, n_azimuth=16))
+        assert self.node_sets_and_rules(scn, monkeypatch) == (6, 2)
+
+    @staticmethod
+    def node_sets_and_rules(scn, monkeypatch):
+        from bellepr import correlators
+
         node_sets, rules = [], []
 
         def spy(calls, fn):
@@ -652,4 +678,4 @@ class TestPointCost:
         monkeypatch.setattr(correlators, "invariant_node_set", spy(node_sets, node_set))
         monkeypatch.setattr(correlators, "_evaluate", spy(rules, evaluate))
         correlate(scn)
-        assert (len(node_sets), len(rules)) == (4, 2)
+        return len(node_sets), len(rules)

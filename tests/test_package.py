@@ -1,7 +1,8 @@
 """Package surface: ``bellepr.__all__`` lists exactly the names that
 ``bellepr/__init__.py`` imports, the configuration schema ships as package
 data, the package version is written once, and every function the
-benchmark tracer wraps by name exists once ``bellepr.cli`` is imported;
+benchmark tracer wraps by name exists once ``bellepr.cli`` is imported,
+and the benchmark's first-cycle sweeps reproduce its reference values;
 the README's Python example runs and prints what it promises, and its
 config sketch is a valid config that ``correlate`` runs."""
 
@@ -88,6 +89,40 @@ def test_benchmark_tracer_names_exist_after_importing_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def perfbench_module(name, monkeypatch):
+    """``perfbench/<name>.py``, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # where its dataclasses look
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_first_cycles_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # the benchmark checks every correlate CSV against perfbench/reference.json
+    # and counts a changed value as a failed operation
+    from bellepr.cli import main
+
+    workloads, checks = (perfbench_module(name, monkeypatch) for name in ("workloads", "checks"))
+    reference = checks.load_reference()
+    jobs = [
+        job
+        for workload in workloads.WORKLOADS
+        for job in workloads.jobs(workload, 0, cycles=1)
+        if job.command == "correlate"
+    ]
+    assert len(jobs) == 16
+    cfg, out = tmp_path / "job.yaml", tmp_path / "job.csv"
+    for job in jobs:
+        assert job.sha in reference, job.label
+        cfg.write_text(job.text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["correlate", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert checks.check_correlate(text, job.rows, reference[job.sha]) == [], job.label
 
 
 def test_readme_python_example_prints_about_minus_one():
