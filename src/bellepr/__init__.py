@@ -63,7 +63,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .errors import (
     ChartError,

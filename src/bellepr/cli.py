@@ -68,13 +68,13 @@ from .states import (
     BELL_KINDS,
     PolarizationAngleField,
     TwoPhotonAmplitude,
-    amplitude_pair_tables,
     azimuthal_field,
     condition_residuals,
     constant_field,
     covariance_residuals,
     field_values,
     fit_theta,
+    pair_factors,
     symmetry_residuals,
     tabulated_field,
     theta_wigner_residuals,
@@ -489,13 +489,12 @@ def _frequency_defect(a: LorentzMap, freq: float, direction: np.ndarray) -> floa
 
 
 def _finite_sample(fn, *args):
-    """``fn(*args)``, a grid (or dict of grids) of amplitude values or
-    residuals on sampled momenta; an amplitude that overflows there leaves a
-    non-finite entry, refused here rather than reported as a residual."""
+    """``fn(*args)``, a grid of residuals on sampled momenta; an amplitude
+    that overflows there leaves a non-finite entry, refused here rather than
+    reported as a residual."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = fn(*args)
-    grids = out.values() if isinstance(out, dict) else [out]
-    if not all(np.isfinite(grid).all() for grid in grids):
+    if not np.isfinite(out).all():
         raise PreconditionError(
             "the amplitude is not finite on diagnose's sampled momenta: it overflows there"
         )
@@ -565,10 +564,12 @@ def cmd_diagnose(args) -> int:
     fa, da = (x[:: max(1, len(nodes_a) // 8)] for x in (nodes_a.freqs, nodes_a.dirs))
     condition = BELL_KINDS.get(scn.amplitude.kind)
     if condition is not None and scn.theta_field is not None:
-        tables = _finite_sample(amplitude_pair_tables, scn.amplitude, fb, db, fa, da)
+        # factors that overflow leave a non-finite residual, refused there
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = pair_factors(scn.amplitude, fb, db, fa, da)
         thetas = (field_values(scn.theta_field, f, d) for f, d in ((fb, db), (fa, da)))
         worst_bell = float(_finite_sample(condition_residuals, condition, tables, *thetas).max())
-        scale = max(float(np.abs(vals).max()) for vals in tables.values())
+        scale = max(float(np.abs(t.a @ t.b.T).max()) for t in tables.values())
         info("bell-condition-defect-relative", worst_bell / max(scale, 1e-300))
     lmap = scn.transform.lorentz_map
     if lmap is not None:

@@ -28,8 +28,11 @@ bookkeeping — plain angles over the laboratory cones with the transported
 state and the composed vacuum density — from the same evaluation's tables.
 
 A correlation point evaluates its scenario at two rules, the full one and
-the halved one; at a rule other than 6x4x8, a Bell-kind point with an angle
-field also builds the 6x4x8 rule's arms for its ``bell_residual_max`` sample.
+the halved one, and builds no dense pair table: every sum reads
+pair_factors.  A Bell-kind point with an angle field takes its
+``bell_residual_max`` sample from the 6x4x8 rule's Bob x Alice factors: at
+that rule the full rule's own; at any other rule it builds that rule's arms
+and factors for the sample.
 Checks that need another scenario (the state rebuilt at laboratory momenta,
 the angle field's transport rule) are ``diagnose``'s, not every row's.
 """
@@ -58,13 +61,13 @@ from .states import (
     PairTable,
     PolarizationAngleField,
     TwoPhotonAmplitude,
-    amplitude_pair_tables,
     condition_residual_rel,
     condition_residuals,
     field_values,
     four_term,
     norm_sum,
     oscillator_factors,
+    pair_factors,
 )
 from .vacuum import VacuumDensity, evaluate_batch
 
@@ -297,14 +300,14 @@ def _bell_diagnostics(scn: Scenario, full: _Evaluation, value: float) -> dict[st
     spec_num = four_term(moduli, bob.u, alice.u, bob.angles - th_b, alice.angles - th_a, scn.n_osc)
     spec_value = -cond.branch * spec_num / full.den
     # a max over pairs does not factor: take it on the fixed DEFAULT_QUADRATURE
-    # sample of the same cones and maps, which is the full rule's own arms
-    # when the scenario uses the default rule
+    # sample of the same cones and maps, which is the full rule's own arms and
+    # factors when the scenario uses the default rule
     if dataclasses.replace(scn.quadrature, seed=DEFAULT_QUADRATURE.seed) != DEFAULT_QUADRATURE:
         bob, alice = _route_arms(scn, DEFAULT_QUADRATURE)
         th_b = field_values(field, bob.freqs, bob.dirs)
         th_a = field_values(field, alice.freqs, alice.dirs)
-    sample = amplitude_pair_tables(scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs)
-    res = condition_residuals(condition, sample, th_b, th_a)
+        tables = pair_factors(scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs)
+    res = condition_residuals(condition, tables, th_b, th_a)
     return {
         "bell_residual_max": float(res.max(initial=0.0)),
         "bell_residual_rel": rel,

@@ -24,9 +24,10 @@ pi/4 overall for a sum-coupled one (condition 21 <-> 22).
 
 Each slot is multiplied by a product envelope g(k) g(k') when one is given.
 Every function of two momentum batches works on their (n1, n2) pair grid (one
-pair is a 1 x 1 grid): pair_factors holds a slot as per-node factors, and
-amplitude_pair_tables builds the dense reference table that the condition,
-symmetry and covariance residuals read.
+pair is a 1 x 1 grid): pair_factors holds a slot as per-node factors, which
+the sums and the condition residual read, and amplitude_pair_tables builds
+the dense closed-form reference table that the symmetry and covariance
+residuals compare against.
 
 Every weighted slot sum is the inner product PairTable.contract,
 u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), four_term (the
@@ -470,13 +471,22 @@ def condition_residuals(
         |e^{ix} psi_plus + branch e^{-ix} psi_minus|,  x_ij = theta1_i + coupling theta2_j,
 
     with the slots, coupling and branch of ``BELL_CONDITIONS[condition]``,
-    ``tables`` the amplitude_pair_tables of the two batches and
-    ``theta1``/``theta2`` the polarization angles at them (or single angles,
-    shape (1,), that hold on every row or column)."""
+    ``tables`` the pair_factors of the two batches and ``theta1``/``theta2``
+    the polarization angles at them (or single angles, shape (1,), that hold
+    on every row or column).  The phase splits into per-node factors, so the
+    two phased slots stack into one table of rank r_plus + r_minus, whose
+    modulus is the only n1 x n2 array formed; a slot the amplitude lacks
+    adds 0."""
     cond = _condition(condition)
-    a, b = (tables.get(slot, 0.0) for slot in cond.slots)
-    phase = np.exp(1j * theta1)[:, None] * np.exp(1j * cond.coupling * theta2)[None, :]
-    return np.abs(phase * a + cond.branch * np.conj(phase) * b)
+    rows, cols = np.exp(1j * theta1), np.exp(1j * cond.coupling * theta2)
+    phases = ((rows, cols), (cond.branch * np.conj(rows), np.conj(cols)))
+    phased = [tables[s].scaled(*ph) for s, ph in zip(cond.slots, phases) if s in tables]
+    if not phased:
+        shape = next(((len(t.a), len(t.b)) for t in tables.values()), (rows.size, cols.size))
+        return np.zeros(shape)
+    a = np.concatenate([t.a for t in phased], axis=1)
+    b = np.concatenate([t.b for t in phased], axis=1)
+    return np.abs(a @ b.T)
 
 
 def _condition_sums(condition: int, tables: Mapping, u1, u2, theta1=0.0, theta2=0.0) -> tuple:

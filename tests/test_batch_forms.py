@@ -33,12 +33,12 @@ from bellepr.spinor_tetrad import (
 from bellepr.states import (
     BELL_CONDITIONS,
     TwoPhotonAmplitude,
-    amplitude_pair_tables,
     azimuthal_field,
     condition_residuals,
     constant_field,
     covariance_residuals,
     field_values,
+    pair_factors,
     symmetry_residuals,
     tabulated_field,
     theta_wigner_residual,
@@ -144,14 +144,14 @@ def test_pullback_pair_matches_scalar_forms():
 @pytest.mark.parametrize("amp", AMPLITUDES, ids=AMP_IDS)
 def test_condition_residual_table_matches_scalar_form(amp):
     field = azimuthal_field(0.4, 1.0)
-    tables = amplitude_pair_tables(amp, F1, D1, F2, D2)
+    tables = pair_factors(amp, F1, D1, F2, D2)
     th1, th2 = field_values(field, F1, D1), field_values(field, F2, D2)
     for condition in BELL_CONDITIONS:
         res = condition_residuals(condition, tables, th1, th2)
         assert res.shape == (N_PAIRS, N_PAIRS)
         for i, j in grid_pairs():
             f1, d1, f2, d2 = one_pair(i, j)
-            pair_tables = amplitude_pair_tables(amp, f1, d1, f2, d2)
+            pair_tables = pair_factors(amp, f1, d1, f2, d2)
             single = condition_residuals(
                 condition, pair_tables, field_values(field, f1, d1), field_values(field, f2, d2)
             )

@@ -612,27 +612,32 @@ class TestBoundAndSymmetry:
 
 class TestTableReuse:
     def test_rest_evaluation_builds_the_bob_alice_tables_once(self, z_mid, fit21, monkeypatch):
+        # each rule's Bob x Alice factors feed its sums and, at the default
+        # rule, the bell_residual_max sample too
         from bellepr import correlators, states
 
         scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field)
-        bob = bp.invariant_node_set(REGION_B, SPEC)
-        alice = bp.invariant_node_set(REGION_A, SPEC)
-        build = states.amplitude_pair_tables
-        bob_alice = []
+        build = states.pair_factors
+        blocks = []
 
         def spy(amp, f1, d1, f2, d2):
-            bob_alice.append(
+            blocks.append((f1, d1, f2, d2))
+            return build(amp, f1, d1, f2, d2)
+
+        monkeypatch.setattr(states, "pair_factors", spy)
+        monkeypatch.setattr(correlators, "pair_factors", spy)
+        result = correlate(scn)
+        for spec in (SPEC, SPEC.halved()):
+            bob = bp.invariant_node_set(REGION_B, spec)
+            alice = bp.invariant_node_set(REGION_A, spec)
+            bob_alice = [
                 np.array_equal(f1, bob.freqs)
                 and np.array_equal(d1, bob.dirs)
                 and np.array_equal(f2, alice.freqs)
                 and np.array_equal(d2, alice.dirs)
-            )
-            return build(amp, f1, d1, f2, d2)
-
-        monkeypatch.setattr(states, "amplitude_pair_tables", spy)
-        monkeypatch.setattr(correlators, "amplitude_pair_tables", spy, raising=False)
-        result = correlate(scn)
-        assert sum(bob_alice) == 1
+                for f1, d1, f2, d2 in blocks
+            ]
+            assert sum(bob_alice) == 1
         assert result.value == correlate(scn).value
 
 

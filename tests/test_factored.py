@@ -37,6 +37,7 @@ from bellepr.states import (
     BELL_KINDS,
     TwoPhotonAmplitude,
     amplitude_pair_tables,
+    azimuthal_field,
     condition_residual_rel,
     condition_residuals,
     field_values,
@@ -139,6 +140,14 @@ def check_dense_denominator(result, amp, arms, n_osc) -> None:
     assert result.denominator == pytest.approx(den, rel=RTOL, abs=0.0)
 
 
+def dense_condition_residuals(condition, tables, th1, th2) -> np.ndarray:
+    """|e^{ix} psi_plus + branch e^{-ix} psi_minus| on dense pair tables."""
+    cond = BELL_CONDITIONS[condition]
+    plus, minus = (tables[slot] for slot in cond.slots)
+    phase = np.exp(1j * th1)[:, None] * np.exp(1j * cond.coupling * th2)[None, :]
+    return np.abs(phase * plus + cond.branch * np.conj(phase) * minus)
+
+
 def check_against_dense(scn: Scenario) -> None:
     amp, n_osc = scn.amplitude, scn.n_osc
     case = scn.transform.kind
@@ -168,18 +177,18 @@ def check_against_dense(scn: Scenario) -> None:
     # on that scale
     condition = BELL_KINDS[amp.kind]
     th_b, th_a = (field_values(scn.theta_field, f, d) for f, d, _, _ in arms)
-    res = condition_residuals(condition, tables, th_b, th_a)
+    res = dense_condition_residuals(condition, tables, th_b, th_a)
     a, b = (tables[slot] for slot in BELL_CONDITIONS[condition].slots)
     scale = float(ub @ (np.abs(a) ** 2 + np.abs(b) ** 2) @ ua)
     rel = math.sqrt(float(ub @ res**2 @ ua) / scale)
     assert result.diagnostics["bell_residual_rel"] ** 2 == pytest.approx(rel**2, abs=RTOL)
 
-    # the max over pairs, exactly, on the 192-node arms of the same cones and maps
+    # the max over pairs on the 192-node arms of the same cones and maps
     (fb, db, _, _), (fa, da, _, _) = dense_arms(dataclasses.replace(scn, quadrature=SPEC))
     sample = amplitude_pair_tables(amp, fb, db, fa, da)
     th_b, th_a = (field_values(scn.theta_field, f, d) for f, d in ((fb, db), (fa, da)))
-    res = condition_residuals(condition, sample, th_b, th_a)
-    assert result.diagnostics["bell_residual_max"] == float(res.max())
+    res = dense_condition_residuals(condition, sample, th_b, th_a)
+    assert result.diagnostics["bell_residual_max"] == pytest.approx(res.max(), rel=RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("envelope", [False, True], ids=["plain", "envelope"])
@@ -195,22 +204,24 @@ def test_factored_joint_point_at_1536_nodes_matches_dense_tables(vacuum, kind):
     check_against_dense(scenario(vacuum, kind, "joint", 3, True, spec=SPEC_1536))
 
 
+@pytest.mark.parametrize("spec", [SPEC, SPEC_1536], ids=["192", "1536"])
+@pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("kind", sorted(BELL_KINDS))
-def test_joint_point_builds_no_table_beyond_the_residual_sample(vacuum, kind, monkeypatch):
-    scn = scenario(vacuum, kind, "joint", 3, False, spec=SPEC_1536)
+def test_point_builds_no_dense_table(vacuum, kind, case, spec, monkeypatch):
+    scn = scenario(vacuum, kind, case, 3, False, spec=spec)
     build = states.amplitude_pair_tables
-    sizes = []
+    calls = []
 
     def spy(amp, f1, d1, f2, d2):
-        sizes.append(np.size(f1) * np.size(f2))
+        calls.append(np.size(f1) * np.size(f2))
         return build(amp, f1, d1, f2, d2)
 
     monkeypatch.setattr(states, "amplitude_pair_tables", spy)
-    monkeypatch.setattr(correlators, "amplitude_pair_tables", spy)
     correlate(scn)
-    # the only table is the DEFAULT_QUADRATURE sample of bell_residual_max;
-    # the norm's same-momentum term is read off its own blocks' factors
-    assert sizes == [192 * 192]
+    # every sum, the norm's same-momentum term and the bell_residual_max
+    # sample read pair_factors; the dense tables are the tests' reference
+    assert calls == []
+    assert not hasattr(correlators, "amplitude_pair_tables")
 
 
 @pytest.mark.parametrize("kind", sorted(BELL_KINDS))
@@ -222,8 +233,8 @@ def test_joint_point_at_1536_nodes_stays_small(vacuum, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one dense 1536 x 1536 complex table alone is 37.7 MB
-    assert peak <= 32e6
+    # one dense 1536 x 1536 float64 table alone is 18.9 MB
+    assert peak <= 8e6
 
 
 def general_amplitude() -> TwoPhotonAmplitude:
@@ -390,6 +401,43 @@ def test_condition_sums_on_slots_the_amplitude_lacks():
     assert residual(one_slot) == 1.0
     with pytest.raises(bp.InputError, match="degenerate"):
         fit_theta(one_slot, 21, BOB, ALICE, spec=SPEC)
+
+
+def test_condition_residuals_on_slots_the_amplitude_lacks():
+    # a missing slot adds 0: one slot of the condition leaves |phased slot|,
+    # none leaves a zero grid
+    nb, na = invariant_node_set(BOB, SPEC), invariant_node_set(ALICE, SPEC)
+    th_b, th_a = np.full(len(nb), 0.3), np.full(len(na), -0.2)
+    one_slot = TwoPhotonAmplitude(
+        kind="general",
+        table={(1, 1): (lambda f, d: ((1.0 + 0.5j) * f)[:, None], lambda f, d: f[:, None])},
+    )
+    tables = states.pair_factors(one_slot, nb.freqs, nb.dirs, na.freqs, na.dirs)
+    dense = amplitude_pair_tables(one_slot, nb.freqs, nb.dirs, na.freqs, na.dirs)[(1, 1)]
+    res = condition_residuals(21, tables, th_b, th_a)
+    np.testing.assert_allclose(res, np.abs(dense), rtol=RTOL, atol=0.0)
+    res = condition_residuals(11, tables, th_b, th_a)
+    assert res.shape == (len(nb), len(na))
+    assert not res.any()
+
+
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_condition_residuals_broadcast_single_angles(kind):
+    # a single angle, shape (1,), holds on every row or column
+    amp = TwoPhotonAmplitude(kind=kind, envelope=gaussian_envelope)
+    condition = BELL_KINDS[kind]
+    nb, na = invariant_node_set(BOB, SPEC), invariant_node_set(ALICE, SPEC)
+    tables = states.pair_factors(amp, nb.freqs, nb.dirs, na.freqs, na.dirs)
+    dense = amplitude_pair_tables(amp, nb.freqs, nb.dirs, na.freqs, na.dirs)
+    scale = max(np.abs(t).max() for t in dense.values())
+    th_b = field_values(azimuthal_field(0.4, 1.0), nb.freqs, nb.dirs)
+    th_a = field_values(azimuthal_field(-0.2, 1.0), na.freqs, na.dirs)
+    one_b, one_a = np.array([0.3]), np.array([-0.7])
+    for th1, th2 in ((one_b, th_a), (th_b, one_a), (one_b, one_a)):
+        res = condition_residuals(condition, tables, th1, th2)
+        assert res.shape == (len(nb), len(na))
+        expected = dense_condition_residuals(condition, dense, th1, th2)
+        np.testing.assert_allclose(res, expected, rtol=0.0, atol=RTOL * scale)
 
 
 def test_contract_is_the_weighted_inner_product():

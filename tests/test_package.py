@@ -1,11 +1,13 @@
 """Package surface: ``bellepr.__all__`` lists exactly the names that
-``bellepr/__init__.py`` imports, the configuration schema ships as package
-data, the package version is written once, and every function the
-benchmark tracer wraps by name exists once ``bellepr.cli`` is imported,
+``bellepr/__init__.py`` imports, no module imports a name it neither uses
+nor exports, the configuration schema ships as package data, the package
+version is written once, and every function the benchmark tracer wraps by
+name exists once ``bellepr.cli`` is imported,
 and the benchmark's first-cycle sweeps reproduce its reference values;
 the README's Python example runs and prints what it promises, and its
 config sketch is a valid config that ``correlate`` runs."""
 
+import ast
 import contextlib
 import importlib.resources
 import importlib.util
@@ -34,6 +36,29 @@ def test_all_lists_every_imported_name():
     assert set(bellepr.__all__) == imported | {"__version__"}
     for name in bellepr.__all__:
         assert getattr(bellepr, name) is not None
+
+
+def test_no_module_imports_a_name_it_neither_uses_nor_exports():
+    # an import left behind when its last use goes
+    unused = {}
+    for path in sorted(Path(bellepr.__file__).resolve().parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+        left = imported - used - exported
+        if left:
+            unused[path.name] = sorted(left)
+    assert unused == {}
 
 
 def test_config_schema_is_package_data():

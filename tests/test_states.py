@@ -17,6 +17,7 @@ from bellepr.states import (
     field_values,
     fit_theta,
     oscillator_factors,
+    pair_factors,
     symmetry_residuals,
     tabulated_field,
     theta_wigner_residual,
@@ -351,7 +352,7 @@ class TestBellConditions:
         r11, r12 = (
             condition_residuals(
                 condition,
-                amplitude_pair_tables(amp, f, d, f2, d2),
+                pair_factors(amp, f, d, f2, d2),
                 field_values(theta, f, d),
                 field_values(theta, f2, d2),
             )
@@ -372,7 +373,7 @@ class TestBellConditions:
         r21, r22 = (
             condition_residuals(
                 condition,
-                amplitude_pair_tables(amp, f, d, f2, d2),
+                pair_factors(amp, f, d, f2, d2),
                 field_values(theta, f, d),
                 field_values(theta, f2, d2),
             )
@@ -384,10 +385,11 @@ class TestBellConditions:
         k = bp.NullMomentum(1.0, np.array([math.sin(0.05), 0.0, math.cos(0.05)]))
         kp = bp.NullMomentum(1.0, np.array([-math.sin(0.05), 0.0, math.cos(0.05)]))
         amp = TwoPhotonAmplitude(kind="bell11")
-        tables = amplitude_pair_tables(amp, *k.as_batch, *kp.as_batch)
+        tables = pair_factors(amp, *k.as_batch, *kp.as_batch)
         # theta difference 0 leaves the two terms adding in phase: defect ~ 2|psi|
         bad = np.zeros(1)
-        psi = abs(tables[(1, -1)][0, 0])
+        plus = tables[(1, -1)]
+        psi = abs((plus.a @ plus.b.T)[0, 0])
         assert condition_residuals(11, tables, bad, bad)[0, 0] > 1.9 * psi
 
     def test_diagonal_inconsistency_of_condition_11(self):
@@ -395,7 +397,7 @@ class TestBellConditions:
         # them: the defect is exactly 2 whenever theta is a single field value
         k = bp.NullMomentum(1.0, np.array([0.6, 0.0, 0.8]))
         amp = TwoPhotonAmplitude(kind="bell11")
-        tables = amplitude_pair_tables(amp, *k.as_batch, *k.as_batch)
+        tables = pair_factors(amp, *k.as_batch, *k.as_batch)
         theta = field_values(constant_field(0.7), *k.as_batch)
         assert condition_residuals(11, tables, theta, theta)[0, 0] == pytest.approx(2.0, abs=1e-12)
 
