@@ -53,17 +53,19 @@ from .correlators import (
     DEFAULT_QUADRATURE,
     CorrelationResult,
     DetectorSetting,
+    PreparedScenario,
     Scenario,
     TransformCase,
     alice_only_case,
     bound_check,
     correlate,
     joint_case,
+    prepare,
     rest_case,
     swap_roles,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import (
     ChartError,
@@ -121,12 +123,14 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "CorrelationResult",
     "DetectorSetting",
+    "PreparedScenario",
     "Scenario",
     "TransformCase",
     "alice_only_case",
     "bound_check",
     "correlate",
     "joint_case",
+    "prepare",
     "rest_case",
     "swap_roles",
     # errors

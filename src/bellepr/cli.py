@@ -5,7 +5,9 @@ Commands
 --------
 ``correlate <config>``
     Evaluate the configured correlation over a sweep grid and write one CSV
-    row per sweep point, with ``#``-prefixed metadata header lines.
+    row per sweep point, with ``#``-prefixed metadata header lines.  A
+    beta, alpha or n_osc sweep prepares its scenario once and finishes each
+    row from it; a rapidity sweep evaluates each row in full.
 ``oracle-verify <config>``
     Run the discrete-grid oracle suite and print one pass/fail line per
     named check.
@@ -47,6 +49,7 @@ from .correlators import (
     bound_check,
     check_regions,
     correlate,
+    prepare,
 )
 from .errors import ConsistencyError, InputError, PreconditionError
 from .fock_oracle import DiscreteGrid, OscillatorTruncation, verify_suite
@@ -102,6 +105,9 @@ CONFIG_SCHEMA = json.loads(
 # --------------------------------------------------------------------------
 # config loading and scenario construction
 
+#: libyaml's parser when PyYAML was built with it; both build the same documents.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _load_config(path: str) -> tuple[dict, str]:
     try:
@@ -111,7 +117,7 @@ def _load_config(path: str) -> tuple[dict, str]:
         raise InputError(f"cannot read config {path!r}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        doc = yaml.safe_load(raw)
+        doc = yaml.load(raw, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise InputError(f"config {path!r} is not valid YAML: {exc}") from exc
     import jsonschema  # deferred: only commands that read a config pay its import
@@ -311,9 +317,12 @@ def cmd_correlate(args) -> int:
     sweep = doc["sweep"]
     values = _sweep_values(sweep)
     scenarios = [_scenario_at(base, doc, sweep["variable"], v) for v in values]
+    # a rapidity moves the arms, so each of its rows is a scenario of its own;
+    # the rows of an angle or n_osc sweep are finished from one preparation
+    point = correlate if sweep["variable"] == "rapidity" else prepare(base).finish
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:  # no thread until a submit
-        results = list((pool.map if args.threads > 1 else map)(correlate, scenarios))
+        results = list((pool.map if args.threads > 1 else map)(point, scenarios))
 
     lines = [
         f"# bellepr correlate {__version__}",

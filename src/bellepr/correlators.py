@@ -13,8 +13,9 @@ ratio ``numerator / denominator``:
   cones: a same-momentum (coincidence) term with factor 2/N over each cone
   plus all ordered cone-pair blocks with factor 2(N-1)/N.
 
-Both are sums of ``states`` (``four_term``, ``norm_sum``), over the per-arm
-nodes, weights and angles built here.
+Both are sums of ``states`` (``four_term``, and ``norm_sum``'s two halves
+``norm_blocks`` and ``norm_total``), over the per-arm nodes, weights and
+angles built here.
 
 Detector transforms are handled by one rule per transformed arm: mesh the
 laboratory acceptance cone, pull each node back through the map, and shift
@@ -27,12 +28,14 @@ For the joint case the module also evaluates the equivalent vacuum-side
 bookkeeping — plain angles over the laboratory cones with the transported
 state and the composed vacuum density — from the same evaluation's tables.
 
-A correlation point evaluates its scenario at two rules, the full one and
-the halved one, and builds no dense pair table: every sum reads
-pair_factors.  A Bell-kind point with an angle field takes its
-``bell_residual_max`` sample from the 6x4x8 rule's Bob x Alice factors: at
-that rule the full rule's own; at any other rule it builds that rule's arms
-and factors for the sample.
+A correlation point is prepared, then finished.  ``prepare`` evaluates the
+scenario at two rules, the full one and the halved one, as far as no
+analyzer angle and no oscillator count N is read, and builds no dense pair
+table: every sum reads pair_factors.  A Bell-kind point with an angle field
+takes its ``bell_residual_max`` sample from the 6x4x8 rule's Bob x Alice
+factors: at that rule the full rule's own; at any other rule it builds that
+rule's arms and factors for the sample.  ``finish`` applies one row's angles
+and N, so a sweep over them prepares once.
 Checks that need another scenario (the state rebuilt at laboratory momenta,
 the angle field's transport rule) are ``diagnose``'s, not every row's.
 """
@@ -65,7 +68,8 @@ from .states import (
     condition_residuals,
     field_values,
     four_term,
-    norm_sum,
+    norm_blocks,
+    norm_total,
     oscillator_factors,
     pair_factors,
 )
@@ -81,6 +85,8 @@ __all__ = [
     "Scenario",
     "CorrelationResult",
     "swap_roles",
+    "PreparedScenario",
+    "prepare",
     "correlate",
     "bound_check",
     "check_regions",
@@ -225,7 +231,7 @@ def swap_roles(scenario: Scenario) -> Scenario:
 
 
 # --------------------------------------------------------------------------
-# arm descriptors and the two sums over them
+# arm descriptors
 
 
 class _Arm(NamedTuple):
@@ -234,90 +240,29 @@ class _Arm(NamedTuple):
     ``freqs/dirs`` are the momenta at which amplitude tables and the vacuum
     density are read (pulled back through the arm's map when one is set),
     ``u`` the invariant-measure weights of the acceptance mesh times the
-    vacuum density at the table momenta, ``angles`` the per-node effective
-    analyzer angle (the scalar setting, shifted by minus twice the map's
-    Wigner phase at each acceptance node) and ``wigner`` that phase."""
+    vacuum density at the table momenta and ``wigner`` the map's Wigner
+    phase at each acceptance node: a row's per-node analyzer angle is its
+    scalar setting minus it."""
 
     freqs: np.ndarray
     dirs: np.ndarray
     u: np.ndarray
-    angles: np.ndarray
     wigner: np.ndarray
 
 
 def _arm(
-    setting: DetectorSetting,
+    region: DetectorRegion,
     arm_map: LorentzMap | None,
     z: VacuumDensity,
     spec: QuadratureSpec,
 ) -> _Arm:
-    nodes = invariant_node_set(setting.region, spec)
+    nodes = invariant_node_set(region, spec)
     if arm_map is None:
         freqs, dirs, wig = nodes.freqs, nodes.dirs, np.zeros(len(nodes))
     else:
         freqs, dirs, wig = wigner_pullback(arm_map, nodes.freqs, nodes.dirs)
     u = nodes.weights * evaluate_batch(z, freqs, dirs)
-    return _Arm(freqs=freqs, dirs=dirs, u=u, angles=setting.angle - wig, wigner=wig)
-
-
-def _transported_numerator(
-    scn: Scenario, bob: _Arm, alice: _Arm, tables: dict[tuple[int, int], PairTable]
-) -> float:
-    """Numerator of the joint case's vacuum-side bookkeeping: plain analyzer
-    angles over the laboratory cones and the slot tables transported by the
-    phase rule (each slot picks e^{-2i s Theta} per arm), with the vacuum
-    density read through the inverse map as the arms already hold it.
-    Equals the detector-side numerator when the phase bookkeeping is
-    consistent."""
-    transported = {
-        (s, sp): vals.scaled(np.exp(-1.0j * s * bob.wigner), np.exp(-1.0j * sp * alice.wigner))
-        for (s, sp), vals in tables.items()
-    }
-    return four_term(transported, bob.u, alice.u, scn.bob.angle, scn.alice.angle, scn.n_osc)
-
-
-# --------------------------------------------------------------------------
-# diagnostics
-
-
-def _bell_diagnostics(scn: Scenario, full: _Evaluation, value: float) -> dict[str, float]:
-    """Residual of the polarization-angle condition over the node pairs, and
-    the reduced single-cosine value it implies, compared against the
-    four-term value."""
-    condition = BELL_KINDS.get(scn.amplitude.kind)
-    field = scn.theta_field
-    if condition is None or field is None:
-        return {}
-    cond = BELL_CONDITIONS[condition]
-    bob, alice, tables = full.bob, full.alice, full.tables
-    th_b = field_values(field, bob.freqs, bob.dirs)
-    th_a = field_values(field, alice.freqs, alice.dirs)
-    rel = condition_residual_rel(condition, tables, th_b, th_a, bob.u, alice.u)
-    # On the condition conj(psi_plus) psi_minus = -branch e^{2ix} |psi_minus|^2,
-    # so the reduced value is the four-term sum of |psi_minus|^2 with the
-    # field angles taken off the analyzer angles.
-    moduli = dict.fromkeys(cond.slots, tables[cond.slots[1]])
-    spec_num = four_term(moduli, bob.u, alice.u, bob.angles - th_b, alice.angles - th_a, scn.n_osc)
-    spec_value = -cond.branch * spec_num / full.den
-    # a max over pairs does not factor: take it on the fixed DEFAULT_QUADRATURE
-    # sample of the same cones and maps, which is the full rule's own arms and
-    # factors when the scenario uses the default rule
-    if dataclasses.replace(scn.quadrature, seed=DEFAULT_QUADRATURE.seed) != DEFAULT_QUADRATURE:
-        bob, alice = _route_arms(scn, DEFAULT_QUADRATURE)
-        th_b = field_values(field, bob.freqs, bob.dirs)
-        th_a = field_values(field, alice.freqs, alice.dirs)
-        tables = pair_factors(scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs)
-    res = condition_residuals(condition, tables, th_b, th_a)
-    return {
-        "bell_residual_max": float(res.max(initial=0.0)),
-        "bell_residual_rel": rel,
-        "specialized_value": spec_value,
-        "specialized_gap": abs(value - spec_value),
-    }
-
-
-# --------------------------------------------------------------------------
-# evaluation routes
+    return _Arm(freqs=freqs, dirs=dirs, u=u, wigner=wig)
 
 
 def _route_arms(scn: Scenario, spec: QuadratureSpec) -> tuple[_Arm, _Arm]:
@@ -327,46 +272,81 @@ def _route_arms(scn: Scenario, spec: QuadratureSpec) -> tuple[_Arm, _Arm]:
     bob_map = m if kind == "joint" else None
     alice_map = m if kind in ("joint", "alice_only") else None
     return (
-        _arm(scn.bob, bob_map, scn.vacuum, spec),
-        _arm(scn.alice, alice_map, scn.vacuum, spec),
+        _arm(scn.bob.region, bob_map, scn.vacuum, spec),
+        _arm(scn.alice.region, alice_map, scn.vacuum, spec),
     )
 
 
-class _Evaluation(NamedTuple):
-    """One evaluation of a scenario at one quadrature spec: ``den`` and
-    ``tables`` are norm_sum's total and Bob x Alice slot tables,
-    ``swap_residual`` the relative mismatch of its two cross-cone blocks (equal
-    up to quadrature by the symmetry of |psi|^2 Z Z'), ``vacuum_num`` the
-    vacuum-side numerator, set for the joint case only."""
+# --------------------------------------------------------------------------
+# prepare: what a scenario's rows share
 
-    num: float
-    den: float
+
+class _Rule(NamedTuple):
+    """A scenario's sums at one quadrature rule that read no analyzer angle
+    and no oscillator count: its two arms, norm_blocks' same-momentum total
+    ``diag``, ordered cross-cone ``blocks`` and Bob x Alice slot ``tables``,
+    and for the joint case ``transported``, the tables of the vacuum-side
+    bookkeeping (else None)."""
+
     bob: _Arm
     alice: _Arm
+    diag: float
+    blocks: np.ndarray
     tables: dict[tuple[int, int], PairTable]
-    swap_residual: float
-    vacuum_num: float | None
+    transported: dict[tuple[int, int], PairTable] | None
 
 
-def _evaluate(scn: Scenario, spec: QuadratureSpec) -> _Evaluation:
+_BAD_DENOMINATOR = (
+    "denominator is not a positive finite number: it underflowed or "
+    "overflowed, or the state has no weight on the detector cones"
+)
+
+
+def _prepare_rule(scn: Scenario, spec: QuadratureSpec) -> _Rule:
     bob, alice = _route_arms(scn, spec)
-    # an amplitude that overflows leaves a non-finite denominator, refused below
+    # an amplitude that overflows leaves a non-finite sum, refused here,
+    # before anything else contracts the tables
     with np.errstate(over="ignore", invalid="ignore"):
-        den, blocks, tables = norm_sum(
-            scn.amplitude, [(arm.freqs, arm.dirs, arm.u) for arm in (bob, alice)], scn.n_osc
+        diag, blocks, tables = norm_blocks(
+            scn.amplitude, [(arm.freqs, arm.dirs, arm.u) for arm in (bob, alice)]
         )
-    if not 0.0 < den < math.inf:
-        raise PreconditionError(
-            "denominator is not a positive finite number: it underflowed or "
-            "overflowed, or the state has no weight on the detector cones"
-        )
-    b01, b10 = blocks[0, 1], blocks[1, 0]
-    swap_res = abs(b01 - b10) / max(abs(b01), abs(b10), 1e-300)
-    num = four_term(tables, bob.u, alice.u, bob.angles, alice.angles, scn.n_osc)
-    vacuum_num = None
+    if not (math.isfinite(diag) and np.isfinite(blocks).all()):
+        raise PreconditionError(_BAD_DENOMINATOR)
+    transported = None
     if scn.transform.kind == "joint":
-        vacuum_num = _transported_numerator(scn, bob, alice, tables)
-    return _Evaluation(num, den, bob, alice, tables, swap_res, vacuum_num)
+        # the vacuum-side bookkeeping: plain analyzer angles over the
+        # laboratory cones and the slot tables transported by the phase rule
+        # (each slot picks e^{-2i s Theta} per arm), with the vacuum density
+        # read through the inverse map as the arms already hold it
+        transported = {
+            (s, sp): t.scaled(np.exp(-1.0j * s * bob.wigner), np.exp(-1.0j * sp * alice.wigner))
+            for (s, sp), t in tables.items()
+        }
+    return _Rule(bob, alice, diag, blocks, tables, transported)
+
+
+def _bell_sample(scn: Scenario, full: _Rule) -> tuple[dict[str, float], tuple | None]:
+    """The Bell diagnostics that read no analyzer angle and no oscillator
+    count, and the field angles at the full rule's nodes (None without a
+    Bell kind and an angle field): the relative residual of the
+    polarization-angle condition over the node pairs and its maximum."""
+    condition = BELL_KINDS.get(scn.amplitude.kind)
+    field = scn.theta_field
+    if condition is None or field is None:
+        return {}, None
+    bob, alice, tables = full.bob, full.alice, full.tables
+    thetas = th_b, th_a = tuple(field_values(field, arm.freqs, arm.dirs) for arm in (bob, alice))
+    rel = condition_residual_rel(condition, tables, th_b, th_a, bob.u, alice.u)
+    # a max over pairs does not factor: take it on the fixed DEFAULT_QUADRATURE
+    # sample of the same cones and maps, which is the full rule's own arms and
+    # factors when the scenario uses the default rule
+    if dataclasses.replace(scn.quadrature, seed=DEFAULT_QUADRATURE.seed) != DEFAULT_QUADRATURE:
+        bob, alice = _route_arms(scn, DEFAULT_QUADRATURE)
+        th_b = field_values(field, bob.freqs, bob.dirs)
+        th_a = field_values(field, alice.freqs, alice.dirs)
+        tables = pair_factors(scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs)
+    res = condition_residuals(condition, tables, th_b, th_a)
+    return {"bell_residual_max": float(res.max(initial=0.0)), "bell_residual_rel": rel}, thetas
 
 
 _ERR_FLOOR = 64.0 * np.finfo(np.float64).eps
@@ -377,13 +357,119 @@ def _halving_err(full: float, half: float) -> float:
     return abs(full - half) + _ERR_FLOOR * (1.0 + abs(full))
 
 
+#: The Scenario fields a row may change from its prepared scenario.
+_ROW_FIELDS = ("bob", "alice", "n_osc")
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedScenario:
+    """A scenario evaluated up to its analyzer angles and oscillator count:
+    both rules' arms, norm blocks and Bob x Alice tables, and the
+    diagnostics that read neither (``fixed``).  ``finish`` completes one row."""
+
+    scenario: Scenario
+    full: _Rule
+    half: _Rule
+    fixed: dict[str, float]
+    thetas: tuple[np.ndarray, np.ndarray] | None
+
+    def finish(self, row: Scenario) -> CorrelationResult:
+        """The correlation of ``row``, a scenario that differs from the
+        prepared one at most in ``bob.angle``, ``alice.angle`` and ``n_osc``,
+        every other field being the prepared scenario's own object (else
+        InputError); equal to ``correlate(row)`` bit for bit."""
+        p = self.scenario
+        same = all(
+            getattr(row, f.name) is getattr(p, f.name)
+            for f in dataclasses.fields(Scenario)
+            if f.name not in _ROW_FIELDS
+        )
+        if not (same and row.bob.region is p.bob.region and row.alice.region is p.alice.region):
+            raise InputError(
+                "a prepared scenario finishes only rows that differ from it in "
+                "bob.angle, alice.angle and n_osc"
+            )
+        sums = [self._sums(rule, row) for rule in (self.full, self.half)]
+        (num, den, vacuum_num, angles), (half_num, half_den, half_vacuum_num, _) = sums
+        value = num / den
+        diagnostics: dict[str, float] = dict(self.fixed)
+        if self.thetas is not None:
+            # On the condition conj(psi_plus) psi_minus = -branch e^{2ix} |psi_minus|^2,
+            # so the reduced value is the four-term sum of |psi_minus|^2 with the
+            # field angles taken off the analyzer angles.
+            cond = BELL_CONDITIONS[BELL_KINDS[p.amplitude.kind]]
+            moduli = dict.fromkeys(cond.slots, self.full.tables[cond.slots[1]])
+            (bob_angles, alice_angles), (th_b, th_a) = angles, self.thetas
+            bob, alice = self.full.bob, self.full.alice
+            spec_num = four_term(
+                moduli, bob.u, alice.u, bob_angles - th_b, alice_angles - th_a, row.n_osc
+            )
+            spec_value = -cond.branch * spec_num / den
+            diagnostics["specialized_value"] = spec_value
+            diagnostics["specialized_gap"] = abs(value - spec_value)
+        if vacuum_num is not None:
+            vac = vacuum_num / den
+            diagnostics["vacuum_picture_value"] = vac
+            diagnostics["vacuum_picture_err"] = _halving_err(vac, half_vacuum_num / half_den)
+            diagnostics["picture_gap"] = abs(value - vac)
+        return CorrelationResult(
+            numerator=num,
+            denominator=den,
+            value=value,
+            err_estimate=_halving_err(value, half_num / half_den),
+            diagnostics=diagnostics,
+        )
+
+    @staticmethod
+    def _sums(rule: _Rule, row: Scenario) -> tuple:
+        """(numerator, denominator, vacuum-side numerator or None, per-node
+        analyzer angles of the two arms) of ``row`` at one rule."""
+        den = norm_total(rule.diag, rule.blocks, row.n_osc)
+        if not 0.0 < den < math.inf:
+            raise PreconditionError(_BAD_DENOMINATOR)
+        bob, alice = rule.bob, rule.alice
+        angles = row.bob.angle - bob.wigner, row.alice.angle - alice.wigner
+        num = four_term(rule.tables, bob.u, alice.u, *angles, row.n_osc)
+        vacuum_num = None
+        if rule.transported is not None:
+            vacuum_num = four_term(
+                rule.transported, bob.u, alice.u, row.bob.angle, row.alice.angle, row.n_osc
+            )
+        return num, den, vacuum_num, angles
+
+
+def prepare(scenario: Scenario) -> PreparedScenario:
+    """What ``correlate(scenario)`` computes before it reads an analyzer angle
+    or the oscillator count.  Raises PreconditionError for an ``alice_only``
+    scenario whose pulled-back Alice cone overlaps Bob's, before any rule is
+    evaluated, and for an amplitude that overflows the norm's sums."""
+    if scenario.transform.kind == "alice_only":
+        m = scenario.transform.lorentz_map
+        pulled = mapped_bounding_region(scenario.alice.region, inverse(m))
+        if not regions_disjoint(scenario.bob.region, pulled):
+            raise PreconditionError(
+                "Bob's cone overlaps the pulled-back image of Alice's cone; "
+                "the same-momentum coincidence term is out of scope here"
+            )
+    spec = scenario.quadrature
+    full = _prepare_rule(scenario, spec)
+    half = _prepare_rule(scenario, spec.halved())
+    # the two ordered cross-cone blocks agree up to quadrature by the
+    # symmetry of |psi|^2 Z Z'
+    b01, b10 = full.blocks[0, 1], full.blocks[1, 0]
+    fixed = {"den_swap_block_residual": abs(b01 - b10) / max(abs(b01), abs(b10), 1e-300)}
+    bell, thetas = _bell_sample(scenario, full)
+    fixed.update(bell)
+    return PreparedScenario(scenario, full, half, fixed, thetas)
+
+
 # --------------------------------------------------------------------------
 # the correlation
 
 
 def correlate(scenario: Scenario) -> CorrelationResult:
     """Normalized correlation of the two analyzer outcomes, for any
-    amplitude and transform case.
+    amplitude and transform case: ``prepare(scenario).finish(scenario)``.
 
     The value uses the detector-side form (pulled-back momenta,
     Wigner-shifted per-node angles on each transformed arm).  For a
@@ -397,32 +483,7 @@ def correlate(scenario: Scenario) -> CorrelationResult:
     ``alice_only`` case requires Bob's cone to stay directionally disjoint
     from the pulled-back Alice cone.
     """
-    if scenario.transform.kind == "alice_only":
-        m = scenario.transform.lorentz_map
-        pulled = mapped_bounding_region(scenario.alice.region, inverse(m))
-        if not regions_disjoint(scenario.bob.region, pulled):
-            raise PreconditionError(
-                "Bob's cone overlaps the pulled-back image of Alice's cone; "
-                "the same-momentum coincidence term is out of scope here"
-            )
-    spec = scenario.quadrature
-    full = _evaluate(scenario, spec)
-    half = _evaluate(scenario, spec.halved())
-    value = full.num / full.den
-    diagnostics: dict[str, float] = {"den_swap_block_residual": full.swap_residual}
-    diagnostics.update(_bell_diagnostics(scenario, full, value))
-    if full.vacuum_num is not None:
-        vac = full.vacuum_num / full.den
-        diagnostics["vacuum_picture_value"] = vac
-        diagnostics["vacuum_picture_err"] = _halving_err(vac, half.vacuum_num / half.den)
-        diagnostics["picture_gap"] = abs(value - vac)
-    return CorrelationResult(
-        numerator=full.num,
-        denominator=full.den,
-        value=value,
-        err_estimate=_halving_err(value, half.num / half.den),
-        diagnostics=diagnostics,
-    )
+    return prepare(scenario).finish(scenario)
 
 
 #: Old names of correlate; nothing in bellepr calls them, and their only

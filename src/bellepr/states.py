@@ -32,7 +32,8 @@ residuals compare against.
 Every weighted slot sum is the inner product PairTable.contract,
 u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), four_term (the
 correlation numerator), a Bell condition's sums (_condition_sums) and norm_sum,
-which the correlators and the matrix oracle's closed forms both call.
+which the matrix oracle's closed forms call; the correlators call its two
+halves, the N-free norm_blocks and the N-dependent norm_total.
 
 Equal-helicity bell amplitudes transform exactly under
 psi(L^-1 k, L^-1 k') = e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi(k, k');
@@ -95,6 +96,8 @@ __all__ = [
     "theta_wigner_residuals",
     "covariance_residuals",
     "oscillator_factors",
+    "norm_blocks",
+    "norm_total",
     "norm_sum",
     "two_photon_norm",
     "fit_theta",
@@ -375,18 +378,31 @@ def _slot_table(value, f1, d1, f2, d2) -> PairTable:
     return PairTable(rows, cols)
 
 
-def pair_factors(
-    amp: TwoPhotonAmplitude, f1: np.ndarray, d1: np.ndarray, f2: np.ndarray, d2: np.ndarray
-) -> dict[tuple[int, int], PairTable]:
-    """Active helicity slots over the Cartesian product of two batches, as
-    PairTables.
+class _Batch(NamedTuple):
+    """One momentum batch as the pair factors read it: its momenta, envelope
+    values and, for a Bell kind, raw spin frames (2, 2, n) and pole turn."""
 
-    A Bell kind factors exactly: the square of the spinor pairing
-    p0 q1' - p1 q0' has rank 3 (21/22), and the tetrad contraction
-    sum_mu eta_mu m_mu conj(m'_mu), a product of two pairings, rank 4
-    (11/12); a general slot is its own factors.  An envelope scales them.
-    """
+    freqs: np.ndarray
+    dirs: np.ndarray
+    env: np.ndarray | None
+    frames: np.ndarray | None
+    turn: np.ndarray | None
+
+
+def _batch(amp: TwoPhotonAmplitude, freqs: np.ndarray, dirs: np.ndarray) -> _Batch:
+    env = None if amp.envelope is None else np.asarray(amp.envelope(freqs, dirs))
     if amp.kind not in BELL_KINDS:
+        return _Batch(freqs, dirs, env, None, None)
+    frames = np.reshape(batch_spin_frames(freqs, dirs), (2, 2, -1))
+    return _Batch(freqs, dirs, env, frames, _pole_turn(dirs))
+
+
+def _factors(
+    amp: TwoPhotonAmplitude, first: _Batch, second: _Batch
+) -> dict[tuple[int, int], PairTable]:
+    """pair_factors of two batches, each built once by _batch."""
+    if amp.kind not in BELL_KINDS:
+        f1, d1, f2, d2 = first.freqs, first.dirs, second.freqs, second.dirs
         tables = {slot: _slot_table(value, f1, d1, f2, d2) for slot, value in amp.table.items()}
     else:
         cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
@@ -395,9 +411,8 @@ def pair_factors(
         # Turned so that the first batch sits at a pole, each term of a pairing
         # between nearby momenta is as small as the pairing itself, so the
         # expanded sums of a narrow cone with itself do not cancel.
-        turn = _pole_turn(d1)
-        p0, p1, o0, o1 = (turn @ np.reshape(batch_spin_frames(f1, d1), (2, 2, -1))).reshape(4, -1)
-        q0, q1, r0, r1 = (turn @ np.reshape(batch_spin_frames(f2, d2), (2, 2, -1))).reshape(4, -1)
+        p0, p1, o0, o1 = (first.turn @ first.frames).reshape(4, -1)
+        q0, q1, r0, r1 = (first.turn @ second.frames).reshape(4, -1)
         if cond.coupling > 0:  # psi_-- = D(p, q)^2 = p0^2 q1^2 - 2 p0 p1 q0 q1 + p1^2 q0^2
             minus = PairTable(
                 np.stack([p0 * p0, -2.0 * p0 * p1, p1 * p1], axis=1),
@@ -414,9 +429,22 @@ def pair_factors(
             minus = plus.conj()
         tables = {cond.slots[0]: plus, cond.slots[1]: minus}
     if amp.envelope is not None:
-        e1, e2 = (np.asarray(amp.envelope(f, d)) for f, d in ((f1, d1), (f2, d2)))
-        tables = {slot: t.scaled(e1, e2) for slot, t in tables.items()}
+        tables = {slot: t.scaled(first.env, second.env) for slot, t in tables.items()}
     return tables
+
+
+def pair_factors(
+    amp: TwoPhotonAmplitude, f1: np.ndarray, d1: np.ndarray, f2: np.ndarray, d2: np.ndarray
+) -> dict[tuple[int, int], PairTable]:
+    """Active helicity slots over the Cartesian product of two batches, as
+    PairTables.
+
+    A Bell kind factors exactly: the square of the spinor pairing
+    p0 q1' - p1 q0' has rank 3 (21/22), and the tetrad contraction
+    sum_mu eta_mu m_mu conj(m'_mu), a product of two pairings, rank 4
+    (11/12); a general slot is its own factors.  An envelope scales them.
+    """
+    return _factors(amp, _batch(amp, f1, d1), _batch(amp, f2, d2))
 
 
 #: Slot pair (plus, minus) -> how the second batch's analyzer angle couples in
@@ -597,6 +625,38 @@ def oscillator_factors(n_osc) -> tuple[float, float, float]:
     return 2.0 / n_osc, 2.0 * (n_osc - 1) / n_osc, 8.0 * (n_osc - 1) / n_osc
 
 
+def norm_blocks(
+    amp: TwoPhotonAmplitude, arms: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> tuple[float, np.ndarray, dict[tuple[int, int], PairTable]]:
+    """norm_sum's N-free sums over the (freqs, dirs, u) node sets ``arms``:
+    the same-momentum total (the diagonal of the (a, a) blocks' slot
+    tables), the matrix of ordered two-momentum blocks (a, b) and the
+    pair_factors slot tables of block (first arm, last arm), for callers that
+    contract them further.  Each arm's spin frames are built once."""
+    batches, us = [_batch(amp, f, d) for f, d, _ in arms], [u for _, _, u in arms]
+    diag = 0.0
+    blocks = np.zeros((len(arms), len(arms)))
+    for a, ua in enumerate(us):
+        for b, ub in enumerate(us):
+            tabs = _factors(amp, batches[a], batches[b])
+            blocks[a, b] = modulus_sum(tabs.values(), ua, ub)
+            if a == b:
+                for t in tabs.values():
+                    diag += float(np.sum(np.abs(t.diagonal()) ** 2 * ua))
+            if (a, b) == (0, len(arms) - 1):
+                first_last = tabs
+    return diag, blocks, first_last
+
+
+def norm_total(diag: float, blocks: np.ndarray, n_osc) -> float:
+    """norm_sum's total from norm_blocks' same-momentum total and blocks:
+    (2/N) diag + (2(N-1)/N) sum(blocks).  At N = inf the same-momentum term
+    is left out, not multiplied by 0."""
+    first_fac, cross_fac, _ = oscillator_factors(n_osc)
+    cross = cross_fac * float(blocks.sum())
+    return cross if first_fac == 0.0 else first_fac * diag + cross
+
+
 def norm_sum(
     amp: TwoPhotonAmplitude,
     arms: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -608,24 +668,12 @@ def norm_sum(
       + (2(N-1)/N) * sum_ab sum_ss' sum_ij u_i |psi_ss'(k_i, k'_j)|^2 u'_j
 
     with ``arms`` a list of (freqs, dirs, u) node sets and u the quadrature
-    weights times the vacuum density; the same-momentum term is the diagonal
-    of the (a, a) blocks' slot tables.  Returns the total, the matrix of
-    ordered two-momentum blocks (a, b) and the pair_factors slot tables of
-    block (first arm, last arm), for callers that contract them further.
+    weights times the vacuum density.  Returns the total (norm_total), the
+    matrix of ordered two-momentum blocks and the slot tables of block
+    (first arm, last arm), as norm_blocks.
     """
-    first_fac, cross_fac, _ = oscillator_factors(n_osc)
-    diag_total = 0.0
-    blocks = np.zeros((len(arms), len(arms)))
-    for a, (fa, da, ua) in enumerate(arms):
-        for b, (fb, db, ub) in enumerate(arms):
-            tabs = pair_factors(amp, fa, da, fb, db)
-            blocks[a, b] = modulus_sum(tabs.values(), ua, ub)
-            if a == b and first_fac != 0.0:
-                for t in tabs.values():
-                    diag_total += float(np.sum(np.abs(t.diagonal()) ** 2 * ua))
-            if (a, b) == (0, len(arms) - 1):
-                first_last = tabs
-    return first_fac * diag_total + cross_fac * float(blocks.sum()), blocks, first_last
+    diag, blocks, first_last = norm_blocks(amp, arms)
+    return norm_total(diag, blocks, n_osc), blocks, first_last
 
 
 #: Largest accepted deviation from 1 of the vacuum's mass on the norm's nodes.

@@ -124,6 +124,14 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "scenario: [unclosed\n")
         assert main(["correlate", cfg]) == EXIT_CONFIG
 
+    def test_configs_parse_with_libyaml_to_the_same_documents(self):
+        if yaml.__with_libyaml__:
+            assert cli._YAML_LOADER is yaml.CSafeLoader
+        for name in DEMOS + ["oracle_default"]:
+            text = demo_text(name)
+            loaded = [yaml.load(text, Loader=ld) for ld in (cli._YAML_LOADER, yaml.SafeLoader)]
+            assert repr(loaded[0]) == repr(loaded[1])  # equal values of equal types
+
     def test_missing_file(self, capsys):
         assert main(["correlate", "/nonexistent/x.yaml"]) == EXIT_CONFIG
 
@@ -228,7 +236,7 @@ class TestConfigValidation:
         def fail(scn, spec):
             raise AssertionError("evaluated a point of an overlapping single-arm scenario")
 
-        monkeypatch.setattr(correlators, "_evaluate", fail)
+        monkeypatch.setattr(correlators, "_prepare_rule", fail)
         assert main(["correlate", cfg, "--out", str(out)]) == EXIT_PRECONDITION
         assert_one_error_line(
             capsys.readouterr().err,
@@ -342,6 +350,7 @@ class TestConfigValidation:
             raise AssertionError("evaluated a sweep point before checking --out")
 
         monkeypatch.setattr(cli, "correlate", fail)
+        monkeypatch.setattr(cli, "prepare", fail)
         cfg = write_config(
             tmp_path, BASE_SCENARIO.format(beta="0.0", transform=REST) + SWEEP_BETA
         )
@@ -628,14 +637,16 @@ class TestCorrelate:
         assert first == second
 
     def test_one_thread_sweep_runs_in_the_calling_thread(self, tmp_path, monkeypatch):
+        # a beta sweep's rows are finished from one prepared scenario
         cfg = write_config(tmp_path, BASE_SCENARIO.format(beta="0.0", transform=REST) + SWEEP_BETA)
         out, threads_before, callers = str(tmp_path / "out.csv"), set(threading.enumerate()), []
+        finish = correlators.PreparedScenario.finish
 
-        def recording(scn):
+        def recording(prepared, scn):
             callers.append((threading.get_ident(), set(threading.enumerate())))
-            return correlators.correlate(scn)
+            return finish(prepared, scn)
 
-        monkeypatch.setattr(cli, "correlate", recording)
+        monkeypatch.setattr(correlators.PreparedScenario, "finish", recording)
         assert main(["correlate", cfg, "--out", out, "--threads", "1"]) == EXIT_OK
         assert len(callers) == 9
         assert all(ident == threading.get_ident() for ident, _ in callers)
@@ -806,6 +817,68 @@ class TestCorrelateRoutes:
         assert main(["correlate", cfg, "--out", out]) == EXIT_CHECK_FAILED
         assert_one_error_line(capsys.readouterr().err, "BOUND VIOLATION at sweep values: ")
         assert read_rows(out).shape == (3, 6)
+
+
+JOINT_BOOST = (
+    "case: joint\n    map:\n      kind: boost\n      rapidity: 0.5\n      axis: [0.0, 1.0, 0.0]"
+)
+QUAD_1536 = "quadrature: {n_freq: 12, n_polar: 8, n_azimuth: 16}\n"
+
+
+def sweep_block(variable, count, start=0.0, stop=1.0):
+    return f"sweep:\n  variable: {variable}\n  start: {start}\n  stop: {stop}\n  count: {count}\n"
+
+
+class TestPreparedSweep:
+    @pytest.mark.parametrize(
+        "quadrature, node_sets", [("", 4), (QUAD_1536, 6)], ids=["6x4x8", "12x8x16"]
+    )
+    def test_beta_sweep_builds_its_node_sets_and_residual_sample_once(
+        self, tmp_path, monkeypatch, quadrature, node_sets
+    ):
+        # the full and halved rules' node sets, plus the default rule's for
+        # the residual sample at any other rule, for all 13 rows together
+        text = BASE_SCENARIO.format(beta="0.0", transform=REST) + sweep_block("beta", 13)
+        cfg, out, calls = write_config(tmp_path, text + quadrature), str(tmp_path / "o.csv"), []
+        for name in ("invariant_node_set", "condition_residuals"):
+
+            def spy(*args, name=name, real=getattr(correlators, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(correlators, name, spy)
+        assert main(["correlate", cfg, "--out", out]) == EXIT_OK
+        assert read_rows(out).shape == (13, 6)
+        assert calls.count("invariant_node_set") == node_sets
+        assert calls.count("condition_residuals") == 1
+
+    def test_rapidity_sweep_prepares_every_row(self, tmp_path, monkeypatch):
+        text = BASE_SCENARIO.format(beta="0.0", transform=JOINT_BOOST) + sweep_block("rapidity", 5)
+        cfg, out, maps = write_config(tmp_path, text), str(tmp_path / "o.csv"), []
+        real = correlators.prepare
+
+        def spy(scn):
+            maps.append(scn.transform.lorentz_map)
+            return real(scn)
+
+        monkeypatch.setattr(correlators, "prepare", spy)
+        monkeypatch.setattr(cli, "prepare", spy)
+        assert main(["correlate", cfg, "--out", out]) == EXIT_OK
+        assert read_rows(out).shape == (5, 6)
+        assert len(maps) == 5 and len({id(m) for m in maps}) == 5
+
+    @pytest.mark.parametrize("variable", ["beta", "alpha", "n_osc", "rapidity"])
+    def test_two_threads_write_the_bytes_of_one(self, tmp_path, variable):
+        start, stop = (2, 12) if variable == "n_osc" else (0.0, 1.0)
+        text = BASE_SCENARIO.format(beta="0.0", transform=JOINT_BOOST)
+        cfg = write_config(tmp_path, text + sweep_block(variable, 5, start, stop))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            assert main(["correlate", cfg, "--out", str(out), "--threads", threads]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 5 + 5
 
 
 class TestOracleVerify:
@@ -1041,6 +1114,14 @@ PULLBACK_OVERFLOW = edited_demo(
     transform={"case": "joint", "map": BOOST_8},
 )
 
+#: An n_osc sweep whose envelope overflows the norm's sums: refused before
+#: the Bell diagnostics contract the overflowing tables.
+ENVELOPE_OVERFLOW_N_SWEEP = edited_demo(
+    "bell11_n_sweep",
+    quadrature={"n_freq": 2, "n_polar": 2, "n_azimuth": 2},
+    state={"envelope": EDGE_ENVELOPES[1], "theta": {"kind": "constant", "theta0": 0.3}},
+)
+
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(edge_configs())
@@ -1055,6 +1136,7 @@ PULLBACK_OVERFLOW = edited_demo(
 @example(("diagnose", edited_demo("bell21_rest_sweep", state={"theta": THETA_1E308})))
 @example(("correlate", ANGLE_FAR_FROM_FIELD))
 @example(("diagnose", ANGLE_FAR_FROM_FIELD))
+@example(("correlate", ENVELOPE_OVERFLOW_N_SWEEP))
 def test_schema_valid_edge_configs_end_in_a_documented_exit(case):
     # a leaked numpy warning is an error under the test suite's filters
     command, doc = case

@@ -14,6 +14,7 @@ from bellepr.correlators import (
     bound_check,
     correlate,
     joint_case,
+    prepare,
     rest_case,
     swap_roles,
 )
@@ -565,17 +566,12 @@ class TestSingleArmTransform:
             rot = bp.rotation(angle, Y_HAT)
             pulled_axis = map_momenta(bp.inverse(rot), np.ones(1), X_HAT[None])[1][0]
             if np.allclose(pulled_axis, Z_HAT, atol=1e-9):
-                with pytest.raises(PreconditionError, match="coincidence"):
-                    correlate(
-                        make_scn(
-                            AMP21,
-                            z_mid,
-                            0.7,
-                            0.2,
-                            field=fit21.field,
-                            transform=alice_only_case(rot),
-                        )
-                    )
+                scn = make_scn(
+                    AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=alice_only_case(rot)
+                )
+                for point in (correlate, prepare):  # correlate refuses it in prepare
+                    with pytest.raises(PreconditionError, match="coincidence"):
+                        point(scn)
                 return
         raise AssertionError("no rotation sign pulled the second cone onto the first")
 
@@ -613,19 +609,19 @@ class TestBoundAndSymmetry:
 class TestTableReuse:
     def test_rest_evaluation_builds_the_bob_alice_tables_once(self, z_mid, fit21, monkeypatch):
         # each rule's Bob x Alice factors feed its sums and, at the default
-        # rule, the bell_residual_max sample too
-        from bellepr import correlators, states
+        # rule, the bell_residual_max sample too; every factor table, in
+        # norm_blocks and in pair_factors alike, is built by states._factors
+        from bellepr import states
 
         scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field)
-        build = states.pair_factors
+        build = states._factors
         blocks = []
 
-        def spy(amp, f1, d1, f2, d2):
-            blocks.append((f1, d1, f2, d2))
-            return build(amp, f1, d1, f2, d2)
+        def spy(amp, first, second):
+            blocks.append((first.freqs, first.dirs, second.freqs, second.dirs))
+            return build(amp, first, second)
 
-        monkeypatch.setattr(states, "pair_factors", spy)
-        monkeypatch.setattr(correlators, "pair_factors", spy)
+        monkeypatch.setattr(states, "_factors", spy)
         result = correlate(scn)
         for spec in (SPEC, SPEC.halved()):
             bob = bp.invariant_node_set(REGION_B, spec)
@@ -666,6 +662,20 @@ class TestPointCost:
         scn = dataclasses.replace(scn, quadrature=QuadratureSpec(n_freq=12, n_polar=8, n_azimuth=16))
         assert self.node_sets_and_rules(scn, monkeypatch) == (6, 2)
 
+    @pytest.mark.parametrize("amp", [AMP11, AMP21])
+    def test_point_builds_each_arms_spin_frames_once(self, z_mid, fit21, monkeypatch, amp):
+        # norm_blocks reads one arm's frames in all its blocks, so the full
+        # and halved rules build four, whose factors the residual sample reuses
+        from bellepr import states
+
+        frames, build = [], states.batch_spin_frames
+        monkeypatch.setattr(
+            states, "batch_spin_frames", lambda f, d: frames.append(f) or build(f, d)
+        )
+        joint = joint_case(bp.boost(0.5, Y_HAT))
+        correlate(make_scn(amp, z_mid, 0.7, 0.2, field=fit21.field, transform=joint))
+        assert len(frames) == 4
+
     @staticmethod
     def node_sets_and_rules(scn, monkeypatch):
         from bellepr import correlators
@@ -679,8 +689,83 @@ class TestPointCost:
 
             return wrapper
 
-        node_set, evaluate = correlators.invariant_node_set, correlators._evaluate
+        node_set, evaluate = correlators.invariant_node_set, correlators._prepare_rule
         monkeypatch.setattr(correlators, "invariant_node_set", spy(node_sets, node_set))
-        monkeypatch.setattr(correlators, "_evaluate", spy(rules, evaluate))
+        monkeypatch.setattr(correlators, "_prepare_rule", spy(rules, evaluate))
         correlate(scn)
         return len(node_sets), len(rules)
+
+
+def result_bits(result):
+    """A correlation result with every float as its exact hex form."""
+    scalars = (result.numerator, result.denominator, result.value, result.err_estimate)
+    diagnostics = {k: float(v).hex() for k, v in result.diagnostics.items()}
+    return [float(x).hex() for x in scalars], diagnostics
+
+
+def sweep_rows(scn, variable):
+    """Three rows of a ``variable`` sweep from ``scn``."""
+    bob, alice = scn.bob.region, scn.alice.region
+    if variable == "beta":
+        return [dataclasses.replace(scn, bob=DetectorSetting(bob, b)) for b in (0.0, 0.4, 1.9)]
+    if variable == "alpha":
+        return [dataclasses.replace(scn, alice=DetectorSetting(alice, a)) for a in (-0.3, 2.5, 0.2)]
+    return [dataclasses.replace(scn, n_osc=n) for n in (2, 7, math.inf)]
+
+
+BOOST = bp.boost(0.5, Y_HAT)
+TRANSFORMS = {"rest": rest_case(), "joint": joint_case(BOOST), "alice_only": alice_only_case(BOOST)}
+
+
+class TestPreparedSweep:
+    @pytest.mark.parametrize("variable", ["beta", "alpha", "n_osc"])
+    @pytest.mark.parametrize("case", ["rest", "joint", "alice_only"])
+    @pytest.mark.parametrize(
+        "amp, fit", [(AMP11, "fit11"), (AMP12, "fit11"), (AMP21, "fit21"), (AMP22, "fit21")]
+    )
+    def test_prepared_rows_equal_correlate_bit_for_bit(
+        self, request, z_mid, amp, fit, case, variable
+    ):
+        field = request.getfixturevalue(fit).field
+        scn = make_scn(amp, z_mid, 0.7, 0.2, field=field, n_osc=3, transform=TRANSFORMS[case])
+        self.check(scn, variable)
+
+    @pytest.mark.parametrize("variable", ["beta", "n_osc"])
+    def test_enveloped_rows_equal_correlate_bit_for_bit(self, z_mid, fit11, variable):
+        amp = TwoPhotonAmplitude(kind="bell11", envelope=lambda f, d: np.exp(-((f - 1.0) ** 2)))
+        scn = make_scn(amp, z_mid, 0.7, 0.2, field=fit11.field, transform=TRANSFORMS["joint"])
+        self.check(scn, variable)
+
+    def test_rows_at_another_rule_equal_correlate_bit_for_bit(self, z_mid, fit21):
+        scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=TRANSFORMS["joint"])
+        rule = QuadratureSpec(n_freq=12, n_polar=8, n_azimuth=16)
+        self.check(dataclasses.replace(scn, quadrature=rule), "alpha")
+
+    @staticmethod
+    def check(scn, variable):
+        prepared = prepare(scn)
+        for row in sweep_rows(scn, variable):
+            assert result_bits(prepared.finish(row)) == result_bits(correlate(row))
+
+    def test_a_row_may_change_only_its_angles_and_oscillator_count(self, z_mid, fit21):
+        scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=TRANSFORMS["joint"])
+        prepared = prepare(scn)
+        row = dataclasses.replace(
+            scn, bob=DetectorSetting(REGION_B, 1.1), alice=DetectorSetting(REGION_A, -0.4), n_osc=5
+        )
+        assert result_bits(prepared.finish(row)) == result_bits(correlate(row))
+        longer = dataclasses.replace(REGION_B, freq_hi=3.0)
+        wider = dataclasses.replace(REGION_A, half_angle=3.0 * DEG)
+        others = {
+            "amplitude": dict(amplitude=AMP22),
+            "vacuum": dict(vacuum=normalize("power-exponential", {"exponent": 3.0, "scale": 1.0})),
+            "bob region": dict(bob=DetectorSetting(longer, 0.7)),
+            "alice region": dict(alice=DetectorSetting(wider, 0.2)),
+            "map": dict(transform=joint_case(bp.boost(0.6, Y_HAT))),
+            "case": dict(transform=alice_only_case(BOOST)),
+            "rule": dict(quadrature=QuadratureSpec(n_freq=4, n_polar=4, n_azimuth=8)),
+            "field": dict(theta_field=constant_field(0.1)),
+        }
+        for change in others.values():
+            with pytest.raises(InputError, match="bob.angle, alice.angle and n_osc"):
+                prepared.finish(dataclasses.replace(row, **change))
