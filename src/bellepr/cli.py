@@ -7,7 +7,7 @@ Commands
     Evaluate the configured correlation over a sweep grid and write one CSV
     row per sweep point, with ``#``-prefixed metadata header lines.  A
     beta, alpha or n_osc sweep prepares its scenario once and finishes each
-    row from it; a rapidity sweep evaluates each row in full.
+    row from it; a rapidity sweep, whose rows move the arms, prepares each row.
 ``oracle-verify <config>``
     Run the discrete-grid oracle suite and print one pass/fail line per
     named check.
@@ -148,9 +148,13 @@ def _build_envelope(spec: dict | None):
         return lambda freqs, dirs: np.asarray(freqs, dtype=float) ** power
     center = spec.get("center", 1.0)
     width = spec.get("width", 0.5)
-    return lambda freqs, dirs: np.exp(
-        -((np.asarray(freqs, dtype=float) - center) ** 2) / (2.0 * width**2)
-    )
+    try:
+        two_var = 2.0 * width**2
+    except OverflowError:
+        two_var = math.inf
+    if not 0.0 < two_var < math.inf:
+        raise InputError(f"envelope width {width!r}: twice its square is beyond double range")
+    return lambda freqs, dirs: np.exp(-((np.asarray(freqs, dtype=float) - center) ** 2) / two_var)
 
 
 def _build_amplitude(state: dict) -> TwoPhotonAmplitude:
@@ -268,38 +272,34 @@ def _build_scenario(doc: dict, quad: QuadratureSpec) -> Scenario:
 # correlate
 
 
-def _sweep_values(sweep: dict) -> list[float]:
-    start, stop = float(sweep["start"]), float(sweep["stop"])
+def _sweep_rows(base: Scenario, doc: dict) -> tuple[list, list[Scenario]]:
+    """The sweep's values and the scenario of each row."""
+    sweep = doc["sweep"]
+    variable, start, stop = sweep["variable"], float(sweep["start"]), float(sweep["stop"])
     for name, bound in (("start", start), ("stop", stop)):
         if not math.isfinite(bound):
             raise InputError(f"sweep {name} must be finite, got {bound!r}")
     if not math.isfinite(stop - start):
         raise InputError(f"sweep span from {start!r} to {stop!r} is beyond double range")
-    values = np.linspace(start, stop, int(sweep["count"]))
-    if sweep["variable"] == "n_osc":
-        return [int(round(v)) for v in values]
-    return [float(v) for v in values]
-
-
-def _scenario_at(base: Scenario, doc: dict, variable: str, value) -> Scenario:
-    if variable == "beta":
-        return dataclasses.replace(
-            base, bob=dataclasses.replace(base.bob, angle=float(value))
-        )
-    if variable == "alpha":
-        return dataclasses.replace(
-            base, alice=dataclasses.replace(base.alice, angle=float(value))
-        )
-    if variable == "n_osc":
-        return dataclasses.replace(base, n_osc=int(value))
-    # rapidity: rebuild the transform with the swept rapidity
-    block = doc["scenario"].get("transform")
-    if block is None or block["case"] == "rest":
+    block = doc["scenario"].get("transform") or {"case": "rest"}
+    if variable == "rapidity" and block["case"] == "rest":
         raise InputError("rapidity sweep needs a non-rest transform case")
-    if block["map"]["kind"] != "boost":
+    if variable == "rapidity" and block["map"]["kind"] != "boost":
         raise InputError("rapidity sweep needs a boost map")
-    swept = {**block, "map": {**block["map"], "rapidity": float(value)}}
-    return dataclasses.replace(base, transform=_build_transform(swept))
+
+    def row(value) -> Scenario:
+        if variable == "beta":
+            return dataclasses.replace(base, bob=dataclasses.replace(base.bob, angle=value))
+        if variable == "alpha":
+            return dataclasses.replace(base, alice=dataclasses.replace(base.alice, angle=value))
+        if variable == "n_osc":
+            return dataclasses.replace(base, n_osc=value)
+        swept = {**block, "map": {**block["map"], "rapidity": value}}
+        return dataclasses.replace(base, transform=_build_transform(swept))
+
+    cast = (lambda v: int(round(v))) if variable == "n_osc" else float
+    values = [cast(v) for v in np.linspace(start, stop, int(sweep["count"]))]
+    return values, [row(v) for v in values]
 
 
 def _format_float(x: float) -> str:
@@ -313,13 +313,9 @@ def cmd_correlate(args) -> int:
     out_path = args.out or doc.get("output", {}).get("path", "correlate.csv")
     _check_writable(out_path)
     quad = _build_quadrature(doc, args.seed)
-    base = _build_scenario(doc, quad)
     sweep = doc["sweep"]
-    values = _sweep_values(sweep)
-    scenarios = [_scenario_at(base, doc, sweep["variable"], v) for v in values]
-    # a rapidity moves the arms, so each of its rows is a scenario of its own;
-    # the rows of an angle or n_osc sweep are finished from one preparation
-    point = correlate if sweep["variable"] == "rapidity" else prepare(base).finish
+    values, scenarios = _sweep_rows(_build_scenario(doc, quad), doc)
+    point = prepare(scenarios[0]).finish
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:  # no thread until a submit
         results = list((pool.map if args.threads > 1 else map)(point, scenarios))
@@ -520,8 +516,8 @@ def cmd_diagnose(args) -> int:
     rng = np.random.default_rng(seed)
     quad = _build_quadrature(doc, None)
     scn = _build_scenario(doc, quad)
-    for value in _sweep_values(doc["sweep"]) if "sweep" in doc else []:
-        _scenario_at(scn, doc, doc["sweep"]["variable"], value)  # refuse what correlate refuses
+    if "sweep" in doc:
+        _sweep_rows(scn, doc)  # refuse what correlate refuses
 
     lines = [
         f"# bellepr diagnose {__version__}",
@@ -643,6 +639,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise InputError("--threads must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise InputError("--seed must be >= 0")
         return args.func(args)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,8 +34,9 @@ analyzer angle and no oscillator count N is read, and builds no dense pair
 table: every sum reads pair_factors.  A Bell-kind point with an angle field
 takes its ``bell_residual_max`` sample from the 6x4x8 rule's Bob x Alice
 factors: at that rule the full rule's own; at any other rule it builds that
-rule's arms and factors for the sample.  ``finish`` applies one row's angles
-and N, so a sweep over them prepares once.
+rule's arms and factors for the sample.  ``finish`` takes any row and reuses
+the preparation for one that changes only the analyzer angles and N, so a
+sweep over them prepares once.
 Checks that need another scenario (the state rebuilt at laboratory momenta,
 the angle field's transport rule) are ``diagnose``'s, not every row's.
 """
@@ -357,7 +358,7 @@ def _halving_err(full: float, half: float) -> float:
     return abs(full - half) + _ERR_FLOOR * (1.0 + abs(full))
 
 
-#: The Scenario fields a row may change from its prepared scenario.
+#: The Scenario fields a row may change and still share its preparation.
 _ROW_FIELDS = ("bob", "alice", "n_osc")
 
 
@@ -374,10 +375,10 @@ class PreparedScenario:
     thetas: tuple[np.ndarray, np.ndarray] | None
 
     def finish(self, row: Scenario) -> CorrelationResult:
-        """The correlation of ``row``, a scenario that differs from the
-        prepared one at most in ``bob.angle``, ``alice.angle`` and ``n_osc``,
-        every other field being the prepared scenario's own object (else
-        InputError); equal to ``correlate(row)`` bit for bit."""
+        """The correlation of ``row``, equal to ``correlate(row)`` bit for bit:
+        from this preparation when every field but ``bob.angle``,
+        ``alice.angle`` and ``n_osc`` is the prepared scenario's own object,
+        else ``correlate(row)``, which prepares the row."""
         p = self.scenario
         same = all(
             getattr(row, f.name) is getattr(p, f.name)
@@ -385,10 +386,7 @@ class PreparedScenario:
             if f.name not in _ROW_FIELDS
         )
         if not (same and row.bob.region is p.bob.region and row.alice.region is p.alice.region):
-            raise InputError(
-                "a prepared scenario finishes only rows that differ from it in "
-                "bob.angle, alice.angle and n_osc"
-            )
+            return correlate(row)
         sums = [self._sums(rule, row) for rule in (self.full, self.half)]
         (num, den, vacuum_num, angles), (half_num, half_den, half_vacuum_num, _) = sums
         value = num / den

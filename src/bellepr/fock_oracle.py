@@ -513,7 +513,7 @@ def norm_reference(
     amp = TwoPhotonAmplitude(kind="general", table=table)
     u = space.grid.weights * _z_values(space, z_values)
     dirs = np.array([k.dir for k, _ in space.grid.cells])
-    return norm_sum(amp, [(space.grid.freqs, dirs, u)], space.n_osc)[0]
+    return norm_sum(amp, [(space.grid.freqs, dirs, u)], space.n_osc)
 
 
 def four_term_reference(

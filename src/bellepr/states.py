@@ -661,19 +661,17 @@ def norm_sum(
     amp: TwoPhotonAmplitude,
     arms: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     n_osc,
-) -> tuple[float, np.ndarray, dict[tuple[int, int], PairTable]]:
+) -> float:
     """Squared norm of the state restricted to a union of node sets:
 
         (2/N)      * sum_a sum_ss' sum_i u_i |psi_ss'(k_i, k_i)|^2
       + (2(N-1)/N) * sum_ab sum_ss' sum_ij u_i |psi_ss'(k_i, k'_j)|^2 u'_j
 
     with ``arms`` a list of (freqs, dirs, u) node sets and u the quadrature
-    weights times the vacuum density.  Returns the total (norm_total), the
-    matrix of ordered two-momentum blocks and the slot tables of block
-    (first arm, last arm), as norm_blocks.
+    weights times the vacuum density.
     """
-    diag, blocks, first_last = norm_blocks(amp, arms)
-    return norm_total(diag, blocks, n_osc), blocks, first_last
+    diag, blocks, _ = norm_blocks(amp, arms)
+    return norm_total(diag, blocks, n_osc)
 
 
 #: Largest accepted deviation from 1 of the vacuum's mass on the norm's nodes.
@@ -700,8 +698,7 @@ def two_photon_norm(amp: TwoPhotonAmplitude, z: VacuumDensity, n_osc) -> float:
             f"the norm rule does not resolve the vacuum: its mass on the nodes is "
             f"{mass:.6g}, not 1 within {_NORM_MASS_TOL:g}"
         )
-    total, _, _ = norm_sum(amp, [(nodes.freqs, nodes.dirs, u)], n_osc)
-    return total
+    return norm_sum(amp, [(nodes.freqs, nodes.dirs, u)], n_osc)
 
 
 # --------------------------------------------------------------------------

@@ -434,6 +434,10 @@ def rapidity_sweep(start):
     return (DEMO_SWEEP, f"  variable: rapidity\n  start: {start}\n  stop: 1.0\n  count: 3\n")
 
 
+#: Gaussian envelopes whose 2 width^2 overflows to inf and underflows to 0.
+GAUSSIAN_WIDE = {"kind": "frequency-gaussian", "center": 1.0, "width": 1.0e200}
+GAUSSIAN_NARROW = {"kind": "frequency-gaussian", "center": 1.0, "width": 1.0e-300}
+
 #: name -> (config text, extra argv, a fragment of the message);
 #: each input reaches a different owner of a validity rule
 CONFIG_ERRORS = {
@@ -492,6 +496,18 @@ CONFIG_ERRORS = {
         [], "rapidity sweep needs a boost map",
     ),
     "threads-0": (demo_text("bell21_rest_sweep"), ["--threads", "0"], "--threads must be >= 1"),
+    "gaussian-width-squared-overflows": (
+        demo_with(
+            (DEMO_THETA, DEMO_THETA + "    envelope: {kind: frequency-gaussian, width: 1.0e+200}\n")
+        ),
+        [], "envelope width 1e+200: twice its square is beyond double range",
+    ),
+    "gaussian-width-squared-underflows": (
+        demo_with(
+            (DEMO_THETA, DEMO_THETA + "    envelope: {kind: frequency-gaussian, width: 1.0e-300}\n")
+        ),
+        [], "envelope width 1e-300: twice its square is beyond double range",
+    ),
     "beta-sweep-to-inf": (
         demo_with((DEMO_SWEEP, DEMO_SWEEP.replace("3.141592653589793", ".inf"))),
         [], "sweep stop must be finite, got inf",
@@ -522,6 +538,24 @@ def test_config_error_exits_two_with_one_line(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert_one_error_line(err, "config error: ")
     assert fragment in err
+    assert not out.exists()
+
+
+#: command -> config: a negative --seed ended each in numpy's "expected
+#: non-negative integer" traceback
+NEGATIVE_SEED_CONFIGS = {
+    "correlate": demo_with(("  n_azimuth: 8\n", "  n_azimuth: 8\n  mode: mc\n")),
+    "diagnose": demo_text("bell21_rest_sweep"),
+    "oracle-verify": demo_text("oracle_default"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED_CONFIGS))
+def test_negative_seed_exits_two_on_every_command(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, NEGATIVE_SEED_CONFIGS[command])
+    out = tmp_path / "out.txt"
+    assert main([command, cfg, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+    assert_one_error_line(capsys.readouterr().err, "config error: --seed must be >= 0")
     assert not out.exists()
 
 
@@ -852,10 +886,16 @@ class TestPreparedSweep:
         assert calls.count("invariant_node_set") == node_sets
         assert calls.count("condition_residuals") == 1
 
-    def test_rapidity_sweep_prepares_every_row(self, tmp_path, monkeypatch):
-        text = BASE_SCENARIO.format(beta="0.0", transform=JOINT_BOOST) + sweep_block("rapidity", 5)
-        cfg, out, maps = write_config(tmp_path, text), str(tmp_path / "o.csv"), []
-        real = correlators.prepare
+    @pytest.mark.parametrize(
+        "variable, prepares", [("beta", 1), ("alpha", 1), ("n_osc", 1), ("rapidity", 5)]
+    )
+    def test_a_sweep_prepares_once_unless_its_rows_move_the_arms(
+        self, tmp_path, monkeypatch, variable, prepares
+    ):
+        start, stop = (2, 12) if variable == "n_osc" else (0.0, 1.0)
+        text = BASE_SCENARIO.format(beta="0.0", transform=JOINT_BOOST)
+        cfg = write_config(tmp_path, text + sweep_block(variable, 5, start, stop))
+        out, maps, real = str(tmp_path / "o.csv"), [], correlators.prepare
 
         def spy(scn):
             maps.append(scn.transform.lorentz_map)
@@ -865,7 +905,7 @@ class TestPreparedSweep:
         monkeypatch.setattr(cli, "prepare", spy)
         assert main(["correlate", cfg, "--out", out]) == EXIT_OK
         assert read_rows(out).shape == (5, 6)
-        assert len(maps) == 5 and len({id(m) for m in maps}) == 5
+        assert len(maps) == prepares and len({id(m) for m in maps}) == prepares
 
     @pytest.mark.parametrize("variable", ["beta", "alpha", "n_osc", "rapidity"])
     def test_two_threads_write_the_bytes_of_one(self, tmp_path, variable):
@@ -1017,6 +1057,8 @@ EDGE_ENVELOPES = [
     {"kind": "frequency-power", "power": -400.0},
     {"kind": "frequency-power", "power": 400.0},
     {"kind": "frequency-gaussian", "center": 1e300, "width": 1e-300},
+    GAUSSIAN_WIDE,
+    GAUSSIAN_NARROW,
 ]
 EDGE_TRANSFORMS = [{"case": "rest"}] + [
     {"case": case, "map": lorentz_map}
@@ -1137,6 +1179,8 @@ ENVELOPE_OVERFLOW_N_SWEEP = edited_demo(
 @example(("correlate", ANGLE_FAR_FROM_FIELD))
 @example(("diagnose", ANGLE_FAR_FROM_FIELD))
 @example(("correlate", ENVELOPE_OVERFLOW_N_SWEEP))
+@example(("diagnose", edited_demo("bell21_rest_sweep", state={"envelope": GAUSSIAN_WIDE})))
+@example(("diagnose", edited_demo("bell21_rest_sweep", state={"envelope": GAUSSIAN_NARROW})))
 def test_schema_valid_edge_configs_end_in_a_documented_exit(case):
     # a leaked numpy warning is an error under the test suite's filters
     command, doc = case

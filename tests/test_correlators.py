@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -747,13 +748,25 @@ class TestPreparedSweep:
         for row in sweep_rows(scn, variable):
             assert result_bits(prepared.finish(row)) == result_bits(correlate(row))
 
-    def test_a_row_may_change_only_its_angles_and_oscillator_count(self, z_mid, fit21):
+    def test_any_row_is_finished_as_correlate_finishes_it(self, z_mid, fit21, monkeypatch):
+        # a row that changes only the angles and N is finished from the
+        # preparation; any other row is prepared once more, and refused where
+        # correlate refuses it
+        from bellepr import correlators
+
         scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=TRANSFORMS["joint"])
-        prepared = prepare(scn)
+        prepared, prepares, real = prepare(scn), [], correlators.prepare
+        monkeypatch.setattr(correlators, "prepare", lambda s: prepares.append(s) or real(s))
+
+        def finish(row):
+            """prepared.finish(row) as bits, and the prepares it ran."""
+            before = len(prepares)
+            return result_bits(prepared.finish(row)), len(prepares) - before
+
         row = dataclasses.replace(
             scn, bob=DetectorSetting(REGION_B, 1.1), alice=DetectorSetting(REGION_A, -0.4), n_osc=5
         )
-        assert result_bits(prepared.finish(row)) == result_bits(correlate(row))
+        assert finish(row) == (result_bits(correlate(row)), 0)
         longer = dataclasses.replace(REGION_B, freq_hi=3.0)
         wider = dataclasses.replace(REGION_A, half_angle=3.0 * DEG)
         others = {
@@ -766,6 +779,15 @@ class TestPreparedSweep:
             "rule": dict(quadrature=QuadratureSpec(n_freq=4, n_polar=4, n_azimuth=8)),
             "field": dict(theta_field=constant_field(0.1)),
         }
-        for change in others.values():
-            with pytest.raises(InputError, match="bob.angle, alice.angle and n_osc"):
-                prepared.finish(dataclasses.replace(row, **change))
+        for name, change in others.items():
+            other = dataclasses.replace(row, **change)
+            assert finish(other) == (result_bits(correlate(other)), 1), name
+        # this rotation pulls Alice's cone onto Bob's: prepare refuses the row
+        overlap = alice_only_case(bp.rotation(math.pi / 2, Y_HAT))
+        overlap = dataclasses.replace(row, transform=overlap)
+        with pytest.raises(PreconditionError, match="pulled-back") as refused:
+            correlate(overlap)
+        before = len(prepares)
+        with pytest.raises(PreconditionError, match=re.escape(str(refused.value))):
+            prepared.finish(overlap)
+        assert len(prepares) == before + 1

@@ -42,7 +42,7 @@ from bellepr.states import (
     condition_residuals,
     field_values,
     fit_theta,
-    norm_sum,
+    norm_blocks,
     oscillator_factors,
     symmetry_residuals,
     tabulated_field,
@@ -128,7 +128,7 @@ def check_dense_denominator(result, amp, arms, n_osc) -> None:
             for fa, da, ua, _ in arms
         ]
     )
-    _, blocks, _ = norm_sum(amp, [arm[:3] for arm in arms], n_osc)
+    _, blocks, _ = norm_blocks(amp, [arm[:3] for arm in arms])
     np.testing.assert_allclose(blocks, dense_blocks, rtol=RTOL, atol=0.0)
     first_fac, cross_fac, _ = oscillator_factors(n_osc)
     diag = sum(
