@@ -178,7 +178,9 @@ class Scenario:
     N = 1 is rejected because every disjoint-detector numerator carries an
     (N-1) factor and would vanish identically.  ``theta_field`` is the
     state's linear-polarization angle field; optional for general
-    amplitudes, required for Bell-kind diagnostics.
+    amplitudes, required for Bell-kind diagnostics.  Every node count the
+    quadrature mode reads must be at least 3, so that the halved rule behind
+    ``err_estimate`` differs from the full rule on every axis.
     """
 
     amplitude: TwoPhotonAmplitude
@@ -197,6 +199,14 @@ class Scenario:
                 "numerator carries an (N-1) factor and vanishes identically"
             )
         check_regions(self.bob.region, self.alice.region)
+        quad, half = self.quadrature, self.quadrature.halved()
+        counts = ("n_freq", "n_polar", "n_azimuth") if quad.mode == "product" else ("n_samples",)
+        for name in counts:  # a count the halving keeps hides its axis from err_estimate
+            if getattr(half, name) == getattr(quad, name):
+                raise InputError(
+                    f"quadrature {name} = {getattr(quad, name)} is kept by the halved rule, "
+                    "so err_estimate cannot see its error: give it at least 3 nodes"
+                )
         field, kind = self.theta_field, self.transform.kind
         arms = () if field is None else ((self.bob, kind == "joint"), (self.alice, kind != "rest"))
         for setting, moves in arms:  # the Bell diagnostics read e^{2i(angle - theta)}

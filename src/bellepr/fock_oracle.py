@@ -162,9 +162,11 @@ class OracleSpace:
             raise InputError("n_osc must be a positive integer")
         if self.n_osc < 1:
             raise InputError("n_osc must be a positive integer")
-        if self.dim > _MAX_DIMENSION:
+        # dim_single >= 2, so capping the power at the limit's bit length
+        # decides the comparison without forming a huge integer
+        if self.dim_single ** min(self.n_osc, _MAX_DIMENSION.bit_length()) > _MAX_DIMENSION:
             raise InputError(
-                f"oracle dimension {self.dim} exceeds the supported limit "
+                f"oracle dimension {self.dim_single}^{self.n_osc} exceeds the supported limit "
                 f"{_MAX_DIMENSION}; use fewer cells, lower cutoff, or smaller n_osc"
             )
 

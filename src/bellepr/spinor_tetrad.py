@@ -46,7 +46,7 @@ __all__ = [
     "wigner_phase",
     "batch_spinors",
     "batch_spin_frames",
-    "batch_m_vectors",
+    "batch_null_tetrads",
     "wigner_pullback",
     "wigner_defined",
     "wrap_angle",
@@ -73,10 +73,12 @@ def wrap_angle(x):
     return np.pi - np.mod(np.pi - np.asarray(x), 2.0 * np.pi)
 
 
-def minkowski_dot(u, v) -> complex:
-    """Signature (+,-,-,-) inner product of two four-vectors (complex allowed)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
+def minkowski_dot(u, v):
+    """Signature (+,-,-,-) inner product of four-vectors (complex allowed),
+    contracting the last axis: a scalar for two (4,) vectors, an array
+    (...,) for batches (..., 4)."""
+    u = np.moveaxis(np.asarray(u), -1, 0)
+    v = np.moveaxis(np.asarray(v), -1, 0)
     return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
 
 
@@ -212,7 +214,10 @@ def map_momenta(
 
 @dataclass(frozen=True)
 class NullTetrad:
-    """Null tetrad (k, q, m, mbar) derived from the spin-frame at k."""
+    """Null tetrad (k, q, m, mbar) derived from the spin-frame at k.
+
+    Each leg is a (4,) vector for one momentum, or a batch (..., 4) of
+    them, one row per momentum, as batch_null_tetrads returns."""
 
     k_vec: np.ndarray
     q_vec: np.ndarray
@@ -283,25 +288,21 @@ def _vector_of_matrix(m00, m01, m10, m11, c) -> np.ndarray:
     )
 
 
-def _m_legs(p0, p1, o0, o1) -> np.ndarray:
-    """Tetrad leg m ~ omic (x) conj(pi) of spin-frame components."""
-    pc0, pc1 = np.conj(p0), np.conj(p1)
-    return _vector_of_matrix(o0 * pc0, o0 * pc1, o1 * pc0, o1 * pc1, 0.5 * math.sqrt(2.0))
-
-
-def batch_m_vectors(freqs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Tetrad legs m(k_i) as an (n, 4) complex array."""
-    return _m_legs(*batch_spin_frames(freqs, dirs))
-
-
-def null_tetrad(k: NullMomentum) -> NullTetrad:
-    """Null tetrad at k, all four legs built from the spin-frame."""
-    p0, p1, o0, o1 = batch_spin_frames(*k.as_batch)
+def batch_null_tetrads(freqs: np.ndarray, dirs: np.ndarray) -> NullTetrad:
+    """Null tetrads at arrays of momenta, frequencies (...,) and unit directions
+    (..., 3): every leg is a (..., 4) array built from the spin-frame."""
+    p0, p1, o0, o1 = batch_spin_frames(freqs, dirs)
     pc0, pc1, oc0, oc1 = np.conj(p0), np.conj(p1), np.conj(o0), np.conj(o1)
     k_vec = _vector_of_matrix(p0 * pc0, p0 * pc1, p1 * pc0, p1 * pc1, 0.5).real
     q_vec = _vector_of_matrix(o0 * oc0, o0 * oc1, o1 * oc0, o1 * oc1, 1.0).real
-    m_vec = _m_legs(p0, p1, o0, o1)
-    return NullTetrad(k_vec=k_vec[0], q_vec=q_vec[0], m_vec=m_vec[0])
+    m_vec = _vector_of_matrix(o0 * pc0, o0 * pc1, o1 * pc0, o1 * pc1, 0.5 * math.sqrt(2.0))
+    return NullTetrad(k_vec=k_vec, q_vec=q_vec, m_vec=m_vec)
+
+
+def null_tetrad(k: NullMomentum) -> NullTetrad:
+    """Null tetrad at k: row 0 of batch_null_tetrads on k's batch of one."""
+    t = batch_null_tetrads(*k.as_batch)
+    return NullTetrad(t.k_vec[0], t.q_vec[0], t.m_vec[0], t.mbar_vec[0])
 
 
 def wigner_pullback(

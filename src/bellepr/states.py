@@ -63,7 +63,7 @@ from .measure import DetectorRegion, QuadratureSpec, full_sphere_region, invaria
 from .spinor_tetrad import (
     LorentzMap,
     NullMomentum,
-    batch_m_vectors,
+    batch_null_tetrads,
     batch_spin_frames,
     batch_spinors,
     compose,
@@ -304,9 +304,8 @@ def amplitude_pair_tables(
         pairing = p0 * q1 - p1 * q0
         return {plus: np.conj(pairing) ** 2 * env, minus: pairing**2 * env}
     # opposite helicity: tetrad contraction m(k).mbar(k')
-    m1 = batch_m_vectors(f1, d1) * _MINK_SIGNS
-    m2c = np.conj(batch_m_vectors(f2, d2))
-    core = m1 @ m2c.T
+    m1 = batch_null_tetrads(f1, d1).m_vec * _MINK_SIGNS
+    core = m1 @ batch_null_tetrads(f2, d2).mbar_vec.T
     return {plus: core * env, minus: np.conj(core) * env}
 
 

@@ -26,6 +26,7 @@ from bellepr.cli import (
     main,
 )
 from bellepr.errors import ChartError, ConsistencyError, InputError, PreconditionError
+from bellepr.spinor_tetrad import NullMomentum, minkowski_dot, null_tetrad
 
 BASE_SCENARIO = """\
 scenario:
@@ -219,6 +220,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert_one_error_line(err, "config error: analyzer angle 8e+307 and angle-field values")
         assert "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "quadrature",
+        [{"n_polar": 2}, {"n_freq": 2, "n_polar": 8}, {"mode": "mc", "n_samples": 2}],
+        ids=["polar-2", "freq-2", "mc-2"],
+    )
+    @pytest.mark.parametrize("command", ["correlate", "diagnose"])
+    def test_count_the_halved_rule_keeps_is_a_config_error(
+        self, command, quadrature, tmp_path, capsys
+    ):
+        # halving keeps a count of 2, so err_estimate would miss that axis
+        doc = edited_demo("bell11_n_sweep", sweep={"count": 2}, quadrature=quadrature)
+        cfg, out = write_config(tmp_path, yaml.safe_dump(doc)), tmp_path / "o.txt"
+        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert_one_error_line(capsys.readouterr().err, "config error: quadrature n_")
         assert not out.exists()
 
     def test_single_arm_overlap_is_refused_by_correlate_only(self, tmp_path, capsys, monkeypatch):
@@ -956,6 +973,18 @@ class TestOracleVerify:
         assert "# grid: 2 cells, n_osc=1" in content
 
 
+    def test_huge_n_osc_is_refused_at_once(self, tmp_path):
+        # the dimension 27^n_osc is never formed as an integer
+        cfg = write_config(tmp_path, "oracle:\n  n_osc: 100000000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellepr.cli", "oracle-verify", cfg],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert_one_error_line(proc.stderr, "config error: oracle dimension")
+
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "oracle:\n  n_osc: 1\n")
         report = str(tmp_path / "missing" / "report.txt")
@@ -1024,6 +1053,23 @@ class TestDiagnose:
         assert_one_error_line(err, "precondition violated: the amplitude is not finite")
         assert "Warning" not in err
         assert not out.exists()
+
+    def test_tetrad_residual_is_the_per_momentum_maximum(self):
+        freqs, dirs = cli._random_momenta(np.random.default_rng(0), 200)
+        worst = 0.0
+        for f, d in zip(freqs, dirs):
+            t, md = null_tetrad(NullMomentum(float(f), d)), minkowski_dot
+            worst = max(
+                worst,
+                abs(md(t.k_vec, t.k_vec)),
+                abs(md(t.k_vec, t.q_vec) - 1.0),
+                abs(md(t.m_vec, t.mbar_vec) + 1.0),
+                abs(md(t.m_vec, t.m_vec)),
+                abs(md(t.k_vec, t.m_vec)),
+            )
+        # numpy's array loops may fuse a complex product's multiply-add,
+        # which scalar arithmetic rounds twice: equal up to that rounding
+        assert cli._tetrad_residual(freqs, dirs) == pytest.approx(worst, rel=1e-3)
 
     @pytest.mark.parametrize("transform", ["joint", "alice_only", "rest"])
     def test_realized_transport_gap_is_reported_for_joint_only(self, transform, tmp_path, capsys):
@@ -1160,7 +1206,7 @@ PULLBACK_OVERFLOW = edited_demo(
 #: the Bell diagnostics contract the overflowing tables.
 ENVELOPE_OVERFLOW_N_SWEEP = edited_demo(
     "bell11_n_sweep",
-    quadrature={"n_freq": 2, "n_polar": 2, "n_azimuth": 2},
+    quadrature={"n_freq": 3, "n_polar": 3, "n_azimuth": 3},
     state={"envelope": EDGE_ENVELOPES[1], "theta": {"kind": "constant", "theta0": 0.3}},
 )
 

@@ -137,6 +137,24 @@ class TestValidation:
         make_scn(AMP21, z_mid, 0.1, 0.2, field=far)
         make_scn(AMP21, z_mid, *angles)
 
+    @pytest.mark.parametrize(
+        "quad",
+        [
+            dataclasses.replace(SPEC, n_freq=2),
+            dataclasses.replace(SPEC, n_azimuth=2),
+            QuadratureSpec(mode="mc", n_samples=2),
+        ],
+        ids=["n_freq", "n_azimuth", "mc"],
+    )
+    def test_count_the_halved_rule_keeps_rejected(self, z_mid, quad):
+        # err_estimate is the full-minus-halved difference: a count of 2 halves
+        # to itself, so that axis's error would not reach it
+        scn = make_scn(AMP21, z_mid, 0.1, 0.2)
+        with pytest.raises(InputError, match="halved rule"):
+            dataclasses.replace(scn, quadrature=quad)
+        three = dataclasses.replace(quad, n_freq=3, n_azimuth=3, n_samples=3)
+        dataclasses.replace(scn, quadrature=three)  # 3 halves to 2: accepted
+
     def test_transform_case_construction_guards(self):
         with pytest.raises(InputError):
             bp.TransformCase(kind="joint")
@@ -366,7 +384,7 @@ class TestRestInvariance:
             self.value(kind, normalize(family, params), window, n_freq, math.inf)
             for family, params in self.VACUA
             for window in self.WINDOWS
-            for n_freq in (2, 6, 17)
+            for n_freq in (3, 6, 17)
         ]
         assert max(values) - min(values) <= 1e-14
 

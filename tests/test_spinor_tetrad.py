@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import bellepr as bp
-from bellepr.spinor_tetrad import batch_spin_frames, batch_spinors, map_momenta, wigner_pullback
+from bellepr.spinor_tetrad import (
+    batch_null_tetrads,
+    batch_spin_frames,
+    batch_spinors,
+    map_momenta,
+    wigner_pullback,
+)
 
 
 def rand_momentum(rng, freq_lo=0.3, freq_hi=3.0):
@@ -200,6 +206,27 @@ class TestNullTetrad:
             assert abs(md(t.k_vec, t.q_vec) - 1.0) < 1e-10
             assert abs(md(t.m_vec, t.mbar_vec) + 1.0) < 1e-10
             assert np.array_equal(t.mbar_vec, np.conj(t.m_vec))
+
+    def test_scalar_tetrad_is_a_row_of_the_batch(self):
+        rng = np.random.default_rng(20)
+        freqs, dirs = batch_of([rand_momentum(rng) for _ in range(64)])
+        batch = batch_null_tetrads(freqs, dirs)
+        for i in range(len(freqs)):
+            t = bp.null_tetrad(bp.NullMomentum(freqs[i], dirs[i]))
+            for leg in ("k_vec", "q_vec", "m_vec", "mbar_vec"):
+                assert getattr(t, leg).tobytes() == getattr(batch, leg)[i].tobytes()
+
+    def test_minkowski_dot_contracts_the_last_axis(self):
+        rng = np.random.default_rng(21)
+        t = batch_null_tetrads(*batch_of([rand_momentum(rng) for _ in range(64)]))
+        dots = bp.minkowski_dot(t.k_vec, t.q_vec)
+        assert dots.shape == (64,)
+        assert all(dots[i] == bp.minkowski_dot(t.k_vec[i], t.q_vec[i]) for i in range(64))
+        # numpy's array loops may fuse a complex product's multiply-add,
+        # which scalar arithmetic rounds twice: complex rows agree to rounding
+        dots = bp.minkowski_dot(t.m_vec, t.q_vec)
+        rows = [bp.minkowski_dot(t.m_vec[i], t.q_vec[i]) for i in range(64)]
+        assert np.allclose(dots, rows, rtol=0.0, atol=1e-14)
 
     def test_k_vec_matches_four_vec(self):
         rng = np.random.default_rng(19)
