@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import importlib.resources
 import json
 import math
 import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import yaml
@@ -105,8 +106,32 @@ CONFIG_SCHEMA = json.loads(
 # --------------------------------------------------------------------------
 # config loading and scenario construction
 
-#: libyaml's parser when PyYAML was built with it; both build the same documents.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser when PyYAML was built with it (both
+    build the same documents), that also reads YAML 1.2's dot-less exponent
+    floats: YAML 1.1 reads ``1e-4`` and ``1e5`` as strings."""
+
+
+_YAML_LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), list("-+0123456789")
+)
+
+
+@functools.cache
+def _config_validator():
+    """The packaged schema's draft-7 validator, built on first use, in which an
+    integer is a Python int: draft 7 also counts 1000.0 (or 1e3) as one, but
+    the counts and seeds that the schema types so are used as ints."""
+    import jsonschema  # deferred: only commands that read a config pay its import
+
+    integer = jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    )
+    # the packaged schema is checked against its metaschema by the tests, not per load
+    return jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=integer)(
+        CONFIG_SCHEMA
+    )
 
 
 def _load_config(path: str) -> tuple[dict, str]:
@@ -120,12 +145,9 @@ def _load_config(path: str) -> tuple[dict, str]:
         doc = yaml.load(raw, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise InputError(f"config {path!r} is not valid YAML: {exc}") from exc
-    import jsonschema  # deferred: only commands that read a config pay its import
+    import jsonschema
 
-    # the packaged schema is checked against its metaschema by the tests, not per load
-    error = jsonschema.exceptions.best_match(
-        jsonschema.Draft7Validator(CONFIG_SCHEMA).iter_errors(doc)
-    )
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(doc))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise InputError(f"config {path!r}: at {where}: {error.message}")
@@ -317,8 +339,13 @@ def cmd_correlate(args) -> int:
     values, scenarios = _sweep_rows(_build_scenario(doc, quad), doc)
     point = prepare(scenarios[0]).finish
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:  # no thread until a submit
-        results = list((pool.map if args.threads > 1 else map)(point, scenarios))
+    if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: one thread needs no pool
+
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            results = list(pool.map(point, scenarios))
+    else:
+        results = list(map(point, scenarios))
 
     lines = [
         f"# bellepr correlate {__version__}",

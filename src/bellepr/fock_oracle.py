@@ -5,7 +5,9 @@ The brute force is literal linear algebra: sparse operators on ``grid x
 two truncated oscillator modes`` tensored N times, state vectors built by
 applying creation operators to an explicit vacuum, and expectations as
 matrix products.  It is exact up to the occupation cutoff, and a cutoff of
-at least 2 is exact for the two-photon sector.
+at least 2 is exact for the two-photon sector.  ``scipy.sparse`` loads on
+first use, when the first operator is built, so importing this module (as
+the CLI does for every command) does not import scipy.
 
 Every operator is cell-diagonal, built by ``_one_body`` as scale * (sum over
 slots of diag(coeffs) tensor a two-mode operator): the ladders (once per
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, PreconditionError
 from .spinor_tetrad import NullMomentum
@@ -78,6 +79,21 @@ __all__ = [
 _MAX_DIMENSION = 200_000
 
 
+class _DeferredSparse:
+    """``scipy.sparse``, imported at the first attribute lookup, which also
+    rebinds the module global ``sp`` to the real module."""
+
+    def __getattr__(self, name: str):
+        global sp
+        import scipy.sparse
+
+        sp = scipy.sparse
+        return getattr(sp, name)
+
+
+sp = _DeferredSparse()
+
+
 # --------------------------------------------------------------------------
 # domain types
 
@@ -94,8 +110,12 @@ class DiscreteGrid:
             if not isinstance(k, NullMomentum):
                 raise InputError(f"grid cell momentum must be a NullMomentum, got {k!r}")
             w = float(w)
-            if not (math.isfinite(w) and w > 0.0):
-                raise InputError(f"grid cell weight must be positive, got {w!r}")
+            # the operators hold 1/w and the checks multiply weights in pairs
+            if not (w > 0.0 and math.isfinite(1.0 / w) and math.isfinite(w * w)):
+                raise InputError(
+                    f"grid cell weight must be positive with a finite reciprocal and square, "
+                    f"got {w!r}"
+                )
             entries.append((k, w))
         if not entries:
             raise InputError("grid needs at least one cell")

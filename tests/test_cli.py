@@ -127,11 +127,57 @@ class TestConfigValidation:
 
     def test_configs_parse_with_libyaml_to_the_same_documents(self):
         if yaml.__with_libyaml__:
-            assert cli._YAML_LOADER is yaml.CSafeLoader
+            assert issubclass(cli._YAML_LOADER, yaml.CSafeLoader)
         for name in DEMOS + ["oracle_default"]:
             text = demo_text(name)
             loaded = [yaml.load(text, Loader=ld) for ld in (cli._YAML_LOADER, yaml.SafeLoader)]
             assert repr(loaded[0]) == repr(loaded[1])  # equal values of equal types
+
+    def test_dotless_exponent_floats_read_as_numbers(self, tmp_path):
+        # YAML 1.1 reads 1e-4 and 1e5 as strings; the loader reads them as YAML 1.2 does
+        csvs = []
+        for small, large in (("1e-4", "1e5"), ("1.0e-4", "1.0e+5")):
+            text = demo_text("bell21_rest_sweep").replace("start: 0.0", f"start: {small}")
+            cfg = write_config(tmp_path, text.replace("angle: 0.3", f"angle: {large}"))
+            doc, _ = cli._load_config(cfg)
+            assert doc["sweep"]["start"] == 1.0e-4 and doc["scenario"]["alice"]["angle"] == 1.0e5
+            out = tmp_path / f"{small}.csv"
+            assert main(["correlate", cfg, "--out", str(out)]) == EXIT_OK
+            csvs.append([ln for ln in out.read_text().splitlines() if "sha256" not in ln])
+        assert csvs[0] == csvs[1]
+
+    def test_dotless_exponent_floats_in_an_oracle_cell(self, tmp_path, capsys):
+        cells = (
+            "oracle:\n  n_osc: 1\n  cells:\n"
+            "    - {{freq: {freq}, dir: [0.0, 0.0, 1.0], weight: {weight}}}\n"
+            "    - {{freq: 1.3, dir: [1.0, 0.0, 0.0], weight: 0.65}}\n"
+        )
+        reports = []
+        for freq, weight in (("1e5", "1e-4"), ("1.0e+5", "1.0e-4")):
+            cfg = write_config(tmp_path, cells.format(freq=freq, weight=weight))
+            code = main(["oracle-verify", cfg])
+            captured = capsys.readouterr()
+            assert code != EXIT_CONFIG and captured.err == ""
+            reports.append([ln for ln in captured.out.splitlines() if "sha256" not in ln])
+        assert reports[0] == reports[1] and len(reports[0]) == 21
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("correlate", ("count: 13", "count: 1e3")),
+            ("correlate", ("n_freq: 6", "n_freq: 1e3")),
+            ("diagnose", ("n_polar: 4", "n_polar: 1e3")),
+            ("diagnose", ("output:", "diagnose:\n  momentum_samples: 1e3\noutput:")),
+        ],
+        ids=["sweep-count", "n_freq", "n_polar", "momentum_samples"],
+    )
+    def test_exponent_float_in_an_integer_field_exits_two(self, command, edit, tmp_path, capsys):
+        # draft 7 would count 1000.0 as an integer; the loader does not
+        cfg = write_config(tmp_path, demo_text("bell21_rest_sweep").replace(*edit))
+        assert main([command, cfg, "--out", str(tmp_path / "out.txt")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert_one_error_line(err, "config error:")
+        assert "1000.0 is not of type 'integer'" in err
 
     def test_missing_file(self, capsys):
         assert main(["correlate", "/nonexistent/x.yaml"]) == EXIT_CONFIG
@@ -985,6 +1031,20 @@ class TestOracleVerify:
         assert proc.returncode == EXIT_CONFIG
         assert_one_error_line(proc.stderr, "config error: oracle dimension")
 
+    @pytest.mark.parametrize("weight", ["1.0e-320", "1.0e+300"])
+    def test_weight_outside_double_range_is_a_config_error(self, weight, tmp_path, capsys):
+        # 1/w or w*w leaves double range: refused before any operator is built
+        cfg = write_config(
+            tmp_path,
+            "oracle:\n  n_osc: 2\n  cells:\n"
+            f"    - {{freq: 1.0, dir: [0.0, 0.0, 1.0], weight: {weight}}}\n"
+            "    - {freq: 1.3, dir: [1.0, 0.0, 0.0], weight: 0.65}\n",
+        )
+        assert main(["oracle-verify", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "config error: grid cell weight")
+
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "oracle:\n  n_osc: 1\n")
         report = str(tmp_path / "missing" / "report.txt")
@@ -1250,6 +1310,50 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "bellepr" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv, scipy_loaded",
+        [
+            (["--version"], False),
+            (["correlate", "case1_joint_boost"], False),
+            (["diagnose", "case1_joint_boost"], False),
+            (["oracle-verify", "oracle_default"], True),
+        ],
+        ids=["version", "correlate", "diagnose", "oracle-verify"],
+    )
+    def test_only_the_oracle_loads_scipy(self, argv, scipy_loaded, tmp_path):
+        # a child process: pytest's own filterwarnings setting imports scipy here
+        from pathlib import Path
+
+        demos = Path(__file__).resolve().parents[1] / "demos"
+        argv = [argv[0]] + [str(demos / f"{name}.yaml") for name in argv[1:]]
+        child = (
+            "import sys\n"
+            "from bellepr.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        if argv[0] == "correlate":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        scipy_seen, futures_seen = proc.stdout.splitlines()[-1].split()
+        assert scipy_seen == str(scipy_loaded)
+        if argv[0] == "correlate":
+            assert futures_seen == "False"  # a one-thread sweep builds no thread pool
+        if scipy_loaded:
+            assert "RESULT PASS (18/18 checks)" in proc.stdout
 
     def test_cli_import_defers_jsonschema(self):
         proc = subprocess.run(

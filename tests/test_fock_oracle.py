@@ -81,6 +81,14 @@ class TestValidation:
         with pytest.raises(InputError):
             DiscreteGrid([(NullMomentum(1.0, _DIRS[0]), 0.0)])
 
+    @pytest.mark.parametrize("weight", [1.0e-320, 1.0e300])
+    def test_weight_reciprocal_and_square_finite(self, weight):
+        # 1/1e-320 and 1e300**2 overflow; the nearest decades inside still build
+        with pytest.raises(InputError, match="finite reciprocal and square"):
+            DiscreteGrid([(NullMomentum(1.0, _DIRS[0]), weight)])
+        inside = 1.0e-300 if weight < 1.0 else 1.0e150
+        assert DiscreteGrid([(NullMomentum(1.0, _DIRS[0]), inside)]).weights[0] == inside
+
     def test_distinct_momenta(self):
         cell = (NullMomentum(1.0, _DIRS[0]), 0.5)
         with pytest.raises(InputError, match="distinct"):
