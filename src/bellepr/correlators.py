@@ -24,10 +24,6 @@ at the acceptance node.  The amplitude and the vacuum density are then read
 at the pulled-back momenta.  Applying the rule to both arms gives the
 joint-transform case; to one arm, the single-moving-detector case.
 
-For the joint case the module also evaluates the equivalent vacuum-side
-bookkeeping — plain angles over the laboratory cones with the transported
-state and the composed vacuum density — from the same evaluation's tables.
-
 A correlation point is prepared, then finished.  ``prepare`` evaluates the
 scenario at two rules, the full one and the halved one, as far as no
 analyzer angle and no oscillator count N is read, and builds no dense pair
@@ -295,16 +291,13 @@ def _route_arms(scn: Scenario, spec: QuadratureSpec) -> tuple[_Arm, _Arm]:
 class _Rule(NamedTuple):
     """A scenario's sums at one quadrature rule that read no analyzer angle
     and no oscillator count: its two arms, norm_blocks' same-momentum total
-    ``diag``, ordered cross-cone ``blocks`` and Bob x Alice slot ``tables``,
-    and for the joint case ``transported``, the tables of the vacuum-side
-    bookkeeping (else None)."""
+    ``diag``, ordered cross-cone ``blocks`` and Bob x Alice slot ``tables``."""
 
     bob: _Arm
     alice: _Arm
     diag: float
     blocks: np.ndarray
     tables: dict[tuple[int, int], PairTable]
-    transported: dict[tuple[int, int], PairTable] | None
 
 
 _BAD_DENOMINATOR = (
@@ -323,17 +316,7 @@ def _prepare_rule(scn: Scenario, spec: QuadratureSpec) -> _Rule:
         )
     if not (math.isfinite(diag) and np.isfinite(blocks).all()):
         raise PreconditionError(_BAD_DENOMINATOR)
-    transported = None
-    if scn.transform.kind == "joint":
-        # the vacuum-side bookkeeping: plain analyzer angles over the
-        # laboratory cones and the slot tables transported by the phase rule
-        # (each slot picks e^{-2i s Theta} per arm), with the vacuum density
-        # read through the inverse map as the arms already hold it
-        transported = {
-            (s, sp): t.scaled(np.exp(-1.0j * s * bob.wigner), np.exp(-1.0j * sp * alice.wigner))
-            for (s, sp), t in tables.items()
-        }
-    return _Rule(bob, alice, diag, blocks, tables, transported)
+    return _Rule(bob, alice, diag, blocks, tables)
 
 
 def _bell_sample(scn: Scenario, full: _Rule) -> tuple[dict[str, float], tuple | None]:
@@ -398,7 +381,7 @@ class PreparedScenario:
         if not (same and row.bob.region is p.bob.region and row.alice.region is p.alice.region):
             return correlate(row)
         sums = [self._sums(rule, row) for rule in (self.full, self.half)]
-        (num, den, vacuum_num, angles), (half_num, half_den, half_vacuum_num, _) = sums
+        (num, den, angles), (half_num, half_den, _) = sums
         value = num / den
         diagnostics: dict[str, float] = dict(self.fixed)
         if self.thetas is not None:
@@ -415,11 +398,6 @@ class PreparedScenario:
             spec_value = -cond.branch * spec_num / den
             diagnostics["specialized_value"] = spec_value
             diagnostics["specialized_gap"] = abs(value - spec_value)
-        if vacuum_num is not None:
-            vac = vacuum_num / den
-            diagnostics["vacuum_picture_value"] = vac
-            diagnostics["vacuum_picture_err"] = _halving_err(vac, half_vacuum_num / half_den)
-            diagnostics["picture_gap"] = abs(value - vac)
         return CorrelationResult(
             numerator=num,
             denominator=den,
@@ -430,20 +408,14 @@ class PreparedScenario:
 
     @staticmethod
     def _sums(rule: _Rule, row: Scenario) -> tuple:
-        """(numerator, denominator, vacuum-side numerator or None, per-node
-        analyzer angles of the two arms) of ``row`` at one rule."""
+        """(numerator, denominator, per-node analyzer angles of the two arms)
+        of ``row`` at one rule."""
         den = norm_total(rule.diag, rule.blocks, row.n_osc)
         if not 0.0 < den < math.inf:
             raise PreconditionError(_BAD_DENOMINATOR)
         bob, alice = rule.bob, rule.alice
         angles = row.bob.angle - bob.wigner, row.alice.angle - alice.wigner
-        num = four_term(rule.tables, bob.u, alice.u, *angles, row.n_osc)
-        vacuum_num = None
-        if rule.transported is not None:
-            vacuum_num = four_term(
-                rule.transported, bob.u, alice.u, row.bob.angle, row.alice.angle, row.n_osc
-            )
-        return num, den, vacuum_num, angles
+        return four_term(rule.tables, bob.u, alice.u, *angles, row.n_osc), den, angles
 
 
 def prepare(scenario: Scenario) -> PreparedScenario:
@@ -483,13 +455,10 @@ def correlate(scenario: Scenario) -> CorrelationResult:
     Wigner-shifted per-node angles on each transformed arm).  For a
     Bell-kind amplitude with an angle field, the diagnostics carry the
     reduced single-cosine value implied by the polarization-angle condition
-    and the condition residual over the sampled nodes.  For the joint case
-    they add the vacuum-side form (``vacuum_picture_value`` with its own
-    error estimate and the gap to the detector-side value), read off the
-    same two evaluations; the transport defect of the constructed amplitude
-    family is ``bellepr diagnose``'s ``realized-transport-gap``.  The
-    ``alice_only`` case requires Bob's cone to stay directionally disjoint
-    from the pulled-back Alice cone.
+    and the condition residual over the sampled nodes.  The transport
+    defect of the constructed amplitude family is ``bellepr diagnose``'s
+    ``realized-transport-gap``.  The ``alice_only`` case requires Bob's cone
+    to stay directionally disjoint from the pulled-back Alice cone.
     """
     return prepare(scenario).finish(scenario)
 

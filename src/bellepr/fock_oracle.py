@@ -110,11 +110,11 @@ class DiscreteGrid:
             if not isinstance(k, NullMomentum):
                 raise InputError(f"grid cell momentum must be a NullMomentum, got {k!r}")
             w = float(w)
-            # the operators hold 1/w and the checks multiply weights in pairs
-            if not (w > 0.0 and math.isfinite(1.0 / w) and math.isfinite(w * w)):
+            # the operators hold 1/w and the checks 1/(w*w): w*w must be a normal double
+            if not (w > 0.0 and np.finfo(np.float64).tiny <= w * w < math.inf):
                 raise InputError(
-                    f"grid cell weight must be positive with a finite reciprocal and square, "
-                    f"got {w!r}"
+                    f"grid cell weight must be positive with a square that neither "
+                    f"underflows nor overflows, got {w!r}"
                 )
             entries.append((k, w))
         if not entries:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import bellepr as bp
+from bellepr import correlators
 from bellepr.cli import main as cli_main
 from bellepr.correlators import (
     DetectorSetting,
@@ -39,6 +40,7 @@ from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from bellepr.spinor_tetrad import wigner_pullback
 from bellepr.states import TwoPhotonAmplitude, amplitude_pair_tables, fit_theta
 from bellepr.vacuum import evaluate_batch, normalize
+from two_pictures import pictures_agree, realized_gap
 
 DEG = math.pi / 180.0
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -426,15 +428,39 @@ def test_criterion_07_joint_motion_two_pictures(z_mid):
             1.0, abs(rest.denominator)
         )
 
-    # detector-side and vacuum-side evaluations agree within their combined
-    # quadrature error for boosts up to rapidity 1
+    # the detector-side value and the vacuum-side value, summed on a route
+    # that shares neither the engine's factors nor its Wigner phases, agree
+    # within their combined quadrature error for boosts up to rapidity 1;
+    # the equal-helicity kinds transport exactly, so the state realized at
+    # the laboratory momenta gives their value too
     for rapidity in (0.25, 1.0):
         mv = joint_case(bp.boost(rapidity, Y_HAT))
-        for amp, n_osc in ((AMP21, math.inf), (AMP11, 5)):
-            r = correlate(make_scn(amp, z_mid, 0.9, 0.3, n_osc=n_osc, transform=mv))
-            combined = r.err_estimate + r.diagnostics["vacuum_picture_err"]
-            assert r.diagnostics["picture_gap"] <= combined
-            assert bound_check(r)
+        for amp, n_osc in ((AMP21, math.inf), (AMP22, 3), (AMP11, 5)):
+            scn = make_scn(amp, z_mid, 0.9, 0.3, n_osc=n_osc, transform=mv)
+            assert pictures_agree(scn)
+            assert bound_check(correlate(scn))
+            if amp is not AMP11:
+                assert realized_gap(scn) <= 1e-12
+
+
+@pytest.mark.parametrize("rapidity", [0.25, 1.0])
+def test_criterion_07_two_pictures_see_a_negated_wigner_phase(z_mid, rapidity, monkeypatch):
+    mv = joint_case(bp.boost(rapidity, Y_HAT))
+    scns = [
+        make_scn(amp, z_mid, 0.9, 0.3, n_osc=n_osc, transform=mv)
+        for amp, n_osc in ((AMP21, math.inf), (AMP11, 5))
+    ]
+    assert all(pictures_agree(scn) for scn in scns)
+    pullback = correlators.wigner_pullback
+
+    def negated(*args):
+        pre_freqs, pre_dirs, phases = pullback(*args)
+        return pre_freqs, pre_dirs, -phases
+
+    # a sign error in the engine's Wigner phase: the vacuum-side route does
+    # not read it, so the two pictures part
+    monkeypatch.setattr(correlators, "wigner_pullback", negated)
+    assert not any(pictures_agree(scn) for scn in scns)
 
 
 # --------------------------------------------------------------------------

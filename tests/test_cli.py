@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -1031,19 +1032,43 @@ class TestOracleVerify:
         assert proc.returncode == EXIT_CONFIG
         assert_one_error_line(proc.stderr, "config error: oracle dimension")
 
-    @pytest.mark.parametrize("weight", ["1.0e-320", "1.0e+300"])
+    @pytest.mark.parametrize(
+        "weight", ["1.0e-320", "1.0e-300", "1.0e-200", "1.0e-160", "1.0e-154", "1.0e+300"]
+    )
     def test_weight_outside_double_range_is_a_config_error(self, weight, tmp_path, capsys):
-        # 1/w or w*w leaves double range: refused before any operator is built
+        # 1/w or w*w leaves double range, or w*w is 0 or subnormal so that
+        # the operator checks overflow on 1/(w*w): refused before any
+        # operator is built, without a warning
         cfg = write_config(
             tmp_path,
             "oracle:\n  n_osc: 2\n  cells:\n"
             f"    - {{freq: 1.0, dir: [0.0, 0.0, 1.0], weight: {weight}}}\n"
             "    - {freq: 1.3, dir: [1.0, 0.0, 0.0], weight: 0.65}\n",
         )
-        assert main(["oracle-verify", cfg]) == EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["oracle-verify", cfg]) == EXIT_CONFIG
+        assert caught == []
         captured = capsys.readouterr()
         assert captured.out == ""
         assert_one_error_line(captured.err, "config error: grid cell weight")
+
+    def test_weight_whose_square_is_normal_is_accepted(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "oracle:\n  n_osc: 2\n  cells:\n"
+            "    - {freq: 1.0, dir: [0.0, 0.0, 1.0], weight: 1.0e-150}\n"
+            "    - {freq: 1.3, dir: [1.0, 0.0, 0.0], weight: 0.65}\n",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["oracle-verify", cfg])
+        assert caught == []
+        # the checks run; their absolute thresholds may still fail at this scale
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        captured = capsys.readouterr()
+        assert "RESULT " in captured.out
+        assert captured.err == ""
 
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "oracle:\n  n_osc: 1\n")

@@ -23,6 +23,8 @@ from bellepr.errors import ChartError, InputError, PreconditionError
 from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from bellepr.spinor_tetrad import map_momenta
 from bellepr.states import (
+    BELL_KINDS,
+    PairTable,
     TwoPhotonAmplitude,
     constant_field,
     fit_theta,
@@ -30,7 +32,8 @@ from bellepr.states import (
     theta_wigner_residuals,
     with_transform_field,
 )
-from bellepr.vacuum import evaluate_batch, normalize, with_transform
+from bellepr.vacuum import evaluate_batch, normalize
+from two_pictures import pictures_agree, realized_gap, vacuum_side_value
 
 DEG = math.pi / 180.0
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -398,16 +401,6 @@ class TestRestInvariance:
 # both detectors transformed (case 1)
 
 
-def realized_gap(scn) -> float:
-    """|E - E'| for a joint scenario: E its value, E' the rest value of the
-    same state read at the laboratory momenta with the vacuum composed with
-    the map (the amplitude family's transport defect)."""
-    rest = dataclasses.replace(
-        scn, transform=rest_case(), vacuum=with_transform(scn.vacuum, scn.transform.lorentz_map)
-    )
-    return abs(correlate(scn).value - correlate(rest).value)
-
-
 class TestJointTransform:
     def test_identity_map_matches_rest_row_for_row(self, z_mid, fit21):
         rest = correlate(make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field))
@@ -421,19 +414,39 @@ class TestJointTransform:
         )
         ident = correlate(scn)
         assert abs(ident.value - rest.value) <= 4.0 * np.finfo(float).eps
-        assert ident.diagnostics["picture_gap"] <= 1e-12
+        assert abs(ident.value - vacuum_side_value(scn)[0]) <= 1e-12
         assert realized_gap(scn) <= 1e-12
 
     @pytest.mark.parametrize("rapidity", [0.25, 1.0])
     def test_detector_and_vacuum_pictures_agree(self, z_mid, fit21, fit11, rapidity):
         m = bp.boost(rapidity, Y_HAT)
         for amp, fit, n in ((AMP21, fit21, math.inf), (AMP11, fit11, 5)):
-            r = correlate(
-                make_scn(amp, z_mid, 0.7, 0.2, field=fit.field, n_osc=n, transform=joint_case(m))
-            )
-            tol = r.err_estimate + r.diagnostics["vacuum_picture_err"]
-            assert r.diagnostics["picture_gap"] <= tol
-            assert bound_check(r)
+            scn = make_scn(amp, z_mid, 0.7, 0.2, field=fit.field, n_osc=n, transform=joint_case(m))
+            assert pictures_agree(scn)
+            assert bound_check(correlate(scn))
+
+    @pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+    def test_joint_row_finishes_like_a_rest_row(self, z_mid, kind, monkeypatch):
+        # a joint row carries no second picture: its finish contracts as
+        # often as a rest row's and reports the same diagnostics
+        contract = PairTable.contract
+        calls = []
+
+        def spy(table, *args):
+            calls.append(1)
+            return contract(table, *args)
+
+        monkeypatch.setattr(PairTable, "contract", spy)
+        counts, keys = [], []
+        for transform in (rest_case(), joint_case(bp.boost(0.5, Y_HAT))):
+            amp, field = TwoPhotonAmplitude(kind=kind), constant_field(0.3)
+            scn = make_scn(amp, z_mid, 0.7, 0.2, field=field, n_osc=3, transform=transform)
+            prepared = prepare(scn)
+            calls.clear()
+            keys.append(set(prepared.finish(scn).diagnostics))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        assert keys[0] == keys[1]
 
     def test_invariant_pairing_kind_realizes_the_vacuum_form_exactly(self, z_mid, fit21):
         m = bp.boost(1.0, Y_HAT)

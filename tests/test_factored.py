@@ -48,6 +48,7 @@ from bellepr.states import (
     tabulated_field,
 )
 from bellepr.vacuum import evaluate_batch, normalize
+from two_pictures import vacuum_side_sums
 
 DEG = math.pi / 180.0
 SPEC = QuadratureSpec(n_freq=6, n_polar=4, n_azimuth=8)
@@ -148,6 +149,14 @@ def dense_condition_residuals(condition, tables, th1, th2) -> np.ndarray:
     return np.abs(phase * plus + cond.branch * np.conj(phase) * minus)
 
 
+def check_vacuum_side(scn: Scenario, result) -> None:
+    """The joint point's sums against the vacuum-side picture's, summed on
+    dense tables with plain angles and tetrad-read transport phases."""
+    num, den = vacuum_side_sums(scn)
+    assert result.numerator == pytest.approx(num, rel=RTOL, abs=0.0)
+    assert result.denominator == pytest.approx(den, rel=RTOL, abs=0.0)
+
+
 def check_against_dense(scn: Scenario) -> None:
     amp, n_osc = scn.amplitude, scn.n_osc
     case = scn.transform.kind
@@ -162,15 +171,8 @@ def check_against_dense(scn: Scenario) -> None:
     num = dense_numerator(scn, tables, ub, ua, beta, alpha)
     assert result.numerator == pytest.approx(num, rel=RTOL, abs=0.0)
 
-    # vacuum-side numerator: plain angles, slots transported by e^{-i s Theta}
     if case == "joint":
-        transported = {
-            (s, sp): np.exp(-1.0j * s * wb)[:, None] * np.exp(-1.0j * sp * wa)[None, :] * t
-            for (s, sp), t in tables.items()
-        }
-        vac = dense_numerator(scn, transported, ub, ua, scn.bob.angle, scn.alice.angle)
-        factored_vac = result.diagnostics["vacuum_picture_value"] * result.denominator
-        assert factored_vac == pytest.approx(vac, rel=RTOL, abs=0.0)
+        check_vacuum_side(scn, result)
 
     # Bell condition residuals: the weighted RMS in its expanded form, whose
     # error is a roundoff of the weighted scale, so its square is compared
@@ -281,14 +283,7 @@ def test_general_joint_point_matches_dense_tables(vacuum):
     assert len(tables) == 4
     num = dense_numerator(scn, tables, ub, ua, scn.bob.angle - wb, scn.alice.angle - wa)
     assert result.numerator == pytest.approx(num, rel=RTOL, abs=0.0)
-    # the vacuum-side route scales the dense slot tables by the transport phases
-    transported = {
-        (s, sp): np.exp(-1.0j * s * wb)[:, None] * np.exp(-1.0j * sp * wa)[None, :] * t
-        for (s, sp), t in tables.items()
-    }
-    vac = dense_numerator(scn, transported, ub, ua, scn.bob.angle, scn.alice.angle)
-    factored_vac = result.diagnostics["vacuum_picture_value"] * result.denominator
-    assert factored_vac == pytest.approx(vac, rel=RTOL, abs=0.0)
+    check_vacuum_side(scn, result)
 
 
 def test_general_joint_point_at_12288_nodes_stays_small(vacuum):
@@ -339,9 +334,8 @@ def test_constant_general_slots_match_the_same_slots_as_evaluators(vacuum, case)
     dense = correlate(general_scenario(vacuum, evaluators, case, SPEC))
     for name in ("numerator", "denominator", "value"):
         assert getattr(factored, name) == pytest.approx(getattr(dense, name), rel=RTOL, abs=0.0)
-    if case == "joint":  # both routes scale the factors by the transport phases
-        vac = dense.diagnostics["vacuum_picture_value"]
-        assert factored.diagnostics["vacuum_picture_value"] == pytest.approx(vac, rel=RTOL, abs=0.0)
+    if case == "joint":
+        check_vacuum_side(general_scenario(vacuum, amp, case, SPEC), factored)
 
 
 def test_config_general_point_at_1536_nodes_stays_small(vacuum):

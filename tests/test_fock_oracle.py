@@ -81,12 +81,13 @@ class TestValidation:
         with pytest.raises(InputError):
             DiscreteGrid([(NullMomentum(1.0, _DIRS[0]), 0.0)])
 
-    @pytest.mark.parametrize("weight", [1.0e-320, 1.0e300])
+    @pytest.mark.parametrize("weight", [1.0e-320, 1.0e-300, 1.0e-154, 1.0e300])
     def test_weight_reciprocal_and_square_finite(self, weight):
-        # 1/1e-320 and 1e300**2 overflow; the nearest decades inside still build
-        with pytest.raises(InputError, match="finite reciprocal and square"):
+        # 1/1e-320 and 1e300**2 overflow, 1e-300**2 underflows to 0 and
+        # 1e-154**2 to a subnormal; the nearest decades inside still build
+        with pytest.raises(InputError, match="square that neither underflows nor overflows"):
             DiscreteGrid([(NullMomentum(1.0, _DIRS[0]), weight)])
-        inside = 1.0e-300 if weight < 1.0 else 1.0e150
+        inside = 1.0e-153 if weight < 1.0 else 1.0e150
         assert DiscreteGrid([(NullMomentum(1.0, _DIRS[0]), inside)]).weights[0] == inside
 
     def test_distinct_momenta(self):

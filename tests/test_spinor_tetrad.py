@@ -9,8 +9,10 @@ from bellepr.spinor_tetrad import (
     batch_spin_frames,
     batch_spinors,
     map_momenta,
+    wigner_defined,
     wigner_pullback,
 )
+from two_pictures import tetrad_phases
 
 
 def rand_momentum(rng, freq_lo=0.3, freq_hi=3.0):
@@ -257,6 +259,27 @@ class TestWignerPhase:
                 kl = bp.NullMomentum(lam * k.freq, k.dir)
                 d = bp.wrap_angle(bp.wigner_phase(a, kl) - base)
                 assert abs(float(d)) < 1e-8
+
+    def test_tetrad_route_reads_the_spinor_phase(self):
+        # criterion 7's vacuum-side route reads e^{2i Theta} off the
+        # transformed null tetrad, (L m(L^-1 k)).mbar(k) / (m(k).mbar(k))
+        rng = np.random.default_rng(22)
+        freqs, dirs = batch_of([rand_momentum(rng) for _ in range(200)])
+        axes = np.array([[1.0, 1.0, 1.0], [0.3, -0.8, 0.5], [-0.6, 0.2, -0.7]])
+        oblique = axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        maps = [bp.boost(rap, axis) for rap in (-0.5, 0.25, 1.0, 2.0) for axis in oblique]
+        maps += [bp.rotation(chi, axis) for chi in (0.4, 2.5, -3.0) for axis in oblique]
+        maps.append(bp.compose(bp.rotation(1.1, oblique[1]), bp.boost(0.8, oblique[0])))
+        for m in maps:
+            assert wigner_defined(m, freqs, dirs).all()
+            _, pre_dirs, phases = wigner_pullback(m, freqs, dirs)
+            gap = np.abs(tetrad_phases(m, freqs, dirs) - np.exp(1j * phases))
+            # both charts lose eps / (1 + dz) next to the cut at -z, and a map
+            # eps |A|_F^2: within 64x that everywhere, 1e-13 away from the cut
+            chart = 1.0 / (1.0 + pre_dirs[:, 2])
+            rounding = np.finfo(float).eps * (np.sum(np.abs(m.sl2c) ** 2) + chart)
+            assert (gap <= 64.0 * rounding).all()
+            assert gap[pre_dirs[:, 2] >= -0.9].max() <= 1e-13
 
     def test_cocycle(self):
         rng = np.random.default_rng(21)
