@@ -65,7 +65,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 from .errors import (
     ChartError,

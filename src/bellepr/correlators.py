@@ -13,9 +13,9 @@ ratio ``numerator / denominator``:
   cones: a same-momentum (coincidence) term with factor 2/N over each cone
   plus all ordered cone-pair blocks with factor 2(N-1)/N.
 
-Both are sums of ``states`` (``four_term``, and ``norm_sum``'s two halves
-``norm_blocks`` and ``norm_total``), over the per-arm nodes, weights and
-angles built here.
+Both are sums of ``states`` (``slot_moments`` phased by ``four_term``, and
+``norm_sum``'s two halves ``norm_blocks`` and ``norm_total``), over the
+per-arm nodes, weights and Wigner phases built here.
 
 Detector transforms are handled by one rule per transformed arm: mesh the
 laboratory acceptance cone, pull each node back through the map, and shift
@@ -24,15 +24,15 @@ at the acceptance node.  The amplitude and the vacuum density are then read
 at the pulled-back momenta.  Applying the rule to both arms gives the
 joint-transform case; to one arm, the single-moving-detector case.
 
-A correlation point is prepared, then finished.  ``prepare`` evaluates the
-scenario at two rules, the full one and the halved one, as far as no
-analyzer angle and no oscillator count N is read, and builds no dense pair
-table: every sum reads pair_factors.  A Bell-kind point with an angle field
-takes its ``bell_residual_max`` sample from the 6x4x8 rule's Bob x Alice
-factors: at that rule the full rule's own; at any other rule it builds that
-rule's arms and factors for the sample.  ``finish`` takes any row and reuses
-the preparation for one that changes only the analyzer angles and N, so a
-sweep over them prepares once.
+A correlation point is prepared, then finished.  A row reads its analyzer
+angles only as the phases e^{-2i beta} e^{-2ic alpha} of slot-pair moments,
+and N only as prefactors, so ``prepare`` reduces the full and the halved
+rule to scalars, the norm blocks and moments, from pair_factors: no node
+array outlives it.  A Bell-kind point with an angle field takes its
+``bell_residual_max`` sample from the 6x4x8 rule's Bob x Alice factors, the
+full rule's own at that rule.  ``finish`` is arithmetic on the scalars for a
+row that changes only the analyzer angles and N, so a sweep over them
+prepares once; it prepares any other row.
 Checks that need another scenario (the state rebuilt at laboratory momenta,
 the angle field's transport rule) are ``diagnose``'s, not every row's.
 """
@@ -58,7 +58,6 @@ from .spinor_tetrad import LorentzMap, inverse, wigner_pullback
 from .states import (
     BELL_CONDITIONS,
     BELL_KINDS,
-    PairTable,
     PolarizationAngleField,
     TwoPhotonAmplitude,
     condition_residual_rel,
@@ -69,6 +68,7 @@ from .states import (
     norm_total,
     oscillator_factors,
     pair_factors,
+    slot_moments,
 )
 from .vacuum import VacuumDensity, evaluate_batch
 
@@ -205,7 +205,7 @@ class Scenario:
                 )
         field, kind = self.theta_field, self.transform.kind
         arms = () if field is None else ((self.bob, kind == "joint"), (self.alice, kind != "rest"))
-        for setting, moves in arms:  # the Bell diagnostics read e^{2i(angle - theta)}
+        for setting, moves in arms:  # an input rule: the sums read 2 angle, 2(theta + W) apart
             shifts = moves + (field.lorentz_map is not None)  # Wigner shifts, each <= pi
             if not math.isfinite(2.0 * (abs(setting.angle) + field.peak + math.pi * shifts)):
                 raise InputError(
@@ -290,14 +290,12 @@ def _route_arms(scn: Scenario, spec: QuadratureSpec) -> tuple[_Arm, _Arm]:
 
 class _Rule(NamedTuple):
     """A scenario's sums at one quadrature rule that read no analyzer angle
-    and no oscillator count: its two arms, norm_blocks' same-momentum total
-    ``diag``, ordered cross-cone ``blocks`` and Bob x Alice slot ``tables``."""
+    and no oscillator count: norm_blocks' ``diag`` and ``blocks``, and the
+    Bob x Alice slot_moments with the arms' Wigner phases folded in."""
 
-    bob: _Arm
-    alice: _Arm
     diag: float
     blocks: np.ndarray
-    tables: dict[tuple[int, int], PairTable]
+    moments: dict[int, complex]
 
 
 _BAD_DENOMINATOR = (
@@ -306,7 +304,8 @@ _BAD_DENOMINATOR = (
 )
 
 
-def _prepare_rule(scn: Scenario, spec: QuadratureSpec) -> _Rule:
+def _prepare_rule(scn: Scenario, spec: QuadratureSpec) -> tuple[_Rule, tuple]:
+    """The rule's _Rule, and its arms and Bob x Alice tables for _bell_sample."""
     bob, alice = _route_arms(scn, spec)
     # an amplitude that overflows leaves a non-finite sum, refused here,
     # before anything else contracts the tables
@@ -316,21 +315,28 @@ def _prepare_rule(scn: Scenario, spec: QuadratureSpec) -> _Rule:
         )
     if not (math.isfinite(diag) and np.isfinite(blocks).all()):
         raise PreconditionError(_BAD_DENOMINATOR)
-    return _Rule(bob, alice, diag, blocks, tables)
+    # a row's per-node angle is its setting minus W: e^{-2i(angle - W)} = e^{-2i angle} e^{2iW}
+    moments = slot_moments(tables, bob.u, alice.u, -bob.wigner, -alice.wigner)
+    return _Rule(diag, blocks, moments), (bob, alice, tables)
 
 
-def _bell_sample(scn: Scenario, full: _Rule) -> tuple[dict[str, float], tuple | None]:
+def _bell_sample(scn: Scenario, bob: _Arm, alice: _Arm, tables: dict) -> tuple:
     """The Bell diagnostics that read no analyzer angle and no oscillator
-    count, and the field angles at the full rule's nodes (None without a
-    Bell kind and an angle field): the relative residual of the
-    polarization-angle condition over the node pairs and its maximum."""
+    count, and the reduced value's moments (None without a Bell kind and an
+    angle field), from the full rule's arms and tables: the relative residual
+    of the polarization-angle condition over the node pairs and its maximum."""
     condition = BELL_KINDS.get(scn.amplitude.kind)
     field = scn.theta_field
     if condition is None or field is None:
         return {}, None
-    bob, alice, tables = full.bob, full.alice, full.tables
-    thetas = th_b, th_a = tuple(field_values(field, arm.freqs, arm.dirs) for arm in (bob, alice))
+    cond = BELL_CONDITIONS[condition]
+    th_b, th_a = (field_values(field, arm.freqs, arm.dirs) for arm in (bob, alice))
     rel = condition_residual_rel(condition, tables, th_b, th_a, bob.u, alice.u)
+    # on the condition conj(psi_plus) psi_minus = -branch e^{2ix} |psi_minus|^2, so the
+    # reduced value's moments are -branch |psi_minus|^2's with the field angles folded in
+    moduli = dict.fromkeys(cond.slots, tables[cond.slots[1]])
+    folded = -bob.wigner - th_b, -alice.wigner - th_a
+    reduced = slot_moments(moduli, -cond.branch * bob.u, alice.u, *folded)
     # a max over pairs does not factor: take it on the fixed DEFAULT_QUADRATURE
     # sample of the same cones and maps, which is the full rule's own arms and
     # factors when the scenario uses the default rule
@@ -340,7 +346,7 @@ def _bell_sample(scn: Scenario, full: _Rule) -> tuple[dict[str, float], tuple | 
         th_a = field_values(field, alice.freqs, alice.dirs)
         tables = pair_factors(scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs)
     res = condition_residuals(condition, tables, th_b, th_a)
-    return {"bell_residual_max": float(res.max(initial=0.0)), "bell_residual_rel": rel}, thetas
+    return {"bell_residual_max": float(res.max(initial=0.0)), "bell_residual_rel": rel}, reduced
 
 
 _ERR_FLOOR = 64.0 * np.finfo(np.float64).eps
@@ -358,14 +364,14 @@ _ROW_FIELDS = ("bob", "alice", "n_osc")
 @dataclass(frozen=True, eq=False)
 class PreparedScenario:
     """A scenario evaluated up to its analyzer angles and oscillator count:
-    both rules' arms, norm blocks and Bob x Alice tables, and the
+    both rules' scalar sums, the reduced value's moments (``reduced``) and the
     diagnostics that read neither (``fixed``).  ``finish`` completes one row."""
 
     scenario: Scenario
     full: _Rule
     half: _Rule
     fixed: dict[str, float]
-    thetas: tuple[np.ndarray, np.ndarray] | None
+    reduced: dict[int, complex] | None
 
     def finish(self, row: Scenario) -> CorrelationResult:
         """The correlation of ``row``, equal to ``correlate(row)`` bit for bit:
@@ -380,22 +386,12 @@ class PreparedScenario:
         )
         if not (same and row.bob.region is p.bob.region and row.alice.region is p.alice.region):
             return correlate(row)
-        sums = [self._sums(rule, row) for rule in (self.full, self.half)]
-        (num, den, angles), (half_num, half_den, _) = sums
+        setting = row.bob.angle, row.alice.angle, row.n_osc
+        (num, den), (half_num, half_den) = (self._sums(r, *setting) for r in (self.full, self.half))
         value = num / den
         diagnostics: dict[str, float] = dict(self.fixed)
-        if self.thetas is not None:
-            # On the condition conj(psi_plus) psi_minus = -branch e^{2ix} |psi_minus|^2,
-            # so the reduced value is the four-term sum of |psi_minus|^2 with the
-            # field angles taken off the analyzer angles.
-            cond = BELL_CONDITIONS[BELL_KINDS[p.amplitude.kind]]
-            moduli = dict.fromkeys(cond.slots, self.full.tables[cond.slots[1]])
-            (bob_angles, alice_angles), (th_b, th_a) = angles, self.thetas
-            bob, alice = self.full.bob, self.full.alice
-            spec_num = four_term(
-                moduli, bob.u, alice.u, bob_angles - th_b, alice_angles - th_a, row.n_osc
-            )
-            spec_value = -cond.branch * spec_num / den
+        if self.reduced is not None:
+            spec_value = four_term(self.reduced, *setting) / den
             diagnostics["specialized_value"] = spec_value
             diagnostics["specialized_gap"] = abs(value - spec_value)
         return CorrelationResult(
@@ -407,15 +403,12 @@ class PreparedScenario:
         )
 
     @staticmethod
-    def _sums(rule: _Rule, row: Scenario) -> tuple:
-        """(numerator, denominator, per-node analyzer angles of the two arms)
-        of ``row`` at one rule."""
-        den = norm_total(rule.diag, rule.blocks, row.n_osc)
+    def _sums(rule: _Rule, beta: float, alpha: float, n_osc) -> tuple[float, float]:
+        """(numerator, denominator) at one rule for one row's angles and N."""
+        den = norm_total(rule.diag, rule.blocks, n_osc)
         if not 0.0 < den < math.inf:
             raise PreconditionError(_BAD_DENOMINATOR)
-        bob, alice = rule.bob, rule.alice
-        angles = row.bob.angle - bob.wigner, row.alice.angle - alice.wigner
-        return four_term(rule.tables, bob.u, alice.u, *angles, row.n_osc), den, angles
+        return four_term(rule.moments, beta, alpha, n_osc), den
 
 
 def prepare(scenario: Scenario) -> PreparedScenario:
@@ -432,15 +425,15 @@ def prepare(scenario: Scenario) -> PreparedScenario:
                 "the same-momentum coincidence term is out of scope here"
             )
     spec = scenario.quadrature
-    full = _prepare_rule(scenario, spec)
-    half = _prepare_rule(scenario, spec.halved())
+    full, arms = _prepare_rule(scenario, spec)
+    half, _ = _prepare_rule(scenario, spec.halved())
     # the two ordered cross-cone blocks agree up to quadrature by the
     # symmetry of |psi|^2 Z Z'
     b01, b10 = full.blocks[0, 1], full.blocks[1, 0]
     fixed = {"den_swap_block_residual": abs(b01 - b10) / max(abs(b01), abs(b10), 1e-300)}
-    bell, thetas = _bell_sample(scenario, full)
+    bell, reduced = _bell_sample(scenario, *arms)
     fixed.update(bell)
-    return PreparedScenario(scenario, full, half, fixed, thetas)
+    return PreparedScenario(scenario, full, half, fixed, reduced)
 
 
 # --------------------------------------------------------------------------

@@ -20,10 +20,10 @@ test that cancellation.
 
 The closed forms are the engine's sums from ``states``: ``norm_reference``
 runs ``norm_sum`` on the grid, as one arm paired with itself, and
-``four_term_reference`` runs ``four_term`` on the grid tables.  Only
-``coincident_term``, which the engine's disjoint cones never meet, is
-written here, with the engine's ``oscillator_factors``.  A detector cell
-subset must be nonempty, without duplicates and on the grid (``_cells``).
+``four_term_reference`` runs ``four_term``, as a correlator row does, on the
+grid tables' ``slot_moments``.  Only ``coincident_term``, which disjoint
+cones never meet, is written here, with ``oscillator_factors``.  A detector
+cell subset must be nonempty, without duplicates and on the grid (``_cells``).
 
 Conventions
 -----------
@@ -47,7 +47,9 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .spinor_tetrad import NullMomentum
-from .states import PairTable, TwoPhotonAmplitude, four_term, norm_sum, oscillator_factors
+from .states import (
+    PairTable, TwoPhotonAmplitude, four_term, norm_sum, oscillator_factors, slot_moments
+)
 
 __all__ = [
     "CheckResult",
@@ -548,13 +550,13 @@ def four_term_reference(
     alpha: float,
 ) -> float:
     """Disjoint-detector correlation numerator, discretized: ``states.four_term``
-    (8(N-1)/N times the four e^{-2i(beta +- alpha)} slot products) over the
-    two cell subsets, each slot table T as the factors (T[ib], I[ia])."""
+    (8(N-1)/N times the four e^{-2i(beta +- alpha)} slot products) of the
+    ``slot_moments`` over the two cell subsets, slot table T as factors (T[ib], I[ia])."""
     ib, ia = _cells(space, subset_b), _cells(space, subset_a)
     eye = np.eye(space.grid.size)
     pairs = {s: PairTable(tab[ib], eye[ia]) for s, tab in _check_tables(space, tables).items()}
     u = space.grid.weights * _z_values(space, z_values)
-    return four_term(pairs, u[ib], u[ia], beta, alpha, space.n_osc)
+    return four_term(slot_moments(pairs, u[ib], u[ia]), beta, alpha, space.n_osc)
 
 
 def coincident_term(

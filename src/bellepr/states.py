@@ -30,10 +30,10 @@ the dense closed-form reference table that the symmetry and covariance
 residuals compare against.
 
 Every weighted slot sum is the inner product PairTable.contract,
-u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), four_term (the
-correlation numerator), a Bell condition's sums (_condition_sums) and norm_sum,
-which the matrix oracle's closed forms call; the correlators call its two
-halves, the N-free norm_blocks and the N-dependent norm_total.
+u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), slot_moments
+(the correlation numerator's moments, which four_term phases), a Bell
+condition's sums (_condition_sums) and norm_sum; the correlators call its
+two halves, the N-free norm_blocks and the N-dependent norm_total.
 
 Equal-helicity bell amplitudes transform exactly under
 psi(L^-1 k, L^-1 k') = e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi(k, k');
@@ -88,6 +88,7 @@ __all__ = [
     "PairTable",
     "pair_factors",
     "modulus_sum",
+    "slot_moments",
     "four_term",
     "symmetry_residuals",
     "condition_residuals",
@@ -457,23 +458,27 @@ def modulus_sum(tables: Iterable[PairTable], u1: np.ndarray, u2: np.ndarray) -> 
     return sum(t.contract(t, u1, u2).real for t in tables)
 
 
-def four_term(
-    tables: Mapping[tuple[int, int], PairTable], u1: np.ndarray, u2: np.ndarray, beta, alpha, n_osc
-) -> float:
-    """Four-term unnormalized correlation average over the pairs of two batches,
-
-        8(N-1)/N Re sum_ij u1_i u2_j [e^{-2i(beta_i+alpha_j)} conj(psi_++) psi_--
-                                    + e^{-2i(beta_i-alpha_j)} conj(psi_+-) psi_-+],
-
-    with per-node weights u1, u2 and analyzer angles ``beta``/``alpha`` as
-    per-node arrays or scalars; a slot pair absent from ``tables`` adds 0."""
+def slot_moments(tables: Mapping, u1: np.ndarray, u2: np.ndarray, beta=0.0, alpha=0.0) -> dict:
+    """Per slot pair present in ``tables``, keyed by its coupling c (+1 for
+    (++, --), -1 for (+-, -+)), the moment
+    M_c = sum_ij u1_i u2_j e^{-2i beta_i} e^{-2ic alpha_j} conj(psi_plus) psi_minus,
+    with the per-node angles (arrays, or scalars) folded into the weights."""
     ub = u1 * np.exp(-2.0j * beta)
-    total = 0.0 + 0.0j
-    for (plus, minus), coupling in _SLOT_COUPLINGS.items():
-        if plus in tables and minus in tables:
-            ua = u2 * np.exp(-2.0j * coupling * alpha)
-            total += tables[plus].contract(tables[minus], ub, ua)
-    return oscillator_factors(n_osc)[2] * total.real
+    return {
+        c: tables[plus].contract(tables[minus], ub, u2 * np.exp(-2.0j * c * alpha))
+        for (plus, minus), c in _SLOT_COUPLINGS.items()
+        if plus in tables and minus in tables
+    }
+
+
+def four_term(moments: Mapping[int, complex], beta: float, alpha: float, n_osc) -> float:
+    """Four-term unnormalized correlation average at analyzer angles beta, alpha,
+    8(N-1)/N Re sum_c e^{-2i beta} e^{-2ic alpha} M_c over the slot_moments M_c:
+    the products conj(psi_++) psi_-- and conj(psi_+-) psi_-+ weighted by
+    e^{-2i(beta+alpha)} and e^{-2i(beta-alpha)}.  Twice each angle is finite,
+    their sum need not be, so the phase is taken apart."""
+    total = sum(np.exp(-2.0j * beta) * np.exp(-2.0j * c * alpha) * m for c, m in moments.items())
+    return oscillator_factors(n_osc)[2] * float(np.real(total))
 
 
 def symmetry_residuals(

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import re
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -132,7 +135,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("arm", ["bob", "alice"])
     def test_angle_whose_difference_from_the_field_overflows_rejected(self, z_mid, arm):
-        # each is twice finite, but the Bell diagnostics read e^{2i(angle - theta)}
+        # each is twice finite, twice their difference is not: an input rule refuses it
         far = constant_field(-8e307)
         angles = {"bob": (8e307, 0.2), "alice": (0.1, 8e307)}[arm]
         with pytest.raises(InputError, match="too far apart"):
@@ -425,10 +428,10 @@ class TestJointTransform:
             assert pictures_agree(scn)
             assert bound_check(correlate(scn))
 
-    @pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+    @pytest.mark.parametrize("kind", [*sorted(BELL_KINDS), "general"])
     def test_joint_row_finishes_like_a_rest_row(self, z_mid, kind, monkeypatch):
-        # a joint row carries no second picture: its finish contracts as
-        # often as a rest row's and reports the same diagnostics
+        # a row is a phase: every case's finish is arithmetic on the prepared
+        # moments, contracts no table and reports the same diagnostics
         contract = PairTable.contract
         calls = []
 
@@ -437,16 +440,19 @@ class TestJointTransform:
             return contract(table, *args)
 
         monkeypatch.setattr(PairTable, "contract", spy)
-        counts, keys = [], []
-        for transform in (rest_case(), joint_case(bp.boost(0.5, Y_HAT))):
+        if kind == "general":  # both slot pairs, so both couplings' moments
+            table = {(1, 1): 0.8, (-1, -1): 0.3 - 0.2j, (1, -1): 0.5j, (-1, 1): -0.4}
+            amp, field = TwoPhotonAmplitude(kind="general", table=table), None
+        else:
             amp, field = TwoPhotonAmplitude(kind=kind), constant_field(0.3)
+        keys = []
+        for transform in TRANSFORMS.values():
             scn = make_scn(amp, z_mid, 0.7, 0.2, field=field, n_osc=3, transform=transform)
             prepared = prepare(scn)
             calls.clear()
             keys.append(set(prepared.finish(scn).diagnostics))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
-        assert keys[0] == keys[1]
+            assert not calls, transform.kind
+        assert keys[0] == keys[1] == keys[2]
 
     def test_invariant_pairing_kind_realizes_the_vacuum_form_exactly(self, z_mid, fit21):
         m = bp.boost(1.0, Y_HAT)
@@ -822,3 +828,47 @@ class TestPreparedSweep:
         with pytest.raises(PreconditionError, match=re.escape(str(refused.value))):
             prepared.finish(overlap)
         assert len(prepares) == before + 1
+
+    def test_angles_whose_sum_overflows_keep_the_value(self, z_mid):
+        # twice each angle is finite and twice their sum is not: the phase
+        # e^{-2i beta} e^{-2i alpha} is taken apart, so no exp sees inf.  The
+        # cones are bell21_rest_sweep's; 0.9713031202473711 is the value of
+        # bellepr 0.17.0, whose weights carried the per-node phases
+        rb, ra = (dataclasses.replace(r, half_angle=0.0349) for r in (REGION_B, REGION_A))
+        scn = make_scn(AMP21, z_mid, 8e307, 8e307, rb=rb, ra=ra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = correlate(scn)
+        assert math.isfinite(result.value) and math.isfinite(result.err_estimate)
+        assert result.value == pytest.approx(0.9713031202473711, rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(TRANSFORMS))
+    def test_preparation_holds_no_node_sized_array(self, z_mid, fit21, case):
+        # a preparation keeps scalar moments and the 2 x 2 norm blocks; the
+        # scenario's own objects are the caller's, held by reference
+        scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=TRANSFORMS[case])
+        rule = QuadratureSpec(n_freq=12, n_polar=8, n_azimuth=16)
+        prepared = prepare(dataclasses.replace(scn, quadrature=rule))
+        seen = set()
+        reachable_arrays(prepared.scenario, seen)
+        held = reachable_arrays(prepared, seen)
+        assert any(a.shape == (2, 2) for a in held)
+        assert max(a.size for a in held) <= 4
+
+
+def reachable_arrays(root, seen):
+    """The numpy arrays reachable from ``root`` through object references,
+    leaving out classes, modules, functions and the objects in ``seen``,
+    which the walk extends with everything it visits."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    stack, found = [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found

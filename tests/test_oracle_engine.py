@@ -30,6 +30,7 @@ from bellepr.states import (
     modulus_sum,
     oscillator_factors,
     pair_factors,
+    slot_moments,
 )
 
 _DIRS = [
@@ -98,7 +99,7 @@ def test_factored_engine_matches_brute_force(kind, n_osc):
     ib, ia = [0, 1], [2]
     raw = epr_unnormalized(space, dense, o, ib, ia, beta, alpha)
     block = pair_factors(amp, freqs[ib], dirs[ib], freqs[ia], dirs[ia])
-    num = four_term(block, u[ib], u[ia], beta, alpha, n_osc)
+    num = four_term(slot_moments(block, u[ib], u[ia]), beta, alpha, n_osc)
     assert abs(num - raw.real) <= 1e-8 * max(1.0, abs(raw))
 
 
