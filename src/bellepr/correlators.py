@@ -14,8 +14,8 @@ ratio ``numerator / denominator``:
   plus all ordered cone-pair blocks with factor 2(N-1)/N.
 
 Both are sums of ``states`` (``slot_moments`` phased by ``four_term``, and
-``norm_sum``'s two halves ``norm_blocks`` and ``norm_total``), over the
-per-arm nodes, weights and Wigner phases built here.
+``norm_blocks`` added up by ``norm_total``), over the per-arm nodes, weights
+and Wigner phases built here.
 
 Detector transforms are handled by one rule per transformed arm: mesh the
 laboratory acceptance cone, pull each node back through the map, and shift
@@ -202,15 +202,6 @@ class Scenario:
                 raise InputError(
                     f"quadrature {name} = {getattr(quad, name)} is kept by the halved rule, "
                     "so err_estimate cannot see its error: give it at least 3 nodes"
-                )
-        field, kind = self.theta_field, self.transform.kind
-        arms = () if field is None else ((self.bob, kind == "joint"), (self.alice, kind != "rest"))
-        for setting, moves in arms:  # an input rule: the sums read 2 angle, 2(theta + W) apart
-            shifts = moves + (field.lorentz_map is not None)  # Wigner shifts, each <= pi
-            if not math.isfinite(2.0 * (abs(setting.angle) + field.peak + math.pi * shifts)):
-                raise InputError(
-                    f"analyzer angle {setting.angle!r} and angle-field values up to |theta| "
-                    f"{field.peak!r} are too far apart: twice their difference overflows"
                 )
 
 

@@ -19,11 +19,11 @@ count and the center resolution sum w_i times the 1/w_i operators, so they
 test that cancellation.
 
 The closed forms are the engine's sums from ``states``: ``norm_reference``
-runs ``norm_sum`` on the grid, as one arm paired with itself, and
-``four_term_reference`` runs ``four_term``, as a correlator row does, on the
-grid tables' ``slot_moments``.  Only ``coincident_term``, which disjoint
-cones never meet, is written here, with ``oscillator_factors``.  A detector
-cell subset must be nonempty, without duplicates and on the grid (``_cells``).
+runs ``norm_blocks`` and ``norm_total`` on the grid as one arm paired with
+itself, and ``four_term_reference`` runs ``four_term`` on the grid tables'
+``slot_moments``, each as a correlator row does.  Only ``coincident_term``,
+which disjoint cones never meet, is written here, with ``oscillator_factors``.
+A detector cell subset must be nonempty, without duplicates and on the grid (``_cells``).
 
 Conventions
 -----------
@@ -48,7 +48,8 @@ import numpy as np
 from .errors import InputError, PreconditionError
 from .spinor_tetrad import NullMomentum
 from .states import (
-    PairTable, TwoPhotonAmplitude, four_term, norm_sum, oscillator_factors, slot_moments
+    PairTable, TwoPhotonAmplitude, four_term, norm_blocks, norm_total, oscillator_factors,
+    slot_moments,
 )
 
 __all__ = [
@@ -530,14 +531,15 @@ def norm_reference(
     tables: Mapping[tuple[int, int], np.ndarray],
     z_values: Sequence[float],
 ) -> float:
-    """Closed-form squared norm of the pair state: ``states.norm_sum`` over the
-    grid as one arm, each stored slot table T as the general slot (T, I)."""
+    """Closed-form squared norm of the pair state: ``states.norm_blocks`` and
+    ``norm_total`` over the grid as one arm, each slot table T as the slot (T, I)."""
     slots = _check_tables(space, tables).items()
     table = {s: (lambda *_, t=t: t, lambda *_, t=t: np.eye(len(t))) for s, t in slots}
     amp = TwoPhotonAmplitude(kind="general", table=table)
     u = space.grid.weights * _z_values(space, z_values)
     dirs = np.array([k.dir for k, _ in space.grid.cells])
-    return norm_sum(amp, [(space.grid.freqs, dirs, u)], space.n_osc)
+    diag, blocks, _ = norm_blocks(amp, [(space.grid.freqs, dirs, u)])
+    return norm_total(diag, blocks, space.n_osc)
 
 
 def four_term_reference(

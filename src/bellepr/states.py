@@ -30,10 +30,10 @@ the dense closed-form reference table that the symmetry and covariance
 residuals compare against.
 
 Every weighted slot sum is the inner product PairTable.contract,
-u1 @ (conj(T) * T') @ u2: modulus_sum (u1 @ sum |psi|^2 @ u2), slot_moments
-(the correlation numerator's moments, which four_term phases), a Bell
-condition's sums (_condition_sums) and norm_sum; the correlators call its
-two halves, the N-free norm_blocks and the N-dependent norm_total.
+u1 @ (conj(T) * T') @ u2, by one of two routes: modulus_sum
+(u1 @ sum |psi|^2 @ u2) and slot_moments (the correlation numerator's
+moments, which four_term phases).  A Bell condition's sums (_condition_sums)
+and the norm's N-free half norm_blocks read them; norm_total adds N.
 
 Equal-helicity bell amplitudes transform exactly under
 psi(L^-1 k, L^-1 k') = e^{2is Theta(L,k)} e^{2is' Theta(L,k')} psi(k, k');
@@ -99,7 +99,6 @@ __all__ = [
     "oscillator_factors",
     "norm_blocks",
     "norm_total",
-    "norm_sum",
     "two_photon_norm",
     "fit_theta",
 ]
@@ -149,7 +148,7 @@ class PolarizationAngleField:
     the chart azimuth), "tabulated" (value of the nearest axis).  When
     ``lorentz_map`` is set the field evaluates as the Wigner-shifted
     transform of its base parameters: theta_base(L^-1 k) + 2*Theta(L, k).
-    Every base value, at most ``peak`` in size, must be finite, and twice it too.
+    Every base value must be finite, and twice it too.
     """
 
     kind: str
@@ -158,7 +157,6 @@ class PolarizationAngleField:
     axes: np.ndarray | None = None
     values: np.ndarray | None = None
     lorentz_map: LorentzMap | None = None
-    peak: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "azimuthal", "tabulated"):
@@ -180,7 +178,6 @@ class PolarizationAngleField:
             peak = float(np.max(np.abs(vals)))
         else:  # |theta| peaks at |theta0| + pi |coeff|
             peak = abs(self.theta0) + (math.pi * abs(self.coeff) if self.kind == "azimuthal" else 0)
-        object.__setattr__(self, "peak", peak)
         if not math.isfinite(2.0 * peak):  # the correlation reads e^{2i theta}
             raise InputError(f"polarization angle must be finite, and twice it too: |theta| {peak}")
 
@@ -527,17 +524,12 @@ def _condition_sums(condition: int, tables: Mapping, u1, u2, theta1=0.0, theta2=
         S = u1 @ (|psi_plus|^2 + |psi_minus|^2) @ u2,
         C = sum_ij u1_i u2_j e^{2i x_ij} psi_plus conj(psi_minus),
 
-    x_ij = theta1_i + coupling theta2_j.  A slot the amplitude lacks adds 0
-    to S and makes C = 0."""
+    x_ij = theta1_i + coupling theta2_j: the slots' modulus_sum and, for real
+    weights, the conjugate of their slot_moments.  A missing slot adds 0 to S and makes C = 0."""
     cond = _condition(condition)
-    present = [tables[slot] for slot in cond.slots if slot in tables]
-    scale = modulus_sum(present, u1, u2)
-    if len(present) < 2:
-        return cond, scale, 0j
-    plus, minus = present
-    # e^{2i x_ij} = e^{2i theta1_i} e^{2i coupling theta2_j} folds into the weights
-    phased = (u1 * np.exp(2.0j * theta1), u2 * np.exp(2.0j * cond.coupling * theta2))
-    return cond, scale, minus.contract(plus, *phased)
+    present = {slot: tables[slot] for slot in cond.slots if slot in tables}
+    moment = slot_moments(present, u1, u2, theta1, theta2).get(cond.coupling, 0j)
+    return cond, modulus_sum(present.values(), u1, u2), moment.conjugate()
 
 
 def condition_residual_rel(
@@ -632,11 +624,12 @@ def oscillator_factors(n_osc) -> tuple[float, float, float]:
 def norm_blocks(
     amp: TwoPhotonAmplitude, arms: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 ) -> tuple[float, np.ndarray, dict[tuple[int, int], PairTable]]:
-    """norm_sum's N-free sums over the (freqs, dirs, u) node sets ``arms``:
-    the same-momentum total (the diagonal of the (a, a) blocks' slot
-    tables), the matrix of ordered two-momentum blocks (a, b) and the
-    pair_factors slot tables of block (first arm, last arm), for callers that
-    contract them further.  Each arm's spin frames are built once."""
+    """The N-free sums of the squared norm over the (freqs, dirs, u) node sets
+    ``arms`` (u: quadrature weights times vacuum density), which norm_total
+    weighs by 2/N and 2(N-1)/N: diag = sum_a sum_ss' sum_i u_i |psi_ss'(k_i, k_i)|^2,
+    blocks[a, b] = sum_ss' sum_ij u_i |psi_ss'(k_i, k'_j)|^2 u'_j over arms a, b,
+    and the pair_factors tables of block (first arm, last arm), for callers
+    that contract them further.  Each arm's spin frames are built once."""
     batches, us = [_batch(amp, f, d) for f, d, _ in arms], [u for _, _, u in arms]
     diag = 0.0
     blocks = np.zeros((len(arms), len(arms)))
@@ -653,29 +646,12 @@ def norm_blocks(
 
 
 def norm_total(diag: float, blocks: np.ndarray, n_osc) -> float:
-    """norm_sum's total from norm_blocks' same-momentum total and blocks:
+    """The squared norm from norm_blocks' same-momentum total and blocks:
     (2/N) diag + (2(N-1)/N) sum(blocks).  At N = inf the same-momentum term
     is left out, not multiplied by 0."""
     first_fac, cross_fac, _ = oscillator_factors(n_osc)
     cross = cross_fac * float(blocks.sum())
     return cross if first_fac == 0.0 else first_fac * diag + cross
-
-
-def norm_sum(
-    amp: TwoPhotonAmplitude,
-    arms: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    n_osc,
-) -> float:
-    """Squared norm of the state restricted to a union of node sets:
-
-        (2/N)      * sum_a sum_ss' sum_i u_i |psi_ss'(k_i, k_i)|^2
-      + (2(N-1)/N) * sum_ab sum_ss' sum_ij u_i |psi_ss'(k_i, k'_j)|^2 u'_j
-
-    with ``arms`` a list of (freqs, dirs, u) node sets and u the quadrature
-    weights times the vacuum density.
-    """
-    diag, blocks, _ = norm_blocks(amp, arms)
-    return norm_total(diag, blocks, n_osc)
 
 
 #: Largest accepted deviation from 1 of the vacuum's mass on the norm's nodes.
@@ -702,7 +678,8 @@ def two_photon_norm(amp: TwoPhotonAmplitude, z: VacuumDensity, n_osc) -> float:
             f"the norm rule does not resolve the vacuum: its mass on the nodes is "
             f"{mass:.6g}, not 1 within {_NORM_MASS_TOL:g}"
         )
-    return norm_sum(amp, [(nodes.freqs, nodes.dirs, u)], n_osc)
+    diag, blocks, _ = norm_blocks(amp, [(nodes.freqs, nodes.dirs, u)])
+    return norm_total(diag, blocks, n_osc)
 
 
 # --------------------------------------------------------------------------

@@ -259,15 +259,16 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["correlate", "diagnose"])
-    def test_angle_far_from_the_field_is_a_config_error(self, command, tmp_path, capsys):
-        # each is twice finite, their difference is not; diagnose builds the
-        # sweep's scenarios too
+    def test_angle_far_from_the_field_is_evaluated(self, command, tmp_path, capsys):
+        # each is twice finite, their difference is not; no sum reads the
+        # difference, so both commands run it, diagnose over the sweep's
+        # scenarios too
         cfg, out = write_config(tmp_path, yaml.safe_dump(ANGLE_FAR_FROM_FIELD)), tmp_path / "o.txt"
-        assert main([command, cfg, "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert_one_error_line(err, "config error: analyzer angle 8e+307 and angle-field values")
-        assert "Warning" not in err
-        assert not out.exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, cfg, "--out", str(out)]) == EXIT_OK
+        assert "Warning" not in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8").startswith(f"# bellepr {command} ")
 
     @pytest.mark.parametrize(
         "quadrature",

@@ -133,15 +133,21 @@ class TestValidation:
         with pytest.raises(InputError):
             DetectorSetting(region=REGION_B, angle=angle)
 
+    @pytest.mark.parametrize("case", ["rest", "joint"])
     @pytest.mark.parametrize("arm", ["bob", "alice"])
-    def test_angle_whose_difference_from_the_field_overflows_rejected(self, z_mid, arm):
-        # each is twice finite, twice their difference is not: an input rule refuses it
+    def test_angle_whose_difference_from_the_field_overflows_is_evaluated(self, z_mid, arm, case):
+        # each is twice finite, twice their difference is not; no sum reads the
+        # difference (finish reads e^{-2i angle}, prepare e^{2i(theta + W)}), so
+        # the point is finite, and no warning is raised
         far = constant_field(-8e307)
         angles = {"bob": (8e307, 0.2), "alice": (0.1, 8e307)}[arm]
-        with pytest.raises(InputError, match="too far apart"):
-            make_scn(AMP21, z_mid, *angles, field=far)
-        make_scn(AMP21, z_mid, 0.1, 0.2, field=far)
-        make_scn(AMP21, z_mid, *angles)
+        transform = joint_case(bp.boost(0.5, Y_HAT)) if case == "joint" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = correlate(make_scn(AMP21, z_mid, *angles, field=far, transform=transform))
+        assert math.isfinite(res.value) and math.isfinite(res.err_estimate)
+        assert abs(res.value) <= 1.0 + res.err_estimate
+        assert all(math.isfinite(v) for v in res.diagnostics.values())
 
     @pytest.mark.parametrize(
         "quad",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -395,6 +396,32 @@ def test_condition_sums_on_slots_the_amplitude_lacks():
     assert residual(one_slot) == 1.0
     with pytest.raises(bp.InputError, match="degenerate"):
         fit_theta(one_slot, 21, BOB, ALICE, spec=SPEC)
+
+
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_condition_sums_contract_only_through_the_two_slot_sums(kind, monkeypatch):
+    # a Bell condition's S and C are modulus_sum and slot_moments, the sums a
+    # correlation point runs: neither the fit nor the residual contracts by a
+    # route of its own
+    routes = {states.modulus_sum.__code__, states.slot_moments.__code__}
+    contract, callers = states.PairTable.contract, []
+
+    def spy(table, *args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in routes:
+            frame = frame.f_back
+        callers.append(None if frame is None else frame.f_code.co_name)
+        return contract(table, *args)
+
+    monkeypatch.setattr(states.PairTable, "contract", spy)
+    amp, condition = TwoPhotonAmplitude(kind=kind), BELL_KINDS[kind]
+    fit = fit_theta(amp, condition, BOB, ALICE, spec=SPEC)
+    nb, na = invariant_node_set(BOB, SPEC), invariant_node_set(ALICE, SPEC)
+    tables = states.pair_factors(amp, nb.freqs, nb.dirs, na.freqs, na.dirs)
+    th_b, th_a = (field_values(fit.field, n.freqs, n.dirs) for n in (nb, na))
+    condition_residual_rel(condition, tables, th_b, th_a, nb.weights, na.weights)
+    # each of the two condition sums: two squared moduli and one moment
+    assert sorted(map(str, callers)) == ["modulus_sum"] * 4 + ["slot_moments"] * 2
 
 
 def test_condition_residuals_on_slots_the_amplitude_lacks():

@@ -153,8 +153,9 @@ def test_fault_scale_fails_only_the_ladder_pair_check():
 
 @pytest.mark.parametrize("n_osc", [1, 2, 3])
 def test_a_fault_in_the_engine_norm_fails_only_the_norm_check(n_osc, monkeypatch):
-    # the closed-form norm is states.norm_sum, so a wrong same-momentum
-    # factor there reaches the pair-norm check
+    # the closed-form norm is states.norm_blocks then states.norm_total, the
+    # functions behind every CSV denominator, so a wrong same-momentum factor
+    # there reaches the pair-norm check
     true_factors = states.oscillator_factors
 
     def doubled_same(n):

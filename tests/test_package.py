@@ -1,5 +1,6 @@
 """Package surface: ``bellepr.__all__`` lists exactly the names that
-``bellepr/__init__.py`` imports, no module imports a name it neither uses
+``bellepr/__init__.py`` imports, every name a module's ``__all__`` lists
+exists on that module, no module imports a name it neither uses
 nor exports, the configuration schema ships as package data, the package
 version is written once, and every function the benchmark tracer wraps by
 name exists once ``bellepr.cli`` is imported,
@@ -26,16 +27,28 @@ import pytest
 import bellepr
 
 
-def test_all_lists_every_imported_name():
-    imported = {
-        name
-        for name, value in vars(bellepr).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert len(bellepr.__all__) == len(set(bellepr.__all__))
-    assert set(bellepr.__all__) == imported | {"__version__"}
-    for name in bellepr.__all__:
-        assert getattr(bellepr, name) is not None
+MODULES = sorted(
+    f"bellepr.{path.stem}"
+    for path in Path(bellepr.__file__).resolve().parent.glob("*.py")
+    if path.stem != "__init__"
+)
+
+
+@pytest.mark.parametrize("module", ["bellepr", *MODULES])
+def test_all_lists_every_imported_name(module):
+    # a module's __all__ names only what it has: a stale export of a deleted
+    # name fails here; the package lists exactly what it imports
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", [])
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(mod, name)] == []
+    if mod is bellepr:
+        imported = {
+            name
+            for name, value in vars(bellepr).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert set(bellepr.__all__) == imported | {"__version__"}
 
 
 def test_no_module_imports_a_name_it_neither_uses_nor_exports():
