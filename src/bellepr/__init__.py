@@ -65,7 +65,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .errors import (
     ChartError,

@@ -7,7 +7,9 @@ Commands
     Evaluate the configured correlation over a sweep grid and write one CSV
     row per sweep point, with ``#``-prefixed metadata header lines.  A
     beta, alpha or n_osc sweep prepares its scenario once and finishes each
-    row from it; a rapidity sweep, whose rows move the arms, prepares each row.
+    row from it; a rapidity sweep, whose rows move the arms, prepares each row
+    on the shared laboratory cones, which keep their node sets, so the sweep
+    meshes each cone once per rule.
 ``oracle-verify <config>``
     Run the discrete-grid oracle suite and print one pass/fail line per
     named check.

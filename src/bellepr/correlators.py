@@ -28,11 +28,13 @@ A correlation point is prepared, then finished.  A row reads its analyzer
 angles only as the phases e^{-2i beta} e^{-2ic alpha} of slot-pair moments,
 and N only as prefactors, so ``prepare`` reduces the full and the halved
 rule to scalars, the norm blocks and moments, from pair_factors: no node
-array outlives it.  A Bell-kind point with an angle field takes its
-``bell_residual_max`` sample from the 6x4x8 rule's Bob x Alice factors, the
-full rule's own at that rule.  ``finish`` is arithmetic on the scalars for a
-row that changes only the analyzer angles and N, so a sweep over them
-prepares once; it prepares any other row.
+array outlives it but the laboratory node sets, which the cones keep
+(invariant_node_set), so rows that share their cones mesh them once per
+rule.  A Bell-kind point with an angle field takes its ``bell_residual_max``
+sample from the 6x4x8 rule's Bob x Alice factors, the full or the halved
+rule's own when either is that rule.  ``finish`` is arithmetic on the
+scalars for a row that changes only the analyzer angles and N, so a sweep
+over them prepares once; it prepares any other row.
 Checks that need another scenario (the state rebuilt at laboratory momenta,
 the angle field's transport rule) are ``diagnose``'s, not every row's.
 """
@@ -311,31 +313,43 @@ def _prepare_rule(scn: Scenario, spec: QuadratureSpec) -> tuple[_Rule, tuple]:
     return _Rule(diag, blocks, moments), (bob, alice, tables)
 
 
-def _bell_sample(scn: Scenario, bob: _Arm, alice: _Arm, tables: dict) -> tuple:
+def _places_default_nodes(spec: QuadratureSpec) -> bool:
+    """True iff ``spec`` places DEFAULT_QUADRATURE's nodes: in product mode
+    neither the seed nor n_samples places a node."""
+    defaults = {"seed": DEFAULT_QUADRATURE.seed, "n_samples": DEFAULT_QUADRATURE.n_samples}
+    return dataclasses.replace(spec, **defaults) == DEFAULT_QUADRATURE
+
+
+def _bell_sample(scn: Scenario, scale: float, full: tuple, half: tuple) -> tuple:
     """The Bell diagnostics that read no analyzer angle and no oscillator
     count, and the reduced value's moments (None without a Bell kind and an
-    angle field), from the full rule's arms and tables: the relative residual
-    of the polarization-angle condition over the node pairs and its maximum."""
+    angle field), from the full and the halved rule's arms and Bob x Alice
+    tables: the relative residual of the polarization-angle condition over
+    the full rule's node pairs, whose S is their norm block ``scale``, and
+    the residual's maximum over the DEFAULT_QUADRATURE sample."""
     condition = BELL_KINDS.get(scn.amplitude.kind)
     field = scn.theta_field
     if condition is None or field is None:
         return {}, None
     cond = BELL_CONDITIONS[condition]
+    bob, alice, tables = full
     th_b, th_a = (field_values(field, arm.freqs, arm.dirs) for arm in (bob, alice))
-    rel = condition_residual_rel(condition, tables, th_b, th_a, bob.u, alice.u)
+    rel = condition_residual_rel(condition, tables, th_b, th_a, bob.u, alice.u, scale)
     # on the condition conj(psi_plus) psi_minus = -branch e^{2ix} |psi_minus|^2, so the
     # reduced value's moments are -branch |psi_minus|^2's with the field angles folded in
     moduli = dict.fromkeys(cond.slots, tables[cond.slots[1]])
     folded = -bob.wigner - th_b, -alice.wigner - th_a
     reduced = slot_moments(moduli, -cond.branch * bob.u, alice.u, *folded)
     # a max over pairs does not factor: take it on the fixed DEFAULT_QUADRATURE
-    # sample of the same cones and maps, which is the full rule's own arms and
-    # factors when the scenario uses the default rule
-    if dataclasses.replace(scn.quadrature, seed=DEFAULT_QUADRATURE.seed) != DEFAULT_QUADRATURE:
-        bob, alice = _route_arms(scn, DEFAULT_QUADRATURE)
-        th_b = field_values(field, bob.freqs, bob.dirs)
-        th_a = field_values(field, alice.freqs, alice.dirs)
-        tables = pair_factors(scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs)
+    # sample of the same cones and maps, which is the full or the halved
+    # rule's own arms and factors when that rule places its nodes
+    if not _places_default_nodes(scn.quadrature):
+        if _places_default_nodes(scn.quadrature.halved()):
+            bob, alice, tables = half
+        else:
+            bob, alice = _route_arms(scn, DEFAULT_QUADRATURE)
+            tables = pair_factors(scn.amplitude, bob.freqs, bob.dirs, alice.freqs, alice.dirs)
+        th_b, th_a = (field_values(field, arm.freqs, arm.dirs) for arm in (bob, alice))
     res = condition_residuals(condition, tables, th_b, th_a)
     return {"bell_residual_max": float(res.max(initial=0.0)), "bell_residual_rel": rel}, reduced
 
@@ -416,13 +430,13 @@ def prepare(scenario: Scenario) -> PreparedScenario:
                 "the same-momentum coincidence term is out of scope here"
             )
     spec = scenario.quadrature
-    full, arms = _prepare_rule(scenario, spec)
-    half, _ = _prepare_rule(scenario, spec.halved())
+    full, full_arms = _prepare_rule(scenario, spec)
+    half, half_arms = _prepare_rule(scenario, spec.halved())
     # the two ordered cross-cone blocks agree up to quadrature by the
     # symmetry of |psi|^2 Z Z'
     b01, b10 = full.blocks[0, 1], full.blocks[1, 0]
     fixed = {"den_swap_block_residual": abs(b01 - b10) / max(abs(b01), abs(b10), 1e-300)}
-    bell, reduced = _bell_sample(scenario, *arms)
+    bell, reduced = _bell_sample(scenario, b01, full_arms, half_arms)
     fixed.update(bell)
     return PreparedScenario(scenario, full, half, fixed, reduced)
 

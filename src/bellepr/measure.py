@@ -16,6 +16,11 @@ Boosted regions are never meshed: the correlators mesh the laboratory cone
 and pull each node back with wigner_pullback (no Jacobian: the measure is
 invariant); map_nodes, pushing nodes forward, serves only the benchmark tracer.
 
+A region keeps the node sets meshed on it, one per QuadratureSpec, as
+read-only arrays for as long as the region lives: scenarios and sweep rows
+that share a region object mesh it once per rule.  A region built anew, or
+by ``dataclasses.replace``, starts with none.
+
 Semi-infinite frequency windows (freq_hi = inf) are supported for
 normalization integrals via the substitution u = exp(-omega/scale), i.e.
 omega = -scale*ln(u), with composite Gauss-Legendre panels on (0, 1].
@@ -26,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,20 +69,24 @@ class DetectorRegion:
     ``half_angle`` may range up to pi (full sphere) so that the same type
     also describes hemispheres and all of momentum space; ``freq_hi`` may be
     ``inf`` for normalization integrals over all frequencies (in which case
-    ``freq_lo`` must be 0 and only decaying integrands make sense).
+    ``freq_lo`` must be 0 and only decaying integrands make sense).  The
+    region keeps the node sets invariant_node_set builds on it.
     """
 
     axis: np.ndarray
     half_angle: float
     freq_lo: float
     freq_hi: float
+    _node_sets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ax = np.asarray(self.axis, dtype=np.float64).reshape(3)
         n = float(np.linalg.norm(ax))
         if not np.isfinite(n) or abs(n - 1.0) > 1e-9:
             raise InputError(f"region axis must be a unit 3-vector, got norm {n!r}")
-        object.__setattr__(self, "axis", ax / n)
+        ax = ax / n
+        ax.flags.writeable = False  # the kept node sets are meshed about it
+        object.__setattr__(self, "axis", ax)
         if not (0.0 < self.half_angle <= math.pi):
             raise InputError(
                 f"half_angle must lie in (0, pi], got {self.half_angle!r}"
@@ -226,10 +235,13 @@ def _radial_rule(
 
 def _axis_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors completing ``axis`` to a right-handed orthonormal frame."""
-    ref = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(ref, axis)
+    x, y, z = axis.tolist()
+    # ref x axis, then axis x e1, each in np.cross's operation order
+    rx, ry, rz = (0.0, 0.0, 1.0) if abs(z) < 0.9 else (1.0, 0.0, 0.0)
+    e1 = np.array([ry * z - rz * y, rz * x - rx * z, rx * y - ry * x])
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    a, b, c = e1.tolist()
+    e2 = np.array([y * c - z * b, z * a - x * c, x * b - y * a])
     return e1, e2
 
 
@@ -253,7 +265,21 @@ def invariant_node_set(region: DetectorRegion, spec: QuadratureSpec) -> NodeSet:
     rule in azimuth.  MC mode: seeded samples drawn from the measure itself
     (density proportional to omega * d omega * d cos * d phi), each carrying
     weight region_measure / n_samples.
+
+    The set is built on the first call for a region and spec, kept on the
+    region for its lifetime and returned as read-only arrays.  Two threads
+    may both build it; they build the same arrays.
     """
+    nodes = region._node_sets.get(spec)
+    if nodes is None:
+        nodes = _build_node_set(region, spec)
+        for array in (nodes.freqs, nodes.dirs, nodes.weights):
+            array.flags.writeable = False
+        region._node_sets[spec] = nodes
+    return nodes
+
+
+def _build_node_set(region: DetectorRegion, spec: QuadratureSpec) -> NodeSet:
     if spec.mode == "mc":
         return _mc_node_set(region, spec)
     om, w_om = _radial_rule(

@@ -264,7 +264,7 @@ class TwoPhotonAmplitude:
     "general" (explicit ``table`` mapping (s, s') to a number or a pair
     ``(rows, cols)`` of batch factor functions, as in the module docstring).
     ``envelope`` is an optional per-momentum factor applied as g(k) g(k'); it
-    takes batch arrays (freqs, dirs) and returns an array.
+    takes batch arrays (freqs, dirs) and returns an array, real for a Bell kind.
     """
 
     kind: str
@@ -330,10 +330,12 @@ class PairTable:
 
     a: np.ndarray
     b: np.ndarray
+    #: the table this one is the conjugate of, when conj() made it
+    mirror: PairTable | None = None
 
     def conj(self) -> PairTable:
         """The conjugate table (a Bell kind's conjugate slot)."""
-        return PairTable(np.conj(self.a), np.conj(self.b))
+        return PairTable(np.conj(self.a), np.conj(self.b), self)
 
     def scaled(self, rows: np.ndarray, cols: np.ndarray) -> PairTable:
         """diag(rows) @ table @ diag(cols), for per-node factors rows (n1,) and cols (n2,)."""
@@ -390,6 +392,8 @@ def _batch(amp: TwoPhotonAmplitude, freqs: np.ndarray, dirs: np.ndarray) -> _Bat
     env = None if amp.envelope is None else np.asarray(amp.envelope(freqs, dirs))
     if amp.kind not in BELL_KINDS:
         return _Batch(freqs, dirs, env, None, None)
+    if np.iscomplexobj(env):
+        raise InputError(f"a {amp.kind} envelope must be real: the kind's two slots are conjugates")
     frames = np.reshape(batch_spin_frames(freqs, dirs), (2, 2, -1))
     return _Batch(freqs, dirs, env, frames, _pole_turn(dirs))
 
@@ -401,33 +405,34 @@ def _factors(
     if amp.kind not in BELL_KINDS:
         f1, d1, f2, d2 = first.freqs, first.dirs, second.freqs, second.dirs
         tables = {slot: _slot_table(value, f1, d1, f2, d2) for slot, value in amp.table.items()}
-    else:
-        cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
-        # Both kinds are products of spinor pairings D(x, y) = x0 y1 - x1 y0 of
-        # the spin frames (p, o), and D(U x, U y) = D(x, y) for U in SL(2, C).
-        # Turned so that the first batch sits at a pole, each term of a pairing
-        # between nearby momenta is as small as the pairing itself, so the
-        # expanded sums of a narrow cone with itself do not cancel.
-        p0, p1, o0, o1 = (first.turn @ first.frames).reshape(4, -1)
-        q0, q1, r0, r1 = (first.turn @ second.frames).reshape(4, -1)
-        if cond.coupling > 0:  # psi_-- = D(p, q)^2 = p0^2 q1^2 - 2 p0 p1 q0 q1 + p1^2 q0^2
-            minus = PairTable(
-                np.stack([p0 * p0, -2.0 * p0 * p1, p1 * p1], axis=1),
-                np.stack([q1 * q1, q0 * q1, q0 * q0], axis=1),
-            )
-            plus = minus.conj()
-        else:  # psi_+- = m(k).mbar(k') = D(o, q) conj(D(p, r))
-            pc0, pc1 = np.conj([p0, p1])
-            rc0, rc1 = np.conj([r0, r1])
-            plus = PairTable(
-                np.stack([o0 * pc0, -o0 * pc1, -o1 * pc0, o1 * pc1], axis=1),
-                np.stack([q1 * rc1, q1 * rc0, q0 * rc1, q0 * rc0], axis=1),
-            )
-            minus = plus.conj()
-        tables = {cond.slots[0]: plus, cond.slots[1]: minus}
+        if amp.envelope is not None:
+            tables = {slot: t.scaled(first.env, second.env) for slot, t in tables.items()}
+        return tables
+    cond = BELL_CONDITIONS[BELL_KINDS[amp.kind]]
+    # Both kinds are products of spinor pairings D(x, y) = x0 y1 - x1 y0 of
+    # the spin frames (p, o), and D(U x, U y) = D(x, y) for U in SL(2, C).
+    # Turned so that the first batch sits at a pole, each term of a pairing
+    # between nearby momenta is as small as the pairing itself, so the
+    # expanded sums of a narrow cone with itself do not cancel.
+    p0, p1, o0, o1 = (first.turn @ first.frames).reshape(4, -1)
+    q0, q1, r0, r1 = (first.turn @ second.frames).reshape(4, -1)
+    if cond.coupling > 0:  # psi_-- = D(p, q)^2 = p0^2 q1^2 - 2 p0 p1 q0 q1 + p1^2 q0^2
+        table = PairTable(
+            np.stack([p0 * p0, -2.0 * p0 * p1, p1 * p1], axis=1),
+            np.stack([q1 * q1, q0 * q1, q0 * q0], axis=1),
+        )
+    else:  # psi_+- = m(k).mbar(k') = D(o, q) conj(D(p, r))
+        pc0, pc1 = np.conj([p0, p1])
+        rc0, rc1 = np.conj([r0, r1])
+        table = PairTable(
+            np.stack([o0 * pc0, -o0 * pc1, -o1 * pc0, o1 * pc1], axis=1),
+            np.stack([q1 * rc1, q1 * rc0, q0 * rc1, q0 * rc0], axis=1),
+        )
+    # the other slot is the conjugate of the enveloped table: the envelope is real
     if amp.envelope is not None:
-        tables = {slot: t.scaled(first.env, second.env) for slot, t in tables.items()}
-    return tables
+        table = table.scaled(first.env, second.env)
+    pair = (table.conj(), table) if cond.coupling > 0 else (table, table.conj())
+    return dict(zip(cond.slots, pair))
 
 
 def pair_factors(
@@ -451,8 +456,16 @@ _SLOT_COUPLINGS = {cond.slots: cond.coupling for cond in BELL_CONDITIONS.values(
 
 def modulus_sum(tables: Iterable[PairTable], u1: np.ndarray, u2: np.ndarray) -> float:
     """u1 @ (sum over ``tables`` of |psi|^2) @ u2, the weighted two-momentum
-    sum of the slots' squared moduli."""
-    return sum(t.contract(t, u1, u2).real for t in tables)
+    sum of the slots' squared moduli.  A table that is the conj() of another
+    in ``tables`` (a Bell kind's second slot) has its squared modulus, so the
+    pair adds twice one contraction."""
+    tables = list(tables)
+    twice = [t.mirror for t in tables if t.mirror in tables]
+    return sum(
+        (2.0 if t in twice else 1.0) * t.contract(t, u1, u2).real
+        for t in tables
+        if t.mirror not in tables
+    )
 
 
 def slot_moments(tables: Mapping, u1: np.ndarray, u2: np.ndarray, beta=0.0, alpha=0.0) -> dict:
@@ -518,18 +531,23 @@ def condition_residuals(
     return np.abs(a @ b.T)
 
 
-def _condition_sums(condition: int, tables: Mapping, u1, u2, theta1=0.0, theta2=0.0) -> tuple:
+def _condition_sums(
+    condition: int, tables: Mapping, u1, u2, theta1=0.0, theta2=0.0, scale=None
+) -> tuple:
     """(BELL_CONDITIONS[condition], S, C) over the pair_factors ``tables``:
 
         S = u1 @ (|psi_plus|^2 + |psi_minus|^2) @ u2,
         C = sum_ij u1_i u2_j e^{2i x_ij} psi_plus conj(psi_minus),
 
-    x_ij = theta1_i + coupling theta2_j: the slots' modulus_sum and, for real
-    weights, the conjugate of their slot_moments.  A missing slot adds 0 to S and makes C = 0."""
+    x_ij = theta1_i + coupling theta2_j: the slots' modulus_sum (or ``scale``,
+    when the caller has summed it) and, for real weights, the conjugate of
+    their slot_moments.  A missing slot adds 0 to S and makes C = 0."""
     cond = _condition(condition)
     present = {slot: tables[slot] for slot in cond.slots if slot in tables}
     moment = slot_moments(present, u1, u2, theta1, theta2).get(cond.coupling, 0j)
-    return cond, modulus_sum(present.values(), u1, u2), moment.conjugate()
+    if scale is None:
+        scale = modulus_sum(present.values(), u1, u2)
+    return cond, scale, moment.conjugate()
 
 
 def condition_residual_rel(
@@ -539,6 +557,7 @@ def condition_residual_rel(
     theta2: np.ndarray,
     u1: np.ndarray,
     u2: np.ndarray,
+    scale: float | None = None,
 ) -> float:
     """Weighted relative RMS of the condition_residuals table of the pair_factors
     ``tables`` at angles theta1, theta2 (or single angles, shape (1,)) with
@@ -546,13 +565,15 @@ def condition_residual_rel(
 
         sqrt(u1 @ res^2 @ u2 / S),   S = u1 @ (|psi_plus|^2 + |psi_minus|^2) @ u2,
 
+    S summed here unless ``scale`` gives it (for a Bell kind's tables, S is
+    their norm_blocks block).
     0 when S vanishes and 1 when S does not and a slot is missing.  The
     squared residual is summed in the expanded form
     |a + b|^2 = |a|^2 + |b|^2 + 2 Re(a conj(b)), which factors, so no pair table
     is built; the expansion cancels where the residual is small, so the sum is
     clamped at 0 and the result has an absolute floor of about 1e-8
     (sqrt of the double-precision epsilon)."""
-    cond, scale, cross = _condition_sums(condition, tables, u1, u2, theta1, theta2)
+    cond, scale, cross = _condition_sums(condition, tables, u1, u2, theta1, theta2, scale)
     squared = scale + 2.0 * cond.branch * cross.real
     return math.sqrt(max(squared, 0.0) / scale) if scale > 0.0 else 0.0
 

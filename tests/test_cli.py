@@ -17,7 +17,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellepr import cli, correlators
+from bellepr import cli, correlators, measure
 from bellepr.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -930,13 +930,13 @@ def sweep_block(variable, count, start=0.0, stop=1.0):
 
 class TestPreparedSweep:
     @pytest.mark.parametrize(
-        "quadrature, node_sets", [("", 4), (QUAD_1536, 6)], ids=["6x4x8", "12x8x16"]
+        "quadrature, node_sets", [("", 4), (QUAD_1536, 4)], ids=["6x4x8", "12x8x16"]
     )
     def test_beta_sweep_builds_its_node_sets_and_residual_sample_once(
         self, tmp_path, monkeypatch, quadrature, node_sets
     ):
-        # the full and halved rules' node sets, plus the default rule's for
-        # the residual sample at any other rule, for all 13 rows together
+        # the full and halved rules' node sets, whose 6x4x8 rule is the
+        # residual sample's, for all 13 rows together
         text = BASE_SCENARIO.format(beta="0.0", transform=REST) + sweep_block("beta", 13)
         cfg, out, calls = write_config(tmp_path, text + quadrature), str(tmp_path / "o.csv"), []
         for name in ("invariant_node_set", "condition_residuals"):
@@ -950,6 +950,29 @@ class TestPreparedSweep:
         assert read_rows(out).shape == (13, 6)
         assert calls.count("invariant_node_set") == node_sets
         assert calls.count("condition_residuals") == 1
+
+    @pytest.mark.parametrize("rows", [2, 7])
+    @pytest.mark.parametrize("case", ["joint", "alice_only"])
+    def test_rapidity_sweep_meshes_each_cone_once_per_rule(self, tmp_path, monkeypatch, case, rows):
+        # the rows share the laboratory cones, so the fit and both rules of
+        # every row mesh each cone once, however many rows there are
+        transform = JOINT_BOOST.replace("joint", case)
+        text = BASE_SCENARIO.format(beta="0.0", transform=transform)
+        cfg = write_config(tmp_path, text + sweep_block("rapidity", rows))
+        out, built, build = str(tmp_path / "o.csv"), [], measure._build_node_set
+
+        def spy(region, spec):
+            built.append((region, spec))
+            return build(region, spec)
+
+        monkeypatch.setattr(measure, "_build_node_set", spy)
+        assert main(["correlate", cfg, "--out", out]) == EXIT_OK
+        assert read_rows(out).shape == (rows, 6)
+        # the vacuum's normalization meshes the full sphere, not a cone
+        meshed = [(id(region), spec) for region, spec in built if region.half_angle < math.pi]
+        assert len(meshed) == len(set(meshed)) == 4
+        rule = correlators.DEFAULT_QUADRATURE
+        assert {spec for _, spec in meshed} == {rule, rule.halved()}
 
     @pytest.mark.parametrize(
         "variable, prepares", [("beta", 1), ("alpha", 1), ("n_osc", 1), ("rapidity", 5)]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import math
@@ -696,15 +697,19 @@ class TestPointCost:
         assert scn.quadrature == correlators.DEFAULT_QUADRATURE
         assert self.node_sets_and_rules(scn, monkeypatch) == (4, 2)
 
-    def test_point_at_another_rule_builds_the_default_rule_arms_too(
-        self, z_mid, fit21, monkeypatch
+    @pytest.mark.parametrize(
+        "counts, node_sets", [((12, 8, 16), 4), ((10, 6, 12), 6)], ids=["12x8x16", "10x6x12"]
+    )
+    def test_point_at_another_rule_takes_the_default_rule_sample(
+        self, z_mid, fit21, monkeypatch, counts, node_sets
     ):
-        # the 192 x 192 bell_residual_max sample adds the default rule's two
-        # node sets to the full (12x8x16) and halved (6x4x8) rules' four
+        # the 192 x 192 bell_residual_max sample is the halved rule's own when
+        # that rule is 6x4x8; any other rule adds the default rule's two node sets
         joint = joint_case(bp.boost(0.5, Y_HAT))
         scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=joint)
-        scn = dataclasses.replace(scn, quadrature=QuadratureSpec(n_freq=12, n_polar=8, n_azimuth=16))
-        assert self.node_sets_and_rules(scn, monkeypatch) == (6, 2)
+        spec = QuadratureSpec(**dict(zip(("n_freq", "n_polar", "n_azimuth"), counts)))
+        scn = dataclasses.replace(scn, quadrature=spec)
+        assert self.node_sets_and_rules(scn, monkeypatch) == (node_sets, 2)
 
     @pytest.mark.parametrize("amp", [AMP11, AMP21])
     def test_point_builds_each_arms_spin_frames_once(self, z_mid, fit21, monkeypatch, amp):
@@ -784,6 +789,30 @@ class TestPreparedSweep:
         scn = make_scn(AMP21, z_mid, 0.7, 0.2, field=fit21.field, transform=TRANSFORMS["joint"])
         rule = QuadratureSpec(n_freq=12, n_polar=8, n_azimuth=16)
         self.check(dataclasses.replace(scn, quadrature=rule), "alpha")
+
+    @pytest.mark.parametrize("counts", [(6, 4, 8), (12, 8, 16)], ids=["6x4x8", "12x8x16"])
+    @pytest.mark.parametrize("case", [joint_case, alice_only_case], ids=["joint", "alice_only"])
+    @pytest.mark.parametrize(
+        "amp, fit", [(AMP11, "fit11"), (AMP12, "fit11"), (AMP21, "fit21"), (AMP22, "fit21")]
+    )
+    def test_rapidity_rows_equal_correlate_on_cold_copies_bit_for_bit(
+        self, request, z_mid, amp, fit, case, counts
+    ):
+        # the rows of a rapidity sweep share their cones and so the node sets
+        # kept on them; a deep copy of each row, made before any is evaluated,
+        # meshes its own cones from scratch
+        field = request.getfixturevalue(fit).field
+        cones = {"rb": dataclasses.replace(REGION_B), "ra": dataclasses.replace(REGION_A)}
+        scn = make_scn(amp, z_mid, 0.7, 0.2, field=field, **cones)
+        spec = QuadratureSpec(**dict(zip(("n_freq", "n_polar", "n_azimuth"), counts)))
+        rows = [
+            dataclasses.replace(scn, quadrature=spec, transform=case(bp.boost(r, Y_HAT)))
+            for r in (0.2, 0.5, 0.8)
+        ]
+        cold = [copy.deepcopy(row) for row in rows]
+        assert not any(row.bob.region._node_sets or row.alice.region._node_sets for row in cold)
+        warm = [result_bits(correlate(row)) for row in rows]
+        assert warm == [result_bits(correlate(row)) for row in cold]
 
     @staticmethod
     def check(scn, variable):

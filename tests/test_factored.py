@@ -420,8 +420,9 @@ def test_condition_sums_contract_only_through_the_two_slot_sums(kind, monkeypatc
     tables = states.pair_factors(amp, nb.freqs, nb.dirs, na.freqs, na.dirs)
     th_b, th_a = (field_values(fit.field, n.freqs, n.dirs) for n in (nb, na))
     condition_residual_rel(condition, tables, th_b, th_a, nb.weights, na.weights)
-    # each of the two condition sums: two squared moduli and one moment
-    assert sorted(map(str, callers)) == ["modulus_sum"] * 4 + ["slot_moments"] * 2
+    # each of the two condition sums: one squared modulus, which counts the
+    # conjugate slot's too, and one moment
+    assert sorted(map(str, callers)) == ["modulus_sum"] * 2 + ["slot_moments"] * 2
 
 
 def test_condition_residuals_on_slots_the_amplitude_lacks():
@@ -495,3 +496,29 @@ def test_pair_factors_on_a_batch_whose_directions_sum_to_zero(kind, envelope):
     for slot, table in dense.items():
         built = factored[slot].a @ factored[slot].b.T
         np.testing.assert_allclose(built, table, rtol=0.0, atol=RTOL * np.abs(table).max())
+
+
+@pytest.mark.parametrize("envelope", [False, True], ids=["plain", "envelope"])
+@pytest.mark.parametrize("kind", sorted(BELL_KINDS))
+def test_norm_blocks_contract_one_slot_of_a_conjugate_pair_bit_for_bit(vacuum, kind, envelope):
+    # a Bell kind's second slot is conj() of its first, through an envelope
+    # too, so each block doubles one contraction: the bits of contracting both
+    amp = TwoPhotonAmplitude(kind=kind, envelope=gaussian_envelope if envelope else None)
+    arms = []
+    for region in (BOB, ALICE):
+        n = invariant_node_set(region, SPEC)
+        arms.append((n.freqs, n.dirs, n.weights * evaluate_batch(vacuum, n.freqs, n.dirs)))
+    _, blocks, _ = norm_blocks(amp, arms)
+    for a, (f1, d1, u1) in enumerate(arms):
+        for b, (f2, d2, u2) in enumerate(arms):
+            plus, minus = states.pair_factors(amp, f1, d1, f2, d2).values()
+            assert plus.mirror is minus or minus.mirror is plus
+            both = sum(t.contract(t, u1, u2).real for t in (plus, minus))
+            assert blocks[a, b].hex() == both.hex()
+
+
+def test_a_bell_kind_refuses_a_complex_envelope():
+    amp = TwoPhotonAmplitude(kind="bell21", envelope=lambda f, d: np.exp(1j * f))
+    n = invariant_node_set(BOB, SPEC)
+    with pytest.raises(bp.InputError, match="must be real"):
+        states.pair_factors(amp, n.freqs, n.dirs, n.freqs, n.dirs)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellepr as bp
+from bellepr import measure
 from bellepr.measure import (
     DetectorRegion,
     QuadratureSpec,
@@ -316,3 +320,65 @@ class TestDisjointness:
         a = DetectorRegion(Z_AXIS, h1, 1.0, 2.0)
         b = DetectorRegion(ax, h2, 1.0, 2.0)
         assert regions_disjoint(a, b) == regions_disjoint(b, a)
+
+
+class TestKeptNodeSets:
+    @pytest.mark.parametrize(
+        "spec",
+        [QuadratureSpec(n_freq=4, n_polar=3, n_azimuth=8), QuadratureSpec(mode="mc", n_samples=50)],
+        ids=["product", "mc"],
+    )
+    def test_node_sets_are_kept_read_only(self, spec):
+        region = DetectorRegion(Z_AXIS, 0.3, 0.5, 2.0)
+        nodes = invariant_node_set(region, spec)
+        assert invariant_node_set(region, spec) is nodes
+        for array in (nodes.freqs, nodes.dirs, nodes.weights, region.axis):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_replace_starts_with_no_node_set(self):
+        spec = QuadratureSpec(n_freq=4, n_polar=3, n_azimuth=8)
+        region = DetectorRegion(Z_AXIS, 0.3, 0.5, 2.0)
+        invariant_node_set(region, spec)  # what a shared memo would carry over
+        wider = dataclasses.replace(region, half_angle=0.6)
+        assert wider._node_sets == {}
+        fresh = invariant_node_set(DetectorRegion(Z_AXIS, 0.6, 0.5, 2.0), spec)
+        for name in ("freqs", "dirs", "weights"):
+            kept = getattr(invariant_node_set(wider, spec), name)
+            assert kept.tobytes() == getattr(fresh, name).tobytes()
+
+    def test_threads_filling_one_region_get_the_nodes_of_a_cold_build(self):
+        # two threads may both build a missing set; each gets the same nodes
+        specs = [QuadratureSpec(n_freq=n, n_polar=3, n_azimuth=8) for n in range(3, 9)]
+        region = DetectorRegion(Z_AXIS, 0.3, 0.5, 2.0)
+        cold = {s: invariant_node_set(DetectorRegion(Z_AXIS, 0.3, 0.5, 2.0), s) for s in specs}
+        calls = [s for _ in range(8) for s in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(invariant_node_set, region, s) for s in calls]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for spec, nodes in zip(calls, got):
+            for name in ("freqs", "dirs", "weights"):
+                assert getattr(nodes, name).tobytes() == getattr(cold[spec], name).tobytes()
+        assert set(region._node_sets) == set(specs)
+
+    def test_axis_frame_is_np_cross_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        axes = rng.normal(size=(300, 3))
+        axes[:100, :2] *= 0.1  # near the poles: the branch about x
+        axes = np.vstack([axes, np.eye(3), -np.eye(3)])
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        polar = np.abs(axes[:, 2]) >= 0.9
+        assert polar.sum() > 50 and (~polar).sum() > 50
+        for axis in axes:
+            ref = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+            e1 = np.cross(ref, axis)
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(axis, e1)
+            got = measure._axis_frame(axis)
+            assert got[0].tobytes() == e1.tobytes() and got[1].tobytes() == e2.tobytes()
