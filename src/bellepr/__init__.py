@@ -45,7 +45,6 @@ from .states import (
     fit_theta,
     tabulated_field,
     theta_wigner_residual,
-    two_photon_norm,
     with_transform_field,
 )
 
@@ -65,7 +64,7 @@ from .correlators import (
     swap_roles,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 from .errors import (
     ChartError,
@@ -117,7 +116,6 @@ __all__ = [
     "fit_theta",
     "tabulated_field",
     "theta_wigner_residual",
-    "two_photon_norm",
     "with_transform_field",
     # correlators
     "DEFAULT_QUADRATURE",

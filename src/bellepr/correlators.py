@@ -91,8 +91,9 @@ __all__ = [
     "check_regions",
 ]
 
-#: Default per-cone product rule: 6 frequency x 4 polar x 8 azimuth nodes.
-DEFAULT_QUADRATURE = QuadratureSpec(n_freq=6, n_polar=4, n_azimuth=8)
+#: Default per-cone product rule, QuadratureSpec's defaults: 6 frequency x
+#: 4 polar x 8 azimuth nodes.
+DEFAULT_QUADRATURE = QuadratureSpec()
 
 #: A 1e-9 cone around -z, the cut of the spinor chart.  A laboratory cone that
 #: contains it holds one fixed analyzer angle against the chart's phase, which

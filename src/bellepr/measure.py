@@ -129,9 +129,9 @@ class QuadratureSpec:
     suited to integrands spread over decades such as log-normal weights.
     """
 
-    n_freq: int = 16
-    n_polar: int = 16
-    n_azimuth: int = 16
+    n_freq: int = 6
+    n_polar: int = 4
+    n_azimuth: int = 8
     mode: str = "product"
     seed: int = 0
     n_samples: int = 20000
@@ -207,18 +207,16 @@ def _radial_rule(
     """Nodes/weights realizing integral( . d omega) over the frequency window.
 
     Finite windows use Gauss-Legendre in omega, or in ln(omega) when
-    ``radial_map`` is "log" (freq_lo must then be positive).  Semi-infinite
-    windows use the substitution omega = -scale*ln(u) with composite
-    Gauss-Legendre panels on dyadic subdivisions of (0, 1], which is
-    near-exact for integrands with exponential (or faster-decaying-in-log)
-    tails.
+    ``radial_map`` is "log" (freq_lo must then be positive, which no
+    semi-infinite window has).  Semi-infinite windows use the substitution
+    omega = -scale*ln(u) with composite Gauss-Legendre panels on dyadic
+    subdivisions of (0, 1], which is near-exact for integrands with
+    exponential (or faster-decaying-in-log) tails.
     """
+    if radial_map == "log" and freq_lo <= 0.0:
+        raise PreconditionError("log radial map requires a positive freq_lo")
     if not math.isinf(freq_hi):
         if radial_map == "log":
-            if freq_lo <= 0.0:
-                raise PreconditionError(
-                    "log radial map requires a positive freq_lo"
-                )
             t, wt = _gauss_legendre(n_freq, math.log(freq_lo), math.log(freq_hi))
             om = np.exp(t)
             return om, wt * om

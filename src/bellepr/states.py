@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .measure import DetectorRegion, QuadratureSpec, full_sphere_region, invariant_node_set
+from .measure import DetectorRegion, QuadratureSpec, invariant_node_set
 from .spinor_tetrad import (
     LorentzMap,
     NullMomentum,
@@ -70,7 +70,6 @@ from .spinor_tetrad import (
     wigner_pullback,
     wrap_angle,
 )
-from .vacuum import VacuumDensity, evaluate_batch
 
 __all__ = [
     "BellCondition",
@@ -99,7 +98,6 @@ __all__ = [
     "oscillator_factors",
     "norm_blocks",
     "norm_total",
-    "two_photon_norm",
     "fit_theta",
 ]
 
@@ -605,29 +603,6 @@ def covariance_residuals(
 # norms
 
 
-def _norm_region(z: VacuumDensity) -> DetectorRegion:
-    """Full-sphere region with a frequency window outside which the
-    vacuum-weighted norm integrands are negligible at double precision."""
-    params = dict(z.params)
-    if z.family == "power-exponential":
-        cap = params["scale"] * (60.0 + 10.0 * params["exponent"])
-        return full_sphere_region(0.0, cap)
-    w = params["width"]
-    lo = params["scale"] * math.exp(-8.0 * w * w - 8.0 * w)
-    try:
-        hi = params["scale"] * math.exp(4.0 * w * w + 8.0 * w)
-    except OverflowError as exc:
-        raise InputError(f"log-normal width {w} puts the norm window beyond double range") from exc
-    return full_sphere_region(lo, hi)
-
-
-def _norm_spec(z: VacuumDensity) -> QuadratureSpec:
-    """Default norm quadrature: log-spaced frequency nodes for log-normal
-    weights (content spread over decades), linear otherwise."""
-    radial_map = "log" if z.family == "log-normal-isotropic" else "linear"
-    return QuadratureSpec(n_freq=32, n_polar=8, n_azimuth=8, radial_map=radial_map)
-
-
 def oscillator_factors(n_osc) -> tuple[float, float, float]:
     """Oscillator-count prefactors (2/N, 2(N-1)/N, 8(N-1)/N).
 
@@ -668,39 +643,12 @@ def norm_blocks(
 
 def norm_total(diag: float, blocks: np.ndarray, n_osc) -> float:
     """The squared norm from norm_blocks' same-momentum total and blocks:
-    (2/N) diag + (2(N-1)/N) sum(blocks).  At N = inf the same-momentum term
-    is left out, not multiplied by 0."""
+    (2/N) diag + (2(N-1)/N) sum(blocks); over one full-sphere arm, the state's
+    norm over all momenta.  At N = inf the same-momentum term is left out,
+    not multiplied by 0."""
     first_fac, cross_fac, _ = oscillator_factors(n_osc)
     cross = cross_fac * float(blocks.sum())
     return cross if first_fac == 0.0 else first_fac * diag + cross
-
-
-#: Largest accepted deviation from 1 of the vacuum's mass on the norm's nodes.
-_NORM_MASS_TOL = 1e-4
-
-
-def two_photon_norm(amp: TwoPhotonAmplitude, z: VacuumDensity, n_osc) -> float:
-    """Squared norm of the two-photon state over N oscillators:
-
-        (2/N)   * sum_ss' integral dGamma |psi_ss'(k,k)|^2 Z(k)
-      + (2(N-1)/N) * sum_ss' double integral |psi_ss'(k,k')|^2 Z(k) Z(k')
-
-    ``n_osc`` is an integer >= 1 or math.inf (limit factors 0 and 2).  The
-    integrals run over all momenta (frequency-capped where the vacuum weight
-    has decayed to double-precision zero).  Raises InputError when the rule
-    does not resolve the vacuum: its mass on the nodes differs from 1 by
-    more than 1e-4 (wide log-normal vacua).
-    """
-    nodes = invariant_node_set(_norm_region(z), _norm_spec(z))
-    u = nodes.weights * evaluate_batch(z, nodes.freqs, nodes.dirs)
-    mass = float(np.sum(u))
-    if not abs(mass - 1.0) <= _NORM_MASS_TOL:
-        raise InputError(
-            f"the norm rule does not resolve the vacuum: its mass on the nodes is "
-            f"{mass:.6g}, not 1 within {_NORM_MASS_TOL:g}"
-        )
-    diag, blocks, _ = norm_blocks(amp, [(nodes.freqs, nodes.dirs, u)])
-    return norm_total(diag, blocks, n_osc)
 
 
 # --------------------------------------------------------------------------

@@ -382,6 +382,31 @@ class TestConfigValidation:
         assert_one_error_line(err, "precondition violated")
         assert "chart cut" in err
 
+    @pytest.mark.parametrize("command", ["correlate", "diagnose"])
+    def test_log_radial_map_on_a_semi_infinite_cone_is_a_precondition(
+        self, command, tmp_path, capsys
+    ):
+        # a semi-infinite window has freq_lo = 0, which the log map cannot
+        # reach; the same cone on the linear map evaluates
+        text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
+            "freq_lo: 0.5\n    freq_hi: 2.0\n    angle: 0.0",
+            "freq_lo: 0.0\n    freq_hi: .inf\n    angle: 0.0",
+        )
+        assert "freq_hi: .inf" in text
+        for radial_map, code in [("linear", EXIT_OK), ("log", EXIT_PRECONDITION)]:
+            cfg = write_config(
+                tmp_path, text + SWEEP_BETA + f"quadrature:\n  radial_map: {radial_map}\n"
+            )
+            out = tmp_path / f"{radial_map}.txt"
+            assert main([command, cfg, "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if code == EXIT_OK:
+                assert out.exists()
+            else:
+                assert_one_error_line(err, "precondition violated")
+                assert "positive freq_lo" in err
+                assert not out.exists()
+
     def test_overflowing_vacuum_norm_is_a_config_error(self, tmp_path, capsys):
         text = BASE_SCENARIO.format(beta="0.0", transform=REST).replace(
             "exponent: 2.0", "exponent: 400.0"

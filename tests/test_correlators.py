@@ -683,6 +683,10 @@ class TestTableReuse:
 
 
 class TestPointCost:
+    def test_default_rule_is_the_spec_defaults(self):
+        # configs, Scenario and the Bell sample all use QuadratureSpec()'s rule
+        assert bp.DEFAULT_QUADRATURE == QuadratureSpec() == QuadratureSpec(6, 4, 8)
+
     @pytest.mark.parametrize("case", ["rest", "joint", "alice_only"])
     def test_point_builds_four_node_sets_and_evaluates_two_rules(
         self, z_mid, fit21, monkeypatch, case

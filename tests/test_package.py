@@ -1,7 +1,8 @@
 """Package surface: ``bellepr.__all__`` lists exactly the names that
 ``bellepr/__init__.py`` imports, every name a module's ``__all__`` lists
 exists on that module, no module imports a name it neither uses
-nor exports, the configuration schema ships as package data, the package
+nor exports, each module imports from inside the package only the modules
+its layer allows, the configuration schema ships as package data, the package
 version is written once, and every function the benchmark tracer wraps by
 name exists once ``bellepr.cli`` is imported,
 and the benchmark's first-cycle sweeps reproduce its reference values;
@@ -72,6 +73,58 @@ def test_no_module_imports_a_name_it_neither_uses_nor_exports():
         if left:
             unused[path.name] = sorted(left)
     assert unused == {}
+
+
+#: Each module's imports from inside the package, by file stem (``__init__``
+#: for the package itself).  The amplitude layer, states, knows no vacuum:
+#: vacuum is the one module that knows the vacuum families.  A new
+#: cross-layer import has to be added here on purpose.
+LAYERS = {
+    "errors": set(),
+    "spinor_tetrad": {"errors"},
+    "measure": {"errors", "spinor_tetrad"},
+    "vacuum": {"errors", "measure", "spinor_tetrad"},
+    "states": {"errors", "measure", "spinor_tetrad"},
+    "correlators": {"errors", "measure", "spinor_tetrad", "states", "vacuum"},
+    "fock_oracle": {"errors", "spinor_tetrad", "states"},
+    "cli": {
+        "__init__", "correlators", "errors", "fock_oracle", "measure", "spinor_tetrad",
+        "states", "vacuum",
+    },
+    "__init__": {"correlators", "errors", "measure", "spinor_tetrad", "states", "vacuum"},
+}
+
+
+def package_imports(path):
+    """The stems of the package modules that the source file ``path`` imports
+    from, at module level or inside a function, by relative or absolute name."""
+    stems = {p.stem for p in path.parent.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imports = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"bellepr.{module}".rstrip(".")
+            imports = [(module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in imports:
+            parts = module.split(".")
+            if parts[0] != "bellepr":
+                continue
+            if len(parts) > 1:
+                found.add(parts[1])
+            else:  # `from . import name`: a submodule or a name of the package
+                found.add(name if name in stems else "__init__")
+    return found
+
+
+def test_each_module_imports_only_what_its_layer_allows():
+    package = Path(bellepr.__file__).resolve().parent
+    graph = {path.stem: package_imports(path) for path in sorted(package.glob("*.py"))}
+    assert graph == LAYERS
 
 
 def test_config_schema_is_package_data():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bellepr as bp
-from bellepr.measure import DetectorRegion, QuadratureSpec, invariant_node_set
+from bellepr.measure import DetectorRegion, QuadratureSpec, full_sphere_region, invariant_node_set
 from bellepr.states import (
     TwoPhotonAmplitude,
     amplitude_pair_tables,
@@ -16,15 +16,16 @@ from bellepr.states import (
     covariance_residuals,
     field_values,
     fit_theta,
+    norm_blocks,
+    norm_total,
     oscillator_factors,
     pair_factors,
     symmetry_residuals,
     tabulated_field,
     theta_wigner_residual,
-    two_photon_norm,
     with_transform_field,
 )
-from bellepr.vacuum import normalize
+from bellepr.vacuum import evaluate_batch, normalize
 
 DEG = math.pi / 180.0
 Z_HAT = np.array([0.0, 0.0, 1.0])
@@ -507,6 +508,28 @@ class TestThetaWignerResidual:
         assert np.max(np.abs(bp.wrap_angle(vals_s - vals_c))) < 1e-8
 
 
+def full_sphere_norm(amp, z, n_osc):
+    """The squared norm over all momenta: norm_blocks and norm_total on one
+    full-sphere arm, frequency-capped where the vacuum weight has decayed to
+    double-precision zero, with log-spaced frequencies for log-normal vacua."""
+    params = dict(z.params)
+    if z.family == "power-exponential":
+        region = full_sphere_region(0.0, params["scale"] * (60.0 + 10.0 * params["exponent"]))
+        radial_map = "linear"
+    else:
+        w = params["width"]
+        region = full_sphere_region(
+            params["scale"] * math.exp(-8.0 * w * w - 8.0 * w),
+            params["scale"] * math.exp(4.0 * w * w + 8.0 * w),
+        )
+        radial_map = "log"
+    spec = QuadratureSpec(n_freq=32, n_polar=8, n_azimuth=8, radial_map=radial_map)
+    nodes = invariant_node_set(region, spec)
+    u = nodes.weights * evaluate_batch(z, nodes.freqs, nodes.dirs)
+    diag, blocks, _ = norm_blocks(amp, [(nodes.freqs, nodes.dirs, u)])
+    return norm_total(diag, blocks, n_osc)
+
+
 class TestTwoPhotonNorm:
     def test_opposite_helicity_first_term(self):
         # diagonal amplitude is exactly -1, so the single integral is the
@@ -514,7 +537,7 @@ class TestTwoPhotonNorm:
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
         amp = TwoPhotonAmplitude(kind="bell11")
         for n in (1, 2, 3):
-            val = two_photon_norm(amp, z, n)
+            val = full_sphere_norm(amp, z, n)
             expected = 4.0 / n + (4.0 * (n - 1) / n) * (1.0 / 3.0)
             assert val == pytest.approx(expected, rel=1e-8)
 
@@ -527,7 +550,7 @@ class TestTwoPhotonNorm:
             ("log-normal-isotropic", {"scale": 1.0, "width": 0.4}),
         ]:
             z = normalize(fam, params)
-            val = two_photon_norm(amp, z, math.inf)
+            val = full_sphere_norm(amp, z, math.inf)
             assert val == pytest.approx(4.0 / 3.0, rel=1e-7)
 
     def test_equal_helicity_norm_closed_form(self):
@@ -536,56 +559,58 @@ class TestTwoPhotonNorm:
         # M2 = 12 and the N -> infinity norm is 4*(16/3)*144 = 3072
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
         amp = TwoPhotonAmplitude(kind="bell21")
-        val_inf = two_photon_norm(amp, z, math.inf)
+        val_inf = full_sphere_norm(amp, z, math.inf)
         assert val_inf == pytest.approx(3072.0, rel=1e-8)
-        val_2 = two_photon_norm(amp, z, 2)
+        val_2 = full_sphere_norm(amp, z, 2)
         assert val_2 == pytest.approx(3072.0 / 2.0, rel=1e-8)
-        val_5 = two_photon_norm(amp, z, 5)
+        val_5 = full_sphere_norm(amp, z, 5)
         assert val_5 == pytest.approx(3072.0 * 4.0 / 5.0, rel=1e-8)
 
     def test_equal_helicity_norm_has_no_first_term(self):
         z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
         amp = TwoPhotonAmplitude(kind="bell21")
         # N = 1 keeps only the (vanishing) diagonal term
-        assert two_photon_norm(amp, z, 1) == pytest.approx(0.0, abs=1e-10)
-
-    def test_frequency_window_beyond_double_range_is_an_input_error(self):
-        # width 13 normalizes, but its norm window ends at exp(4w^2 + 8w) > 1e308
-        z = normalize("log-normal-isotropic", {"scale": 1.0, "width": 13.0})
-        with pytest.raises(bp.InputError, match="beyond double range"):
-            two_photon_norm(TwoPhotonAmplitude(kind="bell21"), z, 2)
-
-    @pytest.mark.parametrize("kind", ["bell11", "bell21"])
-    @pytest.mark.parametrize("width", [2.0, 3.0, 5.0, 8.0])
-    def test_unresolved_wide_log_normal_is_an_input_error(self, width, kind):
-        # the norm rule's vacuum mass is off by 2.3e-3 at width 2 and by
-        # 1.7 at width 8; bell11 at N = 2 would return 2.66-10.5, not 8/3
-        z = normalize("log-normal-isotropic", {"scale": 1.0, "width": width})
-        with pytest.raises(bp.InputError, match="does not resolve the vacuum"):
-            two_photon_norm(TwoPhotonAmplitude(kind=kind), z, 2)
+        assert full_sphere_norm(amp, z, 1) == pytest.approx(0.0, abs=1e-10)
 
     def test_resolved_log_normal_keeps_the_cross_term_third(self):
         z = normalize("log-normal-isotropic", {"scale": 1.0, "width": 1.0})
-        val = two_photon_norm(TwoPhotonAmplitude(kind="bell11"), z, 2)
+        val = full_sphere_norm(TwoPhotonAmplitude(kind="bell11"), z, 2)
         assert val == pytest.approx(2.0 + 2.0 / 3.0, rel=1e-4)
 
     def test_invalid_oscillator_count(self):
-        z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
-        amp = TwoPhotonAmplitude(kind="bell11")
-        with pytest.raises(bp.InputError):
-            two_photon_norm(amp, z, 0)
-        with pytest.raises(bp.InputError):
-            two_photon_norm(amp, z, -3)
-        with pytest.raises(bp.InputError):
-            two_photon_norm(amp, z, 1.5)
+        blocks = np.ones((1, 1))
+        for n_osc in (0, -3, 1.5):
+            with pytest.raises(bp.InputError):
+                oscillator_factors(n_osc)
+            with pytest.raises(bp.InputError):
+                norm_total(1.0, blocks, n_osc)
 
     def test_boolean_oscillator_count_rejected(self):
         # True == 1 in Python; the N-factor helper must not read it as N = 1
-        z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
         with pytest.raises(bp.InputError):
             oscillator_factors(True)
         with pytest.raises(bp.InputError):
-            two_photon_norm(TwoPhotonAmplitude(kind="bell11"), z, True)
+            norm_total(1.0, np.ones((1, 1)), True)
+
+    @pytest.mark.parametrize("kind", ["bell11", "bell12", "bell21", "bell22"])
+    def test_arms_that_partition_the_sphere_give_the_full_sphere_norm(self, kind):
+        # the +x and -x hemispheres on the full-sphere rule's frequency nodes:
+        # their self blocks, both cross blocks and both diagonals add up to
+        # the one-arm norm over all momenta (bell21/22 at N = 1 is zero)
+        z = normalize("power-exponential", {"exponent": 1.0, "scale": 1.0})
+        amp = TwoPhotonAmplitude(kind=kind)
+        spec = QuadratureSpec(n_freq=32, n_polar=8, n_azimuth=8)
+        arms = []
+        for axis in ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]):
+            nodes = invariant_node_set(DetectorRegion(np.array(axis), math.pi / 2, 0.0, 70.0), spec)
+            u = nodes.weights * evaluate_batch(z, nodes.freqs, nodes.dirs)
+            arms.append((nodes.freqs, nodes.dirs, u))
+        diag, blocks, _ = norm_blocks(amp, arms)
+        assert blocks.shape == (2, 2)
+        for n_osc in (1, 2, 3, math.inf):
+            assert norm_total(diag, blocks, n_osc) == pytest.approx(
+                full_sphere_norm(amp, z, n_osc), rel=1e-12, abs=1e-10
+            )
 
 
 class TestFieldKinds:

@@ -73,6 +73,13 @@ VALUE_RULES = {
         PreconditionError,
         "positive freq_lo",
     ),
+    "log-map-on-semi-infinite-window": (
+        lambda: invariant_node_set(
+            DetectorRegion(Z_HAT, 0.1, 0.0, math.inf), QuadratureSpec(radial_map="log")
+        ),
+        PreconditionError,
+        "positive freq_lo",
+    ),
     "amplitude-kind": (
         lambda: TwoPhotonAmplitude(kind="bell33"), InputError, "unknown amplitude kind"
     ),
